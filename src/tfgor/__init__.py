@@ -5,7 +5,6 @@ the three conditions (W2 membership, Gorensteinness, the second-power
 criterion for the edge ideal) coincide.
 """
 
-from ._kernels import BACKEND
 from ._version import __version__
 from .complexes import (
     SimplicialComplex,
@@ -82,3 +81,6 @@ from .homology import (
     reduced_betti,
 )
 from .survey import build_record, report_to_csv, report_to_json, survey
+
+# The rank kernels are pure Python; kept as a name for run metadata.
+BACKEND = "pure"

@@ -1,42 +1,109 @@
-"""Selects the rank kernel implementation at import time.
+"""Exact rank kernels, in pure Python.
 
-The compiled extension (dense 64-bit elimination) is used when present;
-otherwise, or when TFGOR_PURE is set to a nonempty value other than "0",
-the pure sparse kernels take over.  The compiled integer kernel bails out
-(returns -1) whenever an intermediate value could overflow, in which case
-the call is replayed on the pure bignum path, so results are exact either
-way.
+Sparse elimination on dict-of-rows with Markowitz pivot selection (fewest
+fill-in, ties broken by lowest (row, col)).  The prime-field kernel uses
+modular inverses; the integer kernel is fraction-free, cross-multiplying
+the two rows and dividing the result by its content to keep coefficients
+small.  Both are exact for arbitrarily large entries.
 """
 
 from __future__ import annotations
 
-import os
+from math import gcd
 
-from . import _purerank
+__all__ = ["rank_mod_p", "rank_int"]
 
-_fast = None
-if os.environ.get("TFGOR_PURE", "0") in ("", "0"):
-    try:
-        from . import _fastrank as _fast  # type: ignore[no-redef]
-    except ImportError:
-        _fast = None
 
-BACKEND = "compiled" if _fast is not None else "pure"
+def _structures(triples):
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
+    for r, c, v in triples:
+        if v == 0:
+            continue
+        rows.setdefault(r, {})[c] = v
+        cols.setdefault(c, set()).add(r)
+    return rows, cols
 
-_INT31 = 2**31 - 1
+
+def _pick_pivot(rows, cols):
+    best = None
+    for r, rowd in rows.items():
+        lr = len(rowd) - 1
+        for c in rowd:
+            key = (lr * (len(cols[c]) - 1), r, c)
+            if best is None or key < best:
+                best = key
+    return best[1], best[2]
+
+
+def _detach_row(rows, cols, r):
+    rowd = rows.pop(r)
+    for c in rowd:
+        owners = cols[c]
+        owners.discard(r)
+        if not owners:
+            del cols[c]
+    return rowd
+
+
+def _set_entry(rows, cols, r, c, v):
+    rowd = rows.setdefault(r, {})
+    if v == 0:
+        if c in rowd:
+            del rowd[c]
+            owners = cols[c]
+            owners.discard(r)
+            if not owners:
+                del cols[c]
+        if not rowd:
+            del rows[r]
+    else:
+        rowd[c] = v
+        cols.setdefault(c, set()).add(r)
 
 
 def rank_mod_p(nrows: int, ncols: int, triples, p: int) -> int:
-    triples = list(triples)
-    if _fast is not None and 2 <= p <= _INT31:
-        return _fast.rank_mod_p(nrows, ncols, triples, p)
-    return _purerank.rank_mod_p(nrows, ncols, triples, p)
+    """Exact rank over GF(p) of the matrix given as (row, col, value) triples."""
+    rows, cols = _structures((r, c, v % p) for r, c, v in triples)
+    rank = 0
+    while rows:
+        r, c = _pick_pivot(rows, cols)
+        rank += 1
+        prow = _detach_row(rows, cols, r)
+        inv = pow(prow[c], -1, p)
+        for r2 in list(cols.get(c, ())):
+            mult = (rows[r2][c] * inv) % p
+            for cc, pv in prow.items():
+                nv = (rows.get(r2, {}).get(cc, 0) - mult * pv) % p
+                _set_entry(rows, cols, r2, cc, nv)
+    return rank
 
 
 def rank_int(nrows: int, ncols: int, triples) -> int:
-    triples = list(triples)
-    if _fast is not None and all(-_INT31 <= t[2] <= _INT31 for t in triples):
-        r = _fast.rank_bareiss(nrows, ncols, triples)
-        if r >= 0:
-            return r
-    return _purerank.rank_int(nrows, ncols, triples)
+    """Exact rank over the rationals of an integer matrix."""
+    rows, cols = _structures(triples)
+    rank = 0
+    while rows:
+        r, c = _pick_pivot(rows, cols)
+        rank += 1
+        prow = _detach_row(rows, cols, r)
+        piv = prow[c]
+        for r2 in list(cols.get(c, ())):
+            f = rows[r2][c]
+            g = gcd(piv, f)
+            a, b = piv // g, f // g
+            new = {cc: a * v for cc, v in rows[r2].items()}
+            for cc, pv in prow.items():
+                new[cc] = new.get(cc, 0) - b * pv
+            new = {cc: v for cc, v in new.items() if v}
+            content = 0
+            for v in new.values():
+                content = gcd(content, v)
+                if content == 1:
+                    break
+            if content > 1:
+                new = {cc: v // content for cc, v in new.items()}
+            _detach_row(rows, cols, r2)
+            for cc, v in new.items():
+                _set_entry(rows, cols, r2, cc, v)
+    return rank

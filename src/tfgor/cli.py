@@ -134,6 +134,11 @@ def _cmd_survey(args) -> int:
         else:
             with open(args.corpus, "r", encoding="ascii") as fh:
                 lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        lineno = exc.object[:exc.start].count(b"\n") + 1
+        bad = exc.object[exc.start]
+        print(f"tfgor survey: line {lineno}: byte {bad:#04x} is not ASCII", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"tfgor survey: {exc}", file=sys.stderr)
         return 2

@@ -144,9 +144,10 @@ def survey(
         if admits(g, filters, max_n):
             tasks.append((index, line, field_labels))
 
-    if jobs > 1 and len(tasks) > 1:
-        chunk = max(1, len(tasks) // (jobs * 8))
-        with multiprocessing.Pool(jobs) as pool:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        chunk = max(1, len(tasks) // (workers * 8))
+        with multiprocessing.Pool(workers) as pool:
             records = pool.map(_record_task, tasks, chunksize=chunk)
     else:
         records = [_record_task(t) for t in tasks]

@@ -183,6 +183,47 @@ def test_survey_determinism_and_jobs(capsys, monkeypatch, corpus_tf_lines):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def test_survey_pool_never_exceeds_tasks(capsys, monkeypatch):
+    import sys
+
+    survey_module = sys.modules["tfgor.survey"]
+    sizes, chunks = [], []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            chunks.append(chunksize)
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(survey_module.multiprocessing, "Pool", SerialPool)
+    corpus = "Dhc\nA_\nCr\n"
+    outputs = []
+    for jobs in ("1", "5000", "2"):
+        code, out, _ = run(
+            capsys, ["survey", "--jobs", jobs], stdin=corpus, monkeypatch=monkeypatch
+        )
+        assert code == 0
+        outputs.append(out)
+    assert sizes == [3, 2] and chunks == [1, 1]
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_survey_non_ascii_corpus_exit_2(capsys, tmp_path):
+    path = tmp_path / "bad.g6"
+    path.write_bytes(b"Dhc\n\xc3\xa9\n")
+    code, out, err = run(capsys, ["survey", "--corpus", str(path)])
+    assert code == 2 and out == ""
+    assert "line 2" in err and "Traceback" not in err
+
+
 def test_survey_summary_self_consistent(capsys, monkeypatch, corpus_tf_lines):
     corpus = "\n".join(corpus_tf_lines[:60]) + "\n"
     _, out, _ = run(capsys, ["survey"], stdin=corpus, monkeypatch=monkeypatch)
