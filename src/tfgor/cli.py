@@ -96,10 +96,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str) -> str:
+    """The text of a file ('-' = stdin); a byte outside ASCII is a
+    ValueError naming its line."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="ascii") as fh:
-        return fh.read()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"line {lineno}: byte {data[exc.start]:#04x} is not ASCII") from None
 
 
 def _load_graph(args):
@@ -122,36 +130,16 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_survey(args) -> int:
-    fields = tuple(args.fields or ["q"])
-    filters = tuple(t for t in args.filter.split(",") if t)
-    for t in filters:
-        if t not in FILTERS:
-            print(f"tfgor survey: unknown filter {t!r}", file=sys.stderr)
-            return 2
-    try:
-        if args.corpus == "-":
-            lines = sys.stdin.read().splitlines()
-        else:
-            with open(args.corpus, "r", encoding="ascii") as fh:
-                lines = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        lineno = exc.object[:exc.start].count(b"\n") + 1
-        bad = exc.object[exc.start]
-        print(f"tfgor survey: line {lineno}: byte {bad:#04x} is not ASCII", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"tfgor survey: {exc}", file=sys.stderr)
-        return 2
     try:
         report, skipped = survey(
-            lines,
-            filters=filters,
-            fields=fields,
+            _read(args.corpus).splitlines(),
+            filters=tuple(t for t in args.filter.split(",") if t),
+            fields=tuple(args.fields or ["q"]),
             max_n=args.max_n,
             jobs=args.jobs,
             strict=args.strict,
         )
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"tfgor survey: {exc}", file=sys.stderr)
         return 2
     for lineno, msg in skipped:

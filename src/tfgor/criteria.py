@@ -30,7 +30,7 @@ from .graphs import (
     Graph,
     edge_localize,
     has_isolated_vertices,
-    independence_number,
+    is_alpha_critical,
     is_in_w2,
     is_triangle_free,
 )
@@ -134,21 +134,17 @@ def is_second_power_cm(g: Graph, field: FieldSpec) -> bool:
 
     Decides: g is triangle-free, g is Cohen-Macaulay, and for every edge
     ab the localization at ab is Cohen-Macaulay with independence number
-    alpha(g) - 1.  The verdict depends on the field and is labeled with it
-    wherever reported.
+    alpha(g) - 1.  The independence-number condition on every edge is
+    alpha-criticality (see graphs.is_alpha_critical), tested first because
+    it needs no homology.  The verdict depends on the field and is labeled
+    with it wherever reported.
     """
-    if not is_triangle_free(g):
-        return False
-    if not is_cm_graph(g, field):
-        return False
-    alpha = independence_number(g)
-    for a, b in g.edges():
-        h = edge_localize(g, a, b)
-        if independence_number(h) != alpha - 1:
-            return False
-        if not is_cm_graph(h, field):
-            return False
-    return True
+    return (
+        is_triangle_free(g)
+        and is_alpha_critical(g)
+        and is_cm_graph(g, field)
+        and all(is_cm_graph(edge_localize(g, a, b), field) for a, b in g.edges())
+    )
 
 
 @dataclass(frozen=True)

@@ -500,16 +500,21 @@ def independence_number(g: Graph) -> int:
     return max(m.bit_count() for m in _maximal_independent_masks(g))
 
 
-def is_well_covered(g: Graph) -> bool:
-    """True iff every maximal independent set has the same size."""
-    size = None
+def _common_size(g: Graph, size=None):
+    """The size every maximal independent set of g has, or None when two
+    of them differ (or one differs from size, when size is given)."""
     for m in _maximal_independent_masks(g):
         c = m.bit_count()
         if size is None:
             size = c
         elif c != size:
-            return False
-    return True
+            return None
+    return size
+
+
+def is_well_covered(g: Graph) -> bool:
+    """True iff every maximal independent set has the same size."""
+    return _common_size(g) is not None
 
 
 def is_in_w2(g: Graph) -> bool:
@@ -523,19 +528,23 @@ def is_in_w2(g: Graph) -> bool:
         return True
     if has_isolated_vertices(g):
         return False
-    if not is_well_covered(g):
-        return False
-    alpha = independence_number(g)
-    for x in range(g.n):
-        h = delete_vertex(g, x)
-        if independence_number(h) != alpha or not is_well_covered(h):
-            return False
-    return True
+    alpha = _common_size(g)
+    return alpha is not None and all(
+        _common_size(delete_vertex(g, x), alpha) is not None for x in range(g.n)
+    )
 
 
 def is_alpha_critical(g: Graph) -> bool:
-    """True iff deleting any edge increases the independence number."""
+    """True iff deleting any edge increases the independence number.
+
+    Decided through edge localizations: an independent set of g - ab larger
+    than alpha(g) contains both a and b, so alpha(g - ab) = max(alpha(g),
+    alpha(g_ab) + 2) with g_ab = edge_localize(g, a, b); and adding a to an
+    independent set of g_ab shows alpha(g_ab) <= alpha(g) - 1.  Hence the
+    edge ab is critical iff alpha(g_ab) = alpha(g) - 1.
+    """
     alpha = independence_number(g)
     return all(
-        independence_number(delete_edge(g, e)) > alpha for e in g.edges()
+        independence_number(edge_localize(g, a, b)) == alpha - 1
+        for a, b in g.edges()
     )

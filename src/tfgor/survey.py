@@ -1,10 +1,13 @@
 """Corpus classification and machine-readable reports.
 
-A survey consumes a stream of graph6 lines, classifies every admitted
-graph with check_theorem for each requested field, and assembles a
-deterministic report: record order equals corpus order regardless of the
-worker count, and reports carry no timestamps, so identical inputs give
-byte-identical output.
+A survey consumes a stream of graph6 lines.  Each nonblank line is
+classified in one pass, in a worker when there are several: it is parsed
+once, filtered, and every admitted graph becomes a record with
+check_theorem's verdict for each requested field.  A malformed line comes
+back as its line number and message instead.  The parent only digests the
+lines and collects the results in line order, so record order equals
+corpus order regardless of the worker count.  Reports carry no
+timestamps, so identical inputs give byte-identical output.
 """
 
 from __future__ import annotations
@@ -15,18 +18,15 @@ import math
 import multiprocessing
 
 from ._version import __version__
-from .complexes import independence_complex, reduced_euler_characteristic
+from .complexes import independence_complex, is_pure, reduced_euler_characteristic
 from .criteria import check_theorem
 from .graphs import (
     Graph,
     components,
     girth,
     has_isolated_vertices,
-    independence_number,
     is_alpha_critical,
-    is_in_w2,
     is_triangle_free,
-    is_well_covered,
     parse_graph6,
     write_graph6,
 )
@@ -51,24 +51,17 @@ FILTERS = {
 }
 
 
-def admits(g: Graph, filters, max_n=None) -> bool:
-    if max_n is not None and g.n > max_n:
-        return False
-    for name in filters:
-        try:
-            pred = FILTERS[name]
-        except KeyError:
-            raise ValueError(f"unknown filter {name!r}") from None
-        if not pred(g):
-            return False
-    return True
-
-
 def build_record(index: int, g: Graph, field_labels, graph6: str | None = None) -> dict:
-    """Classify one graph into the report record shape."""
+    """Classify one graph into the report record shape.
+
+    The per-field maps are keyed by the caller's label strings.  alpha,
+    well_covered and euler_char are read off one independence complex:
+    its dimension is alpha - 1, and it is pure iff g is well-covered.
+    """
     if not field_labels:
         raise ValueError("at least one field label is required")
     gth = girth(g)
+    complex_ = independence_complex(g)
     verdicts = {
         label: check_theorem(g, FieldSpec.from_label(label))
         for label in field_labels
@@ -82,20 +75,30 @@ def build_record(index: int, g: Graph, field_labels, graph6: str | None = None) 
         "girth": None if math.isinf(gth) else int(gth),
         "connected": len(components(g)) <= 1,
         "no_isolated": any_verdict.no_isolated,
-        "alpha": independence_number(g),
-        "well_covered": is_well_covered(g),
+        "alpha": complex_.dim + 1,
+        "well_covered": is_pure(complex_),
         "w2": any_verdict.is_w2,
         "alpha_critical": is_alpha_critical(g),
-        "euler_char": reduced_euler_characteristic(independence_complex(g)),
+        "euler_char": reduced_euler_characteristic(complex_),
         "gorenstein": {lb: v.gorenstein for lb, v in verdicts.items()},
         "second_power_cm": {lb: v.second_power_cm for lb, v in verdicts.items()},
         "consistent": all(v.consistent for v in verdicts.values()),
     }
 
 
-def _record_task(args) -> dict:
-    index, line, field_labels = args
-    return build_record(index, parse_graph6(line), field_labels, graph6=line)
+def _classify(task):
+    """One nonblank corpus line: its record, None when a filter rejects it,
+    or (line number, message) when it does not parse."""
+    lineno, index, line, filters, max_n, field_labels = task
+    try:
+        g = parse_graph6(line)
+    except ValueError as exc:
+        return lineno, str(exc)
+    if max_n is not None and g.n > max_n:
+        return None
+    if not all(FILTERS[name](g) for name in filters):
+        return None
+    return build_record(index, g, field_labels, graph6=line)
 
 
 def survey(
@@ -110,8 +113,10 @@ def survey(
 
     skipped is a list of (line_number, message) pairs for malformed lines;
     with strict=True the first malformed line raises ValueError instead.
-    Line numbers are 1-based, record indices are 0-based positions among
-    the nonblank corpus lines.
+    With one job, classification stops at that line; with several, every
+    line is classified before the first malformed one is reported.  Line
+    numbers are 1-based, record indices are 0-based positions among the
+    nonblank corpus lines.
     """
     filters = tuple(filters)
     for name in filters:
@@ -125,32 +130,29 @@ def survey(
         FieldSpec.from_label(lb)
     digest = hashlib.sha256()
     tasks = []
-    skipped = []
-    total = 0
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line:
-            continue
-        index = total
-        total += 1
-        digest.update(line.encode("ascii", "replace") + b"\n")
-        try:
-            g = parse_graph6(line)
-        except ValueError as exc:
-            if strict:
-                raise ValueError(f"line {lineno}: {exc}") from None
-            skipped.append((lineno, str(exc)))
-            continue
-        if admits(g, filters, max_n):
-            tasks.append((index, line, field_labels))
+        if line:
+            digest.update(line.encode("ascii", "replace") + b"\n")
+            tasks.append((lineno, len(tasks), line, filters, max_n, field_labels))
 
     workers = min(jobs, len(tasks))
     if workers > 1:
         chunk = max(1, len(tasks) // (workers * 8))
         with multiprocessing.Pool(workers) as pool:
-            records = pool.map(_record_task, tasks, chunksize=chunk)
+            results = pool.map(_classify, tasks, chunksize=chunk)
     else:
-        records = [_record_task(t) for t in tasks]
+        results = map(_classify, tasks)
+
+    records = []
+    skipped = []
+    for res in results:
+        if isinstance(res, dict):
+            records.append(res)
+        elif res is not None:
+            if strict:
+                raise ValueError(f"line {res[0]}: {res[1]}")
+            skipped.append(res)
 
     counterexamples = [rec["index"] for rec in records if not rec["consistent"]]
     report = {
@@ -159,7 +161,7 @@ def survey(
         "filters": list(filters),
         "fields": list(field_labels),
         "summary": {
-            "total": total,
+            "total": len(tasks),
             "admitted": len(records),
             "consistent": len(records) - len(counterexamples),
             "counterexamples": len(counterexamples),

@@ -150,6 +150,16 @@ def test_criterion_1_named_graph_verdicts():
         assert elapsed < 10.0, f"named verdicts took {elapsed:.1f}s"
 
 
+def test_record_alpha_and_well_covered_match_graph_functions(tf_report):
+    """Not a numbered criterion: the survey reads alpha and well_covered off
+    the independence complex; they must agree with the graph functions."""
+    report, _ = tf_report
+    for rec in report["records"]:
+        g = parse_graph6(rec["graph6"])
+        assert rec["alpha"] == independence_number(g), rec["graph6"]
+        assert rec["well_covered"] == is_well_covered(g), rec["graph6"]
+
+
 def test_criterion_2_exhaustive_theorem_verification(tf_report):
     report, elapsed = tf_report
     with criterion("2 exhaustive-theorem-verification"):

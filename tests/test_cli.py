@@ -1,16 +1,18 @@
+import io
 import json
+import sys
 
 import pytest
 
-from tfgor import parse_graph6, write_graph6, cycle_graph, girth4_planar
+from tfgor import parse_graph6, survey, write_graph6, cycle_graph, girth4_planar
 from tfgor.cli import main
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
+    """Run the CLI; stdin (str or bytes) becomes a text stream with a .buffer."""
     if stdin is not None:
-        import io
-        import sys
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        data = stdin if isinstance(stdin, bytes) else stdin.encode()
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -123,8 +125,6 @@ def test_survey_unknown_filter_exit_2(capsys, monkeypatch):
 def test_survey_counterexample_exit_1(capsys, monkeypatch):
     # no real graph violates the equivalence, so fake a verdict to pin the
     # CI contract: counterexample present -> exit code 1
-    import sys
-
     survey_module = sys.modules["tfgor.survey"]
     from tfgor.criteria import TheoremVerdict
 
@@ -183,15 +183,15 @@ def test_survey_determinism_and_jobs(capsys, monkeypatch, corpus_tf_lines):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-def test_survey_pool_never_exceeds_tasks(capsys, monkeypatch):
-    import sys
-
-    survey_module = sys.modules["tfgor.survey"]
-    sizes, chunks = [], []
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Replace the survey's process pool by an in-process one; returns the
+    pool sizes and chunk sizes it was asked for."""
+    log = {"sizes": [], "chunks": []}
 
     class SerialPool:
         def __init__(self, processes):
-            sizes.append(processes)
+            log["sizes"].append(processes)
 
         def __enter__(self):
             return self
@@ -200,10 +200,14 @@ def test_survey_pool_never_exceeds_tasks(capsys, monkeypatch):
             return False
 
         def map(self, fn, tasks, chunksize):
-            chunks.append(chunksize)
+            log["chunks"].append(chunksize)
             return [fn(t) for t in tasks]
 
-    monkeypatch.setattr(survey_module.multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(sys.modules["tfgor.survey"].multiprocessing, "Pool", SerialPool)
+    return log
+
+
+def test_survey_pool_never_exceeds_tasks(capsys, monkeypatch, serial_pool):
     corpus = "Dhc\nA_\nCr\n"
     outputs = []
     for jobs in ("1", "5000", "2"):
@@ -212,16 +216,78 @@ def test_survey_pool_never_exceeds_tasks(capsys, monkeypatch):
         )
         assert code == 0
         outputs.append(out)
-    assert sizes == [3, 2] and chunks == [1, 1]
+    assert serial_pool["sizes"] == [3, 2] and serial_pool["chunks"] == [1, 1]
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-def test_survey_non_ascii_corpus_exit_2(capsys, tmp_path):
-    path = tmp_path / "bad.g6"
-    path.write_bytes(b"Dhc\n\xc3\xa9\n")
-    code, out, err = run(capsys, ["survey", "--corpus", str(path)])
+# C5, a blank line, a bad line, K3, K2, another bad line, the claw
+MIXED_CORPUS = "Dhc\n\n##bad##\nBw\nA_\n#bad\nCs\n"
+MIXED_NONBLANK = ["Dhc", "##bad##", "Bw", "A_", "#bad", "Cs"]
+
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """Every string the survey hands to parse_graph6, in call order."""
+    survey_module = sys.modules["tfgor.survey"]
+    real = survey_module.parse_graph6
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(survey_module, "parse_graph6", counting)
+    return calls
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_survey_parses_each_line_once(capsys, monkeypatch, serial_pool, parsed, jobs):
+    code, out, err = run(
+        capsys, ["survey", "--filter", "triangle-free", "--jobs", jobs],
+        stdin=MIXED_CORPUS, monkeypatch=monkeypatch,
+    )
+    assert code == 0
+    assert parsed == MIXED_NONBLANK
+    assert serial_pool["sizes"] == ([] if jobs == "1" else [2])
+    rep = json.loads(out)
+    assert rep["summary"]["total"] == 6 and rep["summary"]["admitted"] == 3
+    assert [r["index"] for r in rep["records"]] == [0, 3, 5]
+    skips = err.splitlines()
+    assert len(skips) == 2
+    assert skips[0].startswith("tfgor survey: skipped line 3:")
+    assert skips[1].startswith("tfgor survey: skipped line 6:")
+
+
+def test_survey_skipped_lines_keep_line_order_across_workers():
+    lines = MIXED_CORPUS.splitlines() * 3
+    report, skipped = survey(lines, jobs=2)
+    assert [lineno for lineno, _ in skipped] == [3, 6, 10, 13, 17, 20]
+    assert [r["index"] for r in report["records"]] == [0, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17]
+    assert report == survey(lines, jobs=1)[0]
+
+
+@pytest.mark.parametrize("jobs, parses", [("1", 2), ("2", 6)])
+def test_survey_strict_names_first_malformed_line(
+    capsys, monkeypatch, serial_pool, parsed, jobs, parses
+):
+    code, out, err = run(
+        capsys, ["survey", "--strict", "--jobs", jobs],
+        stdin=MIXED_CORPUS, monkeypatch=monkeypatch,
+    )
     assert code == 2 and out == ""
-    assert "line 2" in err and "Traceback" not in err
+    assert "line 3:" in err and "line 6" not in err
+    # one job stops at the bad line; a pool classifies every line first
+    assert len(parsed) == parses
+
+
+def test_survey_non_ascii_corpus_exit_2(capsys, monkeypatch, tmp_path):
+    # the same bytes give the same verdict from --corpus and from stdin
+    data = b"Dhc\nD\xc3\xa9c\n"
+    path = tmp_path / "bad.g6"
+    path.write_bytes(data)
+    from_file = run(capsys, ["survey", "--corpus", str(path)])
+    from_stdin = run(capsys, ["survey"], stdin=data, monkeypatch=monkeypatch)
+    assert from_file == from_stdin == (2, "", "tfgor survey: line 2: byte 0xc3 is not ASCII\n")
 
 
 def test_survey_summary_self_consistent(capsys, monkeypatch, corpus_tf_lines):

@@ -274,6 +274,51 @@ def test_is_alpha_critical():
     assert is_alpha_critical(Graph(3))  # edgeless, vacuous
 
 
+def _brute_alpha(n, edges):
+    return max(len(s) for s in brute_independent_sets(n, edges))
+
+
+def _alpha_critical_test_graphs():
+    rng = random.Random(53)
+    graphs = [Graph(n) for n in range(5)] + [complete_graph(n) for n in range(1, 9)]
+    graphs += [cycle_graph(n) for n in range(3, 9)]
+    graphs += [random_graph(rng, rng.randint(1, 8), p) for p in (0.3, 0.5, 0.8) for _ in range(25)]
+    return graphs
+
+
+def test_is_alpha_critical_matches_edge_deletion_definition():
+    found = 0
+    for g in _alpha_critical_test_graphs():
+        edges = g.edges()
+        alpha = _brute_alpha(g.n, edges)
+        want = all(
+            _brute_alpha(g.n, [f for f in edges if f != e]) > alpha for e in edges
+        )
+        assert is_alpha_critical(g) == want, g
+        found += want and bool(edges)
+    assert found >= 10  # not only vacuous cases
+
+
+def _brute_maximal_sizes(g, skip=None):
+    """Sizes of the maximal independent sets of g, or of g - skip.  Each
+    maximal set of g - x is a maximal set of g with x removed."""
+    cands = {
+        tuple(v for v in s if v != skip)
+        for s in brute_maximal_independent_sets(g.n, g.edges())
+    }
+    return {len(s) for s in cands if not any(set(s) < set(t) for t in cands)}
+
+
+def test_is_in_w2_matches_definition():
+    for g in _alpha_critical_test_graphs():
+        alpha = _brute_alpha(g.n, g.edges())
+        want = g.n == 0 or (
+            not has_isolated_vertices(g)
+            and all(_brute_maximal_sizes(g, x) == {alpha} for x in (None, *range(g.n)))
+        )
+        assert is_in_w2(g) == want, g
+
+
 def test_localization_alpha_inequality():
     rng = random.Random(31)
     for _ in range(60):
