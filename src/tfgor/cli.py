@@ -9,6 +9,7 @@ counterexamples, 1 counterexample found, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -130,26 +131,28 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_survey(args) -> int:
-    try:
-        report, skipped = survey(
-            _read(args.corpus).splitlines(),
-            filters=tuple(t for t in args.filter.split(",") if t),
-            fields=tuple(args.fields or ["q"]),
-            max_n=args.max_n,
-            jobs=args.jobs,
-            strict=args.strict,
-        )
-    except (ValueError, OSError) as exc:
-        print(f"tfgor survey: {exc}", file=sys.stderr)
-        return 2
-    for lineno, msg in skipped:
-        print(f"tfgor survey: skipped line {lineno}: {msg}", file=sys.stderr)
-    text = report_to_json(report) if args.format == "json" else report_to_csv(report)
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with contextlib.ExitStack() as stack:
+        try:
+            lines = _read(args.corpus).splitlines()
+            # opened before any line is classified, so a bad --out fails fast
+            out = (
+                stack.enter_context(open(args.out, "w", encoding="ascii"))
+                if args.out else sys.stdout
+            )
+            report, skipped = survey(
+                lines,
+                filters=tuple(t for t in args.filter.split(",") if t),
+                fields=tuple(args.fields or ["q"]),
+                max_n=args.max_n,
+                jobs=args.jobs,
+                strict=args.strict,
+            )
+        except (ValueError, OSError) as exc:
+            print(f"tfgor survey: {exc}", file=sys.stderr)
+            return 2
+        for lineno, msg in skipped:
+            print(f"tfgor survey: skipped line {lineno}: {msg}", file=sys.stderr)
+        out.write(report_to_json(report) if args.format == "json" else report_to_csv(report))
     return 1 if report["counterexamples"] else 0
 
 

@@ -1,14 +1,18 @@
 """Decision procedures for Cohen-Macaulay, Eulerian, Gorenstein and the
 second-power criterion, over a selectable coefficient field.
 
-Cohen-Macaulayness is the homological vanishing condition on every link:
-all reduced homology below the link's own dimension is zero.  A complex
-passing it is automatically pure, so non-pure complexes are rejected
-up front (the full loop would fail on some link anyway; tests compare the
-shortcut against the unshortcut loop).  Gorensteinness is decided on the
-core: the core must be Cohen-Macaulay and Eulerian.  The second power of
-the edge ideal is decided through the edge-localization criterion: the
-graph is triangle-free and Cohen-Macaulay, and every edge localization is
+Cohen-Macaulayness is Reisner's criterion (Reisner 1976; Stanley,
+Combinatorics and Commutative Algebra, II.4): every link has reduced
+homology only in its top degree.  Since lk_F = lk_v(lk_(F-v)), it is
+decided by vertex links: a complex is Cohen-Macaulay iff it is pure, has
+no reduced homology below its top degree, and every vertex link is
+Cohen-Macaulay.  Purity is implied by the criterion and only rejects
+early (tests compare against the bare per-face loop).  One cache keyed
+by (facets, field) holds the verdicts, so a link shared by many faces is
+ranked once.  Gorensteinness is decided on the core: the core must be
+Cohen-Macaulay and Eulerian.  The second power of the edge ideal is
+decided through the edge-localization criterion: the graph is
+triangle-free and Cohen-Macaulay, and every edge localization is
 Cohen-Macaulay with independence number exactly one less.
 """
 
@@ -54,29 +58,22 @@ def _require_nonvoid(c: SimplicialComplex):
         raise ValueError("operation undefined on the void complex")
 
 
-# links recur across the doubly-CM and face-deletion loops
-_betti = lru_cache(maxsize=16384)(reduced_betti)
-
-
 @lru_cache(maxsize=8192)
-def _cm(c: SimplicialComplex, field: FieldSpec) -> bool:
+def _cm(facets: tuple[tuple[int, ...], ...], field: FieldSpec) -> bool:
+    # keyed by facets: ground vertices in no face change no homology
+    c = SimplicialComplex(set().union(*facets), facets, validate=False)
     if not is_pure(c):
         return False
-    for f in c.faces():
-        lk = link(c, f)
-        d = lk.dim
-        if d < 0:
-            continue
-        betti = _betti(lk, field)
-        if any(v for i, v in betti.items() if i < d):
-            return False
-    return True
+    betti = reduced_betti(c, field)
+    if any(betti[i] for i in range(-1, c.dim)):
+        return False
+    return all(_cm(link(c, (v,)).facets, field) for v in c.vertices)
 
 
 def is_cohen_macaulay(c: SimplicialComplex, field: FieldSpec) -> bool:
     """Reisner's condition: every link has homology only in its top degree."""
     _require_nonvoid(c)
-    return _cm(c, field)
+    return _cm(c.facets, field)
 
 
 def is_eulerian(c: SimplicialComplex) -> bool:
@@ -103,25 +100,25 @@ def is_gorenstein(c: SimplicialComplex, field: FieldSpec) -> bool:
     """True iff the core of c is an Eulerian Cohen-Macaulay complex."""
     _require_nonvoid(c)
     core = core_of(c)
-    return is_eulerian(core) and _cm(core, field)
+    return is_eulerian(core) and _cm(core.facets, field)
 
 
 def is_doubly_cm(c: SimplicialComplex, field: FieldSpec) -> bool:
     """Cohen-Macaulay, and still Cohen-Macaulay of the same dimension after
     deleting any single ground vertex."""
     _require_nonvoid(c)
-    if not _cm(c, field):
+    if not _cm(c.facets, field):
         return False
     d = c.dim
     for x in c.vertices:
         cx = delete_set(c, (x,))
-        if cx.is_void or cx.dim != d or not _cm(cx, field):
+        if cx.is_void or cx.dim != d or not _cm(cx.facets, field):
             return False
     return True
 
 
 def is_cm_graph(g: Graph, field: FieldSpec) -> bool:
-    return _cm(independence_complex(g), field)
+    return _cm(independence_complex(g).facets, field)
 
 
 def is_gorenstein_graph(g: Graph, field: FieldSpec) -> bool:

@@ -22,10 +22,10 @@ from .complexes import independence_complex, is_pure, reduced_euler_characterist
 from .criteria import check_theorem
 from .graphs import (
     Graph,
-    components,
     girth,
     has_isolated_vertices,
     is_alpha_critical,
+    is_connected,
     is_triangle_free,
     parse_graph6,
     write_graph6,
@@ -45,7 +45,7 @@ FIELD_CHOICES = ("q", "f2", "f3", "f5")
 
 FILTERS = {
     "triangle-free": is_triangle_free,
-    "connected": lambda g: len(components(g)) <= 1,
+    "connected": is_connected,
     "no-isolated": lambda g: not has_isolated_vertices(g),
     "girth-ge-5": lambda g: girth(g) >= 5,
 }
@@ -73,7 +73,7 @@ def build_record(index: int, g: Graph, field_labels, graph6: str | None = None) 
         "n": g.n,
         "edge_count": g.edge_count(),
         "girth": None if math.isinf(gth) else int(gth),
-        "connected": len(components(g)) <= 1,
+        "connected": is_connected(g),
         "no_isolated": any_verdict.no_isolated,
         "alpha": complex_.dim + 1,
         "well_covered": is_pure(complex_),

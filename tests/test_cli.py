@@ -172,6 +172,18 @@ def test_survey_out_file(capsys, monkeypatch, tmp_path):
     assert rep["summary"]["admitted"] == 1
 
 
+def test_survey_out_in_missing_directory_exit_2(capsys, monkeypatch, tmp_path, parsed):
+    out_path = tmp_path / "missing" / "report.json"
+    code, out, err = run(
+        capsys, ["survey", "--out", str(out_path)],
+        stdin="Dhc\n", monkeypatch=monkeypatch,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("tfgor survey: ") and str(out_path) in err
+    assert parsed == []  # failed before any line was classified
+    assert not out_path.parent.exists()
+
+
 def test_survey_determinism_and_jobs(capsys, monkeypatch, corpus_tf_lines):
     corpus = "\n".join(corpus_tf_lines[:80]) + "\n"
     outputs = []

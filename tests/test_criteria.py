@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -14,6 +15,7 @@ from tfgor import (
     cycle_graph,
     delete_set,
     disjoint_union,
+    edge_localize,
     girth4_planar,
     independence_complex,
     is_cm_graph,
@@ -63,16 +65,45 @@ def test_cm_void_rejected():
 
 def test_cm_purity_shortcut_matches_bare_loop():
     rng = random.Random(71)
+    complexes = []
     for _ in range(50):
         nv = rng.randint(1, 7)
         gens = [
             tuple(sorted(rng.sample(range(nv), rng.randint(1, min(nv, 4)))))
             for _ in range(rng.randint(1, 5))
         ]
-        c = SimplicialComplex.from_faces(gens)
-        assert is_cohen_macaulay(c, RATIONALS) == reisner_loop_no_shortcut(
-            c, RATIONALS
+        complexes.append(SimplicialComplex.from_faces(gens))
+        # ground vertices in no face: the CM cache is keyed by facets alone
+        complexes.append(SimplicialComplex.from_faces(gens, vertices=range(nv + 2)))
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(1, 8))
+        complexes.append(independence_complex(g))
+        complexes.extend(
+            independence_complex(edge_localize(g, a, b)) for a, b in g.edges()
         )
+    for field in (RATIONALS, GF2, GF3):
+        for c in complexes:
+            assert is_cohen_macaulay(c, field) == reisner_loop_no_shortcut(c, field)
+
+
+@pytest.mark.parametrize("n, faces, links", [(4, 139, 59), (5, 495, 174)])
+def test_cm_ranks_each_distinct_link_once(monkeypatch, n, faces, links):
+    g = girth4_planar(n)
+    c = independence_complex(g)
+    distinct = {link(c, f).facets for f in c.faces()}
+    assert (len(c.faces()), len(distinct)) == (faces, links)
+    criteria = sys.modules["tfgor.criteria"]
+    real = criteria.reduced_betti
+    ranked = []
+
+    def counting(cx, field):
+        ranked.append(cx.facets)
+        return real(cx, field)
+
+    criteria._cm.cache_clear()
+    monkeypatch.setattr(criteria, "reduced_betti", counting)
+    assert is_cm_graph(g, RATIONALS)
+    assert len(ranked) == len(distinct) and set(ranked) == distinct
 
 
 def test_eulerian_examples():
