@@ -9,11 +9,12 @@ no reduced homology below its top degree, and every vertex link is
 Cohen-Macaulay.  Purity is implied by the criterion and only rejects
 early (tests compare against the bare per-face loop).  One cache keyed
 by (facets, field) holds the verdicts, so a link shared by many faces is
-ranked once.  Gorensteinness is decided on the core: the core must be
-Cohen-Macaulay and Eulerian.  The second power of the edge ideal is
-decided through the edge-localization criterion: the graph is
-triangle-free and Cohen-Macaulay, and every edge localization is
-Cohen-Macaulay with independence number exactly one less.
+ranked once.  The facets of a vertex link are built as bare tuples, so a
+complex is built only on a cache miss.  Gorensteinness is decided on the
+core: the core must be Cohen-Macaulay and Eulerian.  The second power of
+the edge ideal is decided through the edge-localization criterion: the
+graph is triangle-free and Cohen-Macaulay, and every edge localization
+is Cohen-Macaulay with independence number exactly one less.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .complexes import (
     delete_set,
     independence_complex,
     is_pure,
-    link,
 )
 from .graphs import (
     Graph,
@@ -61,13 +61,18 @@ def _require_nonvoid(c: SimplicialComplex):
 @lru_cache(maxsize=8192)
 def _cm(facets: tuple[tuple[int, ...], ...], field: FieldSpec) -> bool:
     # keyed by facets: ground vertices in no face change no homology
-    c = SimplicialComplex(set().union(*facets), facets, validate=False)
-    if not is_pure(c):
+    size = len(facets[0])
+    if any(len(f) != size for f in facets):
         return False
+    c = SimplicialComplex(set().union(*facets), facets, validate=False)
     betti = reduced_betti(c, field)
     if any(betti[i] for i in range(-1, c.dim)):
         return False
-    return all(_cm(link(c, (v,)).facets, field) for v in c.vertices)
+    # the facets of lk_v, sorted and inclusion-maximal as those of c are
+    return all(
+        _cm(tuple(tuple(x for x in f if x != v) for f in facets if v in f), field)
+        for v in c.vertices
+    )
 
 
 def is_cohen_macaulay(c: SimplicialComplex, field: FieldSpec) -> bool:

@@ -202,22 +202,35 @@ def write_graph6(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _int_pair(lineno: int, line: str, what: str) -> tuple[int, int]:
+    try:
+        a, b = map(int, line.split())
+    except ValueError:  # a token that is no integer, or not two tokens
+        raise ValueError(f"line {lineno}: expected {what}, got {line!r}") from None
+    return a, b
+
+
 def parse_edge_list(text: str) -> Graph:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    """Parse a header line 'n m' and then m lines 'u v'.  Blank lines are
+    skipped but counted, so every error starts with 'line N:'."""
+    raw = text.splitlines()
+    lines = [(k, ln) for k, r in enumerate(raw, start=1) if (ln := r.strip())]
     if not lines:
-        raise ValueError("empty edge-list text")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f"expected header 'n m', got {lines[0]!r}")
-    n, m = int(head[0]), int(head[1])
-    if len(lines) - 1 != m:
-        raise ValueError(f"expected {m} edge lines, got {len(lines) - 1}")
+        raise ValueError(f"line {len(raw) + 1}: expected header 'n m', got end of text")
+    (head_no, head), body = lines[0], lines[1:]
+    n, m = _int_pair(head_no, head, "header 'n m'")
+    if n < 0 or m < 0:
+        raise ValueError(f"line {head_no}: negative count in header {head!r}")
+    if len(body) != m:
+        raise ValueError(f"line {head_no}: expected {m} edge lines, got {len(body)}")
     edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"malformed edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+    for k, ln in body:
+        u, v = _int_pair(k, ln, "edge line 'u v'")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"line {k}: edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"line {k}: loop edge at vertex {u}")
+        edges.append((u, v))
     return Graph(n, edges)
 
 

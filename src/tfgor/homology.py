@@ -4,8 +4,9 @@ The reduced chain complex uses the ascending-vertex wedge basis: the
 boundary of a face drops its s-th smallest vertex with sign (-1)^s, every
 vertex maps to the empty face with coefficient +1, and degree -1 is always
 present (so the complex {()} is not acyclic).  Betti numbers come from
-exact ranks of the sparse boundary matrices, computed by the sparse
-elimination kernels in _kernels.
+exact ranks of the sparse boundary matrices, computed in _kernels by
+the standard column reduction (each column reduced against stored pivot
+columns keyed by their lowest nonzero row).
 """
 
 from __future__ import annotations

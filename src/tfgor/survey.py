@@ -184,26 +184,27 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+# the scalar record keys, in CSV column order, before the per-field columns
+_CSV_SCALARS = (
+    "index", "graph6", "n", "edge_count", "girth", "connected",
+    "no_isolated", "alpha", "well_covered", "w2", "alpha_critical",
+    "euler_char",
+)
+
+
 def report_to_csv(report: dict) -> str:
     """Lossy flat projection of the records: booleans as 0/1, the per-field
     maps flattened to one column per field."""
     fields = report["fields"]
     header = (
-        ["index", "graph6", "n", "edge_count", "girth", "connected",
-         "no_isolated", "alpha", "well_covered", "w2", "alpha_critical",
-         "euler_char"]
+        list(_CSV_SCALARS)
         + [f"gorenstein_{lb}" for lb in fields]
         + [f"second_power_cm_{lb}" for lb in fields]
         + ["consistent"]
     )
     out = [",".join(header)]
     for rec in report["records"]:
-        row = [
-            _csv_cell(rec[k])
-            for k in ("index", "graph6", "n", "edge_count", "girth",
-                      "connected", "no_isolated", "alpha", "well_covered",
-                      "w2", "alpha_critical", "euler_char")
-        ]
+        row = [_csv_cell(rec[k]) for k in _CSV_SCALARS]
         row += [_csv_cell(rec["gorenstein"][lb]) for lb in fields]
         row += [_csv_cell(rec["second_power_cm"][lb]) for lb in fields]
         row.append(_csv_cell(rec["consistent"]))

@@ -37,6 +37,17 @@ def test_check_k2_edge_list(capsys, tmp_path):
     assert rec["graph6"] == "A_"
 
 
+@pytest.mark.parametrize(
+    "text, line", [("3 1\n0 a\n", 2), ("3 1\n\n0 5\n", 3), ("3 -1\n", 1)]
+)
+def test_check_edge_file_error_names_line_exit_2(capsys, tmp_path, text, line):
+    p = tmp_path / "bad.txt"
+    p.write_text(text)
+    code, out, err = run(capsys, ["check", "--edge-file", str(p)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"tfgor check: line {line}: ")
+
+
 def test_check_c4_all_false(capsys):
     code, out, _ = run(capsys, ["check", "--g6", write_graph6(cycle_graph(4))])
     rec = json.loads(out)

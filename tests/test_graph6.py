@@ -76,9 +76,20 @@ def test_edge_list_k2_example():
 
 
 def test_edge_list_errors():
-    with pytest.raises(ValueError):
-        parse_edge_list("")
-    with pytest.raises(ValueError, match="header"):
-        parse_edge_list("3\n0 1\n")
-    with pytest.raises(ValueError, match="edge lines"):
-        parse_edge_list("3 2\n0 1\n")
+    # every error names its line; blank lines are counted
+    cases = [
+        ("", "line 1: expected header"),
+        ("\n\n", "line 3: expected header"),
+        ("3\n0 1\n", "line 1: expected header"),
+        ("x 1\n0 1\n", "line 1: expected header"),
+        ("3 2\n0 1\n", "line 1: expected 2 edge lines, got 1"),
+        ("3 -1\n", "line 1: negative count"),
+        ("-3 0\n", "line 1: negative count"),
+        ("3 1\n0 a\n", "line 2: expected edge line"),
+        ("3 1\n0 1 2\n", "line 2: expected edge line"),
+        ("\n3 1\n\n0 5\n", r"line 4: edge \(0, 5\) out of range for n=3"),
+        ("3 2\n0 1\n\n2 2\n", "line 4: loop edge at vertex 2"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}"):
+            parse_edge_list(text)

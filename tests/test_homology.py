@@ -192,6 +192,31 @@ def test_rank_matches_dense_oracles_random():
         assert matrix_rank(m, RATIONALS) == rank_bareiss_dense(mat)
         for p in (2, 3, 5):
             assert matrix_rank(m, FieldSpec(p)) == rank_mod_p_dense(mat, p)
+    # sparse and up to 30x30, made rank-deficient by appending integer
+    # combinations of earlier columns, so one column is reduced many times
+    # and the fraction-free kernel divides out contents; each matrix is
+    # also checked with its columns permuted
+    for _ in range(20):
+        nr, nbase = rng.randint(10, 30), rng.randint(4, 16)
+        cols = [
+            [rng.choice((-2, -1, 1, 2)) if rng.random() < 0.15 else 0 for _ in range(nr)]
+            for _ in range(nbase)
+        ]
+        ncols = rng.randint(nbase + 4, 30)
+        while len(cols) < ncols:
+            picks = rng.sample(range(len(cols)), min(3, len(cols)))
+            coeffs = [rng.choice((-2, -1, 1, 2)) for _ in picks]
+            cols.append([sum(a * cols[j][i] for a, j in zip(coeffs, picks)) for i in range(nr)])
+        shuffled = cols[:]
+        rng.shuffle(shuffled)
+        for cs in (cols, shuffled):
+            mat = [list(row) for row in zip(*cs)]
+            m = SparseMatrix(nr, len(cs), tuple(to_triples(mat)))
+            rank = rank_fraction(mat)
+            assert rank < len(cs)
+            assert matrix_rank(m, RATIONALS) == rank == rank_bareiss_dense(mat)
+            for p in (2, 3, 5):
+                assert matrix_rank(m, FieldSpec(p)) == rank_mod_p_dense(mat, p)
     # entries beyond 64-bit intermediates stay exact
     big = [
         [[2**40]],
