@@ -30,7 +30,6 @@ from .criteria import (
     check_theorem,
     is_cm_graph,
     is_cohen_macaulay,
-    is_doubly_cm,
     is_eulerian,
     is_gorenstein,
     is_gorenstein_graph,
@@ -51,6 +50,7 @@ from .graphs import (
     girth,
     girth4_planar,
     has_isolated_vertices,
+    independence_euler_characteristic,
     independence_number,
     induced_subgraph,
     is_alpha_critical,

@@ -15,6 +15,14 @@ core: the core must be Cohen-Macaulay and Eulerian.  The second power of
 the edge ideal is decided through the edge-localization criterion: the
 graph is triangle-free and Cohen-Macaulay, and every edge localization
 is Cohen-Macaulay with independence number exactly one less.
+
+On graphs, everything that needs no homology is computed in graphs
+without building a complex: alpha and alpha-criticality from one
+memoized recursion over vertex masks, girth by breadth-first layers,
+and well-coveredness from the maximal independent sets.  Cohen-Macaulay
+and Gorenstein complexes are pure, and Ind(g) is pure iff g is
+well-covered, so is_cm_graph and is_gorenstein_graph reject a graph that
+is not well-covered before Ind(g) is built.
 """
 
 from __future__ import annotations
@@ -26,7 +34,6 @@ from itertools import combinations
 from .complexes import (
     SimplicialComplex,
     core_of,
-    delete_set,
     independence_complex,
     is_pure,
 )
@@ -37,6 +44,7 @@ from .graphs import (
     is_alpha_critical,
     is_in_w2,
     is_triangle_free,
+    is_well_covered,
 )
 from .homology import FieldSpec, reduced_betti
 
@@ -45,7 +53,6 @@ __all__ = [
     "is_cohen_macaulay",
     "is_eulerian",
     "is_gorenstein",
-    "is_doubly_cm",
     "is_cm_graph",
     "is_gorenstein_graph",
     "is_second_power_cm",
@@ -108,26 +115,32 @@ def is_gorenstein(c: SimplicialComplex, field: FieldSpec) -> bool:
     return is_eulerian(core) and _cm(core.facets, field)
 
 
-def is_doubly_cm(c: SimplicialComplex, field: FieldSpec) -> bool:
-    """Cohen-Macaulay, and still Cohen-Macaulay of the same dimension after
-    deleting any single ground vertex."""
-    _require_nonvoid(c)
-    if not _cm(c.facets, field):
-        return False
-    d = c.dim
-    for x in c.vertices:
-        cx = delete_set(c, (x,))
-        if cx.is_void or cx.dim != d or not _cm(cx.facets, field):
-            return False
-    return True
-
-
 def is_cm_graph(g: Graph, field: FieldSpec) -> bool:
-    return _cm(independence_complex(g).facets, field)
+    """Cohen-Macaulayness of Ind(g).
+
+    A Cohen-Macaulay complex is pure, by induction on its dimension: each
+    vertex link is Cohen-Macaulay, hence pure, so all facets through one
+    vertex have one size; in positive dimension H~_0 = 0 makes the complex
+    connected, and the two ends of an edge share the facets through it, so
+    that size is the same at every vertex.  The facets of Ind(g) are the
+    maximal independent sets of g, so Ind(g) is pure iff g is
+    well-covered, and a graph that is not well-covered is rejected before
+    its complex is built.
+    """
+    return is_well_covered(g) and _cm(independence_complex(g).facets, field)
 
 
 def is_gorenstein_graph(g: Graph, field: FieldSpec) -> bool:
-    return is_gorenstein(independence_complex(g), field)
+    """Gorensteinness of Ind(g).
+
+    A Gorenstein complex has a Cohen-Macaulay, hence pure, core.  Ind(g) is
+    the join of its core with the simplex on its cone points, so each facet
+    of Ind(g) is a facet of the core plus all cone points, and Ind(g) is
+    pure iff its core is.  As in is_cm_graph, Ind(g) is pure iff g is
+    well-covered, so a graph that is not well-covered is rejected before
+    its complex is built.
+    """
+    return is_well_covered(g) and is_gorenstein(independence_complex(g), field)
 
 
 def is_second_power_cm(g: Graph, field: FieldSpec) -> bool:

@@ -39,6 +39,7 @@ __all__ = [
     "edge_localized_vertices",
     "maximal_independent_sets",
     "independence_number",
+    "independence_euler_characteristic",
     "is_well_covered",
     "is_in_w2",
     "is_alpha_critical",
@@ -58,10 +59,13 @@ class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
     Adjacency is kept both as sorted neighbor tuples and as per-vertex
-    bitmasks; the bitmasks drive the independent-set enumeration.
+    bitmasks; the bitmasks drive the independent-set enumeration.  The
+    graph also holds the memo of its independence recursion (see
+    _alpha_and_poly), a function of the adjacency alone, so alpha, the
+    Euler characteristic and alpha-criticality share their work.
     """
 
-    __slots__ = ("n", "_nbr_bits", "_nbrs")
+    __slots__ = ("n", "_nbr_bits", "_nbrs", "_indep_memo")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
@@ -78,6 +82,7 @@ class Graph:
             bits[v] |= 1 << u
         self._nbr_bits = tuple(bits)
         self._nbrs = tuple(_bits_to_tuple(b) for b in bits)
+        self._indep_memo = {0: (0, 1)}
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._nbrs[v]
@@ -318,33 +323,37 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
 
 
 def girth(g: Graph) -> float:
-    """Length of a shortest cycle, or math.inf when g is a forest."""
+    """Length of a shortest cycle, or math.inf when g is a forest.
+
+    A breadth-first search from each root r, layer by layer on bitmasks:
+    an edge inside layer k closes a walk of length 2k+1 through r, and a
+    vertex with two parents in layer k closes one of length 2k+2.  Either
+    walk contains a cycle no longer than itself, and from a root on a
+    shortest cycle the search finds that cycle's length exactly, so the
+    minimum over roots is the girth.
+    """
+    nbr = g._nbr_bits
     best = math.inf
-    for u, v in g.edges():
-        d = _dist_avoiding_edge(g, u, v)
-        if d is not None and d + 1 < best:
-            best = d + 1
-            if best == 3:
-                return 3
+    for r in range(g.n):
+        seen = frontier = 1 << r
+        k = 0
+        while frontier and 2 * k + 1 < best:
+            nxt = twice = 0
+            m = frontier
+            while m:
+                nb = nbr[(m & -m).bit_length() - 1]
+                m &= m - 1
+                if nb & frontier:  # an edge inside layer k
+                    best = 2 * k + 1
+                new = nb & ~seen
+                twice |= new & nxt  # reached from a second parent
+                nxt |= new
+            if twice and 2 * k + 2 < best:
+                best = 2 * k + 2
+            seen |= nxt
+            frontier = nxt
+            k += 1
     return best
-
-
-def _dist_avoiding_edge(g: Graph, u: int, v: int):
-    # BFS distance u -> v in g minus the edge uv.
-    dist = {u: 0}
-    frontier = [u]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in g.neighbors(x):
-                if (x, y) in ((u, v), (v, u)) or y in dist:
-                    continue
-                dist[y] = dist[x] + 1
-                if y == v:
-                    return dist[y]
-                nxt.append(y)
-        frontier = nxt
-    return None
 
 
 def is_triangle_free(g: Graph) -> bool:
@@ -466,8 +475,11 @@ def edge_localize(g: Graph, a: int, b: int) -> Graph:
 # Independence combinatorics
 #
 # Maximal independent sets of g are the maximal cliques of the complement,
-# enumerated by Bron-Kerbosch with pivoting on bitmasks.  Exhaustive
-# enumeration is fine at the target scale (n up to ~20).
+# enumerated by Bron-Kerbosch with pivoting on bitmasks; well-coveredness
+# and W2 read their sizes.  alpha and the independence polynomial at -1
+# come from one recursion over vertex masks instead, memoized per graph:
+# alpha(S) = max(alpha(S-v), 1 + alpha(S-N[v])) and I(S) = I(S-v) - I(S-N[v]).
+# Exhaustive enumeration is fine at the target scale (n up to ~20).
 # ---------------------------------------------------------------------------
 
 
@@ -509,25 +521,63 @@ def maximal_independent_sets(g: Graph) -> list[tuple[int, ...]]:
     return sorted(_bits_to_tuple(m) for m in _maximal_independent_masks(g))
 
 
+def _alpha_and_poly(g: Graph):
+    """A function of a vertex mask S giving the pair (alpha(g[S]),
+    I(g[S]; -1)), where I is the independence polynomial, memoized in g.
+
+    Isolated vertices of g[S] are in every maximal independent set and
+    each contributes a factor 1 + x to I, so they add to alpha and zero
+    I(-1).  Otherwise branch on a vertex v of largest degree: an
+    independent set either avoids v or contains v and avoids N(v).
+    """
+    nbr = g._nbr_bits
+    memo = g._indep_memo
+
+    def solve(s):
+        got = memo.get(s)
+        if got is not None:
+            return got
+        isolated = 0
+        v, deg = -1, 0
+        m = s
+        while m:
+            bit = m & -m
+            m ^= bit
+            u = bit.bit_length() - 1
+            d = (nbr[u] & s).bit_count()
+            if d == 0:
+                isolated |= bit
+            elif d > deg:
+                v, deg = u, d
+        if isolated:
+            out = (isolated.bit_count() + solve(s & ~isolated)[0], 0)
+        else:
+            a_out, p_out = solve(s & ~(1 << v))
+            a_in, p_in = solve(s & ~(1 << v) & ~nbr[v])
+            out = (max(a_out, a_in + 1), p_out - p_in)
+        memo[s] = out
+        return out
+
+    return solve
+
+
 def independence_number(g: Graph) -> int:
-    return max(m.bit_count() for m in _maximal_independent_masks(g))
+    return _alpha_and_poly(g)((1 << g.n) - 1)[0]
 
 
-def _common_size(g: Graph, size=None):
-    """The size every maximal independent set of g has, or None when two
-    of them differ (or one differs from size, when size is given)."""
-    for m in _maximal_independent_masks(g):
-        c = m.bit_count()
-        if size is None:
-            size = c
-        elif c != size:
-            return None
-    return size
+def independence_euler_characteristic(g: Graph) -> int:
+    """Reduced Euler characteristic of the independence complex of g.
+
+    The faces of Ind(g) are the independent sets, so with f_(i-1) of them
+    of size i, chi~(Ind g) = sum_i (-1)^(i-1) f_(i-1) = -I(g; -1).
+    """
+    return -_alpha_and_poly(g)((1 << g.n) - 1)[1]
 
 
 def is_well_covered(g: Graph) -> bool:
     """True iff every maximal independent set has the same size."""
-    return _common_size(g) is not None
+    alpha = independence_number(g)
+    return all(m.bit_count() == alpha for m in _maximal_independent_masks(g))
 
 
 def is_in_w2(g: Graph) -> bool:
@@ -536,15 +586,35 @@ def is_in_w2(g: Graph) -> bool:
 
     Graphs with isolated vertices (K1 included) are not in W2; the empty
     graph is, vacuously.
+
+    Decided in one enumeration.  Let g be well-covered with independence
+    number alpha and x a vertex.  A maximal independent set S of g - x is
+    maximal in g when x has a neighbor in S; otherwise S + x is maximal in
+    g.  Conversely every maximal set T of g without x stays maximal in
+    g - x, and for a maximal set T containing x, T - x is maximal in g - x
+    iff no vertex y has N(y) & T = {x} (such a y is outside T, is not x,
+    and its only neighbor in T is x).  So the maximal sets of g - x have
+    size alpha, or alpha - 1 exactly when some T - x is maximal, and g is
+    in W2 iff for every maximal T and every x in T some y has
+    N(y) & T = {x}.
     """
     if g.n == 0:
         return True
     if has_isolated_vertices(g):
         return False
-    alpha = _common_size(g)
-    return alpha is not None and all(
-        _common_size(delete_vertex(g, x), alpha) is not None for x in range(g.n)
-    )
+    nbr = g._nbr_bits
+    alpha = independence_number(g)
+    for t in _maximal_independent_masks(g):
+        if t.bit_count() != alpha:
+            return False
+        private = 0  # the x in t that are the only neighbor in t of some y
+        for b in nbr:
+            c = b & t
+            if c & (c - 1) == 0:
+                private |= c
+        if private != t:
+            return False
+    return True
 
 
 def is_alpha_critical(g: Graph) -> bool:
@@ -552,12 +622,15 @@ def is_alpha_critical(g: Graph) -> bool:
 
     Decided through edge localizations: an independent set of g - ab larger
     than alpha(g) contains both a and b, so alpha(g - ab) = max(alpha(g),
-    alpha(g_ab) + 2) with g_ab = edge_localize(g, a, b); and adding a to an
-    independent set of g_ab shows alpha(g_ab) <= alpha(g) - 1.  Hence the
-    edge ab is critical iff alpha(g_ab) = alpha(g) - 1.
+    alpha(g_ab) + 2) where g_ab is g without N(a) and N(b); and adding a to
+    an independent set of g_ab shows alpha(g_ab) <= alpha(g) - 1.  Hence
+    the edge ab is critical iff alpha(g_ab) = alpha(g) - 1.  Every g_ab is
+    a vertex mask of one memoized recursion.
     """
-    alpha = independence_number(g)
+    solve = _alpha_and_poly(g)
+    nbr = g._nbr_bits
+    full = (1 << g.n) - 1
+    alpha = solve(full)[0]
     return all(
-        independence_number(edge_localize(g, a, b)) == alpha - 1
-        for a, b in g.edges()
+        solve(full & ~(nbr[a] | nbr[b]))[0] == alpha - 1 for a, b in g.edges()
     )

@@ -18,15 +18,17 @@ import math
 import multiprocessing
 
 from ._version import __version__
-from .complexes import independence_complex, is_pure, reduced_euler_characteristic
 from .criteria import check_theorem
 from .graphs import (
     Graph,
     girth,
     has_isolated_vertices,
+    independence_euler_characteristic,
+    independence_number,
     is_alpha_critical,
     is_connected,
     is_triangle_free,
+    is_well_covered,
     parse_graph6,
     write_graph6,
 )
@@ -55,13 +57,12 @@ def build_record(index: int, g: Graph, field_labels, graph6: str | None = None) 
     """Classify one graph into the report record shape.
 
     The per-field maps are keyed by the caller's label strings.  alpha,
-    well_covered and euler_char are read off one independence complex:
-    its dimension is alpha - 1, and it is pure iff g is well-covered.
+    well_covered and euler_char are read off the graph, without building
+    its independence complex.
     """
     if not field_labels:
         raise ValueError("at least one field label is required")
     gth = girth(g)
-    complex_ = independence_complex(g)
     verdicts = {
         label: check_theorem(g, FieldSpec.from_label(label))
         for label in field_labels
@@ -75,11 +76,11 @@ def build_record(index: int, g: Graph, field_labels, graph6: str | None = None) 
         "girth": None if math.isinf(gth) else int(gth),
         "connected": is_connected(g),
         "no_isolated": any_verdict.no_isolated,
-        "alpha": complex_.dim + 1,
-        "well_covered": is_pure(complex_),
+        "alpha": independence_number(g),
+        "well_covered": is_well_covered(g),
         "w2": any_verdict.is_w2,
         "alpha_critical": is_alpha_critical(g),
-        "euler_char": reduced_euler_characteristic(complex_),
+        "euler_char": independence_euler_characteristic(g),
         "gorenstein": {lb: v.gorenstein for lb, v in verdicts.items()},
         "second_power_cm": {lb: v.second_power_cm for lb, v in verdicts.items()},
         "consistent": all(v.consistent for v in verdicts.values()),

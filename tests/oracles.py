@@ -9,8 +9,10 @@ integer Smith-style diagonalization.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 
 # ---------------------------------------------------------------------------
@@ -19,14 +21,65 @@ from itertools import combinations
 
 
 def brute_independent_sets(n, edges):
-    """Every independent set of the labeled graph, as sorted tuples."""
+    """Every independent set of the labeled graph, as sorted tuples, by
+    size and then lexicographically.  Each set of size k + 1 is a set of
+    size k with a larger vertex appended that has no edge to any member."""
     edge_set = {frozenset(e) for e in edges}
+    level = [()]
     out = []
-    for k in range(n + 1):
-        for sub in combinations(range(n), k):
-            if all(frozenset(p) not in edge_set for p in combinations(sub, 2)):
-                out.append(sub)
+    while level:
+        out += level
+        level = [
+            sub + (v,)
+            for sub in level
+            for v in range(sub[-1] + 1 if sub else 0, n)
+            if all(frozenset((u, v)) not in edge_set for u in sub)
+        ]
     return out
+
+
+def brute_euler_characteristic(n, edges):
+    """Reduced Euler characteristic of the independence complex: one
+    (-1)^(|F| - 1) per independent set F, the empty set included."""
+    return sum(1 if len(s) % 2 else -1 for s in brute_independent_sets(n, edges))
+
+
+def brute_girth(n, edges):
+    """Fewest vertices on a cycle, or math.inf for a forest.
+
+    Leaves are peeled first, since no cycle passes through a vertex of
+    degree below 2.  Then, for k = 3, 4, ..., every path of k distinct
+    vertices that starts at its smallest vertex s is tried for an edge
+    back to s.
+    """
+    adj = {v: set() for v in range(n)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    core = set(range(n))
+    leaves = [v for v in core if len(adj[v]) < 2]
+    while leaves:
+        v = leaves.pop()
+        if v not in core:
+            continue
+        core.discard(v)
+        for u in adj[v] & core:
+            if len(adj[u] & core) < 2:
+                leaves.append(u)
+
+    def closes(path, k):
+        if len(path) == k:
+            return path[0] in adj[path[-1]]
+        return any(
+            closes(path + [v], k)
+            for v in adj[path[-1]] & core
+            if v > path[0] and v not in path
+        )
+
+    for k in range(3, len(core) + 1):
+        if any(closes([s], k) for s in core):
+            return k
+    return math.inf
 
 def brute_maximal_independent_sets(n, edges):
     indep = set(brute_independent_sets(n, edges))
@@ -262,3 +315,39 @@ def oracle_betti_snf(complex_, char: int) -> dict[int, int]:
         i: len(by_size.get(i + 1, ())) - ranks[i + 1] - ranks[i + 2]
         for i in range(-1, d + 1)
     }
+
+
+# ---------------------------------------------------------------------------
+# Reisner's criterion, face by face, on the dense homology oracle
+# ---------------------------------------------------------------------------
+
+
+def oracle_cohen_macaulay(complex_, char: int) -> bool:
+    """Every face's link has reduced homology only in its top degree.
+    Only complex_.facets is read; it may list faces that are not maximal."""
+    for f in oracle_faces(complex_):
+        lk = SimpleNamespace(facets=tuple(
+            tuple(x for x in h if x not in f)
+            for h in complex_.facets
+            if set(f) <= set(h)
+        ))
+        top = max(len(h) for h in lk.facets) - 1
+        betti = oracle_betti(lk, char)
+        if any(betti[i] for i in range(-1, top)):
+            return False
+    return True
+
+
+def oracle_doubly_cm(complex_, char: int) -> bool:
+    """Cohen-Macaulay, and still Cohen-Macaulay of the same dimension after
+    deleting any single vertex."""
+    if not oracle_cohen_macaulay(complex_, char):
+        return False
+    dim = max(len(h) for h in complex_.facets) - 1
+    for x in sorted({v for h in complex_.facets for v in h}):
+        rest = SimpleNamespace(facets=tuple(tuple(v for v in h if v != x) for h in complex_.facets))
+        if max(len(h) for h in rest.facets) - 1 != dim:
+            return False
+        if not oracle_cohen_macaulay(rest, char):
+            return False
+    return True

@@ -12,7 +12,12 @@ from itertools import combinations
 
 import pytest
 
-from oracles import brute_independent_sets, oracle_betti, oracle_betti_snf
+from oracles import (
+    brute_independent_sets,
+    oracle_betti,
+    oracle_betti_snf,
+    oracle_doubly_cm,
+)
 from tfgor import (
     GF2,
     GF3,
@@ -30,7 +35,6 @@ from tfgor import (
     is_cohen_macaulay,
     is_cone,
     is_connected,
-    is_doubly_cm,
     is_eulerian,
     is_gorenstein_graph,
     is_in_w2,
@@ -270,7 +274,7 @@ def test_criterion_6_structural_lemma_suite(tf_report):
             if not rec["gorenstein"]["q"]:
                 continue
             c = independence_complex(graphs[rec["graph6"]])
-            assert is_doubly_cm(c, RATIONALS)
+            assert oracle_doubly_cm(c, 0)
             verts = list(c.vertices)
             for mask in range(1, 1 << len(verts)):
                 s = [verts[i] for i in range(len(verts)) if mask >> i & 1]

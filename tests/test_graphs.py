@@ -1,10 +1,16 @@
 import math
 import random
+import time
 from itertools import combinations
 
 import pytest
 
-from oracles import brute_independent_sets, brute_maximal_independent_sets
+from oracles import (
+    brute_euler_characteristic,
+    brute_girth,
+    brute_independent_sets,
+    brute_maximal_independent_sets,
+)
 from tfgor import (
     Graph,
     complete_graph,
@@ -20,6 +26,8 @@ from tfgor import (
     girth,
     girth4_planar,
     has_isolated_vertices,
+    independence_complex,
+    independence_euler_characteristic,
     independence_number,
     induced_subgraph,
     is_alpha_critical,
@@ -31,6 +39,7 @@ from tfgor import (
     localized_vertices,
     maximal_independent_sets,
     path_graph,
+    reduced_euler_characteristic,
 )
 
 
@@ -272,6 +281,7 @@ def test_is_alpha_critical():
     assert not is_alpha_critical(cycle_graph(4))
     assert is_alpha_critical(complete_graph(2))
     assert is_alpha_critical(Graph(3))  # edgeless, vacuous
+    assert all(is_alpha_critical(girth4_planar(n)) for n in range(3, 7))
 
 
 def _brute_alpha(n, edges):
@@ -288,7 +298,7 @@ def _alpha_critical_test_graphs():
 
 def test_is_alpha_critical_matches_edge_deletion_definition():
     found = 0
-    for g in _alpha_critical_test_graphs():
+    for g in _alpha_critical_test_graphs() + _invariant_test_graphs():
         edges = g.edges()
         alpha = _brute_alpha(g.n, edges)
         want = all(
@@ -310,7 +320,9 @@ def _brute_maximal_sizes(g, skip=None):
 
 
 def test_is_in_w2_matches_definition():
-    for g in _alpha_critical_test_graphs():
+    graphs = _alpha_critical_test_graphs()
+    graphs += [g for g in _invariant_test_graphs() if g.n <= 11]
+    for g in graphs:
         alpha = _brute_alpha(g.n, g.edges())
         want = g.n == 0 or (
             not has_isolated_vertices(g)
@@ -356,3 +368,55 @@ def test_delete_vertex_keeps_other_adjacency():
     assert delete_vertex(c5, 0) == path_graph(4)
     with pytest.raises(ValueError):
         delete_vertex(c5, 5)
+
+
+def _invariant_test_graphs():
+    rng = random.Random(71)
+    graphs = [random_graph(rng, rng.randint(0, 9), p) for p in (0.2, 0.4, 0.6, 0.9) for _ in range(40)]
+    graphs += [complete_graph(n) for n in range(1, 9)]
+    graphs += [path_graph(n) for n in range(1, 10)]
+    graphs += [cycle_graph(n) for n in range(3, 10)]
+    graphs += [girth4_planar(n) for n in range(3, 7)]
+    graphs += [
+        disjoint_union(path_graph(3), path_graph(4)),
+        disjoint_union(complete_graph(2), disjoint_union(Graph(2), path_graph(5))),
+        disjoint_union(cycle_graph(5), cycle_graph(4)),
+        disjoint_union(cycle_graph(7), path_graph(3)),
+        disjoint_union(cycle_graph(5), cycle_graph(5)),
+        disjoint_union(girth4_planar(3), complete_graph(3)),
+    ]
+    return graphs
+
+
+def test_girth_matches_brute_force():
+    graphs = _invariant_test_graphs() + [Graph(n) for n in range(25)]
+    for g in graphs:
+        assert girth(g) == brute_girth(g.n, g.edges()), g
+    forests = [
+        disjoint_union(path_graph(3), path_graph(4)),
+        disjoint_union(complete_graph(2), disjoint_union(Graph(2), path_graph(5))),
+        Graph(24),
+    ]
+    assert all(girth(g) == math.inf for g in forests)
+    assert [girth(cycle_graph(n)) for n in range(3, 10)] == list(range(3, 10))
+
+
+def test_alpha_and_euler_characteristic_match_oracles():
+    for g in _invariant_test_graphs() + [Graph(n) for n in range(11)]:
+        sets = brute_independent_sets(g.n, g.edges())
+        assert independence_number(g) == max(len(s) for s in sets), g
+        chi = independence_euler_characteristic(g)
+        assert chi == brute_euler_characteristic(g.n, g.edges()), g
+        assert chi == reduced_euler_characteristic(independence_complex(g)), g
+
+
+def test_edgeless_graphs_need_no_enumeration():
+    # Ind of the edgeless graph on n vertices is a simplex with 2^n faces;
+    # enumerating them for n = 24 would take minutes
+    start = time.perf_counter()
+    for n in range(25):
+        g = Graph(n)
+        assert independence_number(g) == n
+        assert independence_euler_characteristic(g) == (-1 if n == 0 else 0)
+        assert is_alpha_critical(g)
+    assert time.perf_counter() - start < 5.0
