@@ -10,6 +10,9 @@ rank is their number.  The prime-field kernel scales each pivot column to
 a unit pivot; the integer kernel is fraction-free, cross-multiplying the
 two columns and dividing the result by its content to keep coefficients
 small.  Both are exact for arbitrarily large entries.
+
+A matrix is handed in as its columns in order, each a {row: value} dict
+of nonzero integers; the kernels own these dicts and may mutate them.
 """
 
 from __future__ import annotations
@@ -19,18 +22,11 @@ from math import gcd
 __all__ = ["rank_mod_p", "rank_int"]
 
 
-def _columns(triples):
-    cols: dict[int, dict[int, int]] = {}
-    for r, c, v in triples:
-        if v:
-            cols.setdefault(c, {})[r] = v
-    return [cols[c] for c in sorted(cols)]
-
-
-def rank_mod_p(nrows: int, ncols: int, triples, p: int) -> int:
-    """Exact rank over GF(p) of the matrix given as (row, col, value) triples."""
+def rank_mod_p(columns, p: int) -> int:
+    """Exact rank over GF(p) of the integer matrix with these columns."""
     pivots: dict[int, dict[int, int]] = {}
-    for col in _columns((r, c, v % p) for r, c, v in triples):
+    for col in columns:
+        col = {r: w for r, v in col.items() if (w := v % p)}
         while col:
             low = max(col)
             piv = pivots.get(low)
@@ -48,10 +44,10 @@ def rank_mod_p(nrows: int, ncols: int, triples, p: int) -> int:
     return len(pivots)
 
 
-def rank_int(nrows: int, ncols: int, triples) -> int:
-    """Exact rank over the rationals of an integer matrix."""
+def rank_int(columns) -> int:
+    """Exact rank over the rationals of the integer matrix with these columns."""
     pivots: dict[int, dict[int, int]] = {}
-    for col in _columns(triples):
+    for col in columns:
         while col:
             low = max(col)
             piv = pivots.get(low)

@@ -3,7 +3,8 @@
 Subcommands: check (classify one graph), survey (classify a graph6
 corpus), family (emit a generated family member), homology (print Betti
 numbers and the reduced Euler characteristic).  Exit codes: 0 no
-counterexamples, 1 counterexample found, 2 usage or parse error.
+counterexamples, 1 counterexample found, 2 usage or input error (a
+malformed or unreadable input, or a graph beyond the exact recursion).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import sys
 
 from ._version import __version__
-from .complexes import independence_complex, parse_facets, reduced_euler_characteristic
+from .complexes import independence_complex, parse_facets
 from .graphs import generate, parse_edge_list, parse_graph6, write_edge_list, write_graph6
 from .homology import FieldSpec, reduced_betti
 from .survey import (
@@ -119,11 +120,7 @@ def _load_graph(args):
 
 def _cmd_check(args) -> int:
     fields = tuple(args.fields or ["q"])
-    try:
-        g = _load_graph(args)
-    except (ValueError, OSError) as exc:
-        print(f"tfgor check: {exc}", file=sys.stderr)
-        return 2
+    g = _load_graph(args)
     g6 = args.g6.strip() if args.g6 is not None else write_graph6(g)
     record = build_record(0, g, fields, graph6=g6)
     print(json.dumps(record, indent=2))
@@ -132,24 +129,20 @@ def _cmd_check(args) -> int:
 
 def _cmd_survey(args) -> int:
     with contextlib.ExitStack() as stack:
-        try:
-            lines = _read(args.corpus).splitlines()
-            # opened before any line is classified, so a bad --out fails fast
-            out = (
-                stack.enter_context(open(args.out, "w", encoding="ascii"))
-                if args.out else sys.stdout
-            )
-            report, skipped = survey(
-                lines,
-                filters=tuple(t for t in args.filter.split(",") if t),
-                fields=tuple(args.fields or ["q"]),
-                max_n=args.max_n,
-                jobs=args.jobs,
-                strict=args.strict,
-            )
-        except (ValueError, OSError) as exc:
-            print(f"tfgor survey: {exc}", file=sys.stderr)
-            return 2
+        lines = _read(args.corpus).splitlines()
+        # opened before any line is classified, so a bad --out fails fast
+        out = (
+            stack.enter_context(open(args.out, "w", encoding="ascii"))
+            if args.out else sys.stdout
+        )
+        report, skipped = survey(
+            lines,
+            filters=tuple(t for t in args.filter.split(",") if t),
+            fields=tuple(args.fields or ["q"]),
+            max_n=args.max_n,
+            jobs=args.jobs,
+            strict=args.strict,
+        )
         for lineno, msg in skipped:
             print(f"tfgor survey: skipped line {lineno}: {msg}", file=sys.stderr)
         out.write(report_to_json(report) if args.format == "json" else report_to_csv(report))
@@ -157,11 +150,7 @@ def _cmd_survey(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    try:
-        g = generate(args.name, args.n)
-    except ValueError as exc:
-        print(f"tfgor family: {exc}", file=sys.stderr)
-        return 2
+    g = generate(args.name, args.n)
     if args.format == "graph6":
         print(write_graph6(g))
     else:
@@ -171,19 +160,16 @@ def _cmd_family(args) -> int:
 
 def _cmd_homology(args) -> int:
     field = FieldSpec.from_label(args.field)
-    try:
-        if args.facets is not None:
-            complex_ = parse_facets(_read(args.facets))
-        else:
-            complex_ = independence_complex(_load_graph(args))
-    except (ValueError, OSError) as exc:
-        print(f"tfgor homology: {exc}", file=sys.stderr)
-        return 2
+    if args.facets is not None:
+        complex_ = parse_facets(_read(args.facets))
+    else:
+        complex_ = independence_complex(_load_graph(args))
     print(f"field: {field.label}")
     betti = reduced_betti(complex_, field)
     for i in sorted(betti):
         print(f"H~_{i} = {betti[i]}")
-    print(f"chi~ = {reduced_euler_characteristic(complex_)}")
+    # Euler-Poincare, over any field: chi~ = sum_i (-1)^i b~_i
+    print(f"chi~ = {sum(-b if i % 2 else b for i, b in betti.items())}")
     return 0
 
 
@@ -196,9 +182,17 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return _COMMANDS[args.command](args)
+    """Run one subcommand; bad input (ValueError, OSError) and a graph too
+    deep for the recursion both print 'tfgor <command>: ...' and exit 2."""
+    args = build_parser().parse_args(argv)
+    try:
+        return _COMMANDS[args.command](args)
+    except (ValueError, OSError) as exc:
+        message = str(exc)
+    except RecursionError:
+        message = "the graph is beyond the exact recursion (maximum recursion depth exceeded)"
+    print(f"tfgor {args.command}: {message}", file=sys.stderr)
+    return 2
 
 
 def console_main():

@@ -4,16 +4,14 @@ The reduced chain complex uses the ascending-vertex wedge basis: the
 boundary of a face drops its s-th smallest vertex with sign (-1)^s, every
 vertex maps to the empty face with coefficient +1, and degree -1 is always
 present (so the complex {()} is not acyclic).  Betti numbers come from
-exact ranks of the sparse boundary matrices, computed in _kernels by
-the standard column reduction (each column reduced against stored pivot
-columns keyed by their lowest nonzero row).
+exact ranks of the sparse boundary matrices, whose entries are integers:
+matrix_rank hands their columns, as {row: value} dicts, to the standard
+column reduction in _kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 
 from . import _kernels
 from .complexes import SimplicialComplex
@@ -91,17 +89,19 @@ GF5 = FieldSpec(5)
 
 @dataclass(frozen=True)
 class SparseMatrix:
-    """Sparse matrix as sorted (row, col, nonzero value) triples."""
+    """Integer matrix as sorted (row, col, nonzero int value) triples."""
 
     nrows: int
     ncols: int
-    entries: tuple[tuple[int, int, object], ...]
+    entries: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
         seen = set()
         for r, c, v in self.entries:
             if not (0 <= r < self.nrows and 0 <= c < self.ncols):
                 raise ValueError(f"entry ({r},{c}) out of range")
+            if not isinstance(v, int):
+                raise ValueError(f"entry {v!r} at ({r},{c}) is not an integer")
             if v == 0:
                 raise ValueError(f"stored zero at ({r},{c})")
             if (r, c) in seen:
@@ -142,33 +142,15 @@ def boundary_matrix(c: SimplicialComplex, i: int, field: FieldSpec) -> SparseMat
     return SparseMatrix(len(rows), len(cols), tuple(entries))
 
 
-def _mod_p(v, p: int) -> int:
-    if isinstance(v, Fraction):
-        if v.denominator % p == 0:
-            raise ValueError(f"entry {v} has no reduction mod {p}")
-        return v.numerator * pow(v.denominator, -1, p) % p
-    return v % p
-
-
 def matrix_rank(m: SparseMatrix, field: FieldSpec) -> int:
-    """Exact rank of m over the chosen field."""
-    if not field.is_rationals:
-        p = field.char
-        triples = [
-            (r, c, w) for r, c, v in m.entries if (w := _mod_p(v, p))
-        ]
-        return _kernels.rank_mod_p(m.nrows, m.ncols, triples, p)
-    if any(isinstance(v, Fraction) for _, _, v in m.entries):
-        by_row: dict[int, list[tuple[int, object]]] = {}
-        for r, c, v in m.entries:
-            by_row.setdefault(r, []).append((c, Fraction(v)))
-        triples = []
-        for r, items in by_row.items():
-            scale = lcm(*(v.denominator for _, v in items))
-            triples.extend((r, c, int(v * scale)) for c, v in items)
-    else:
-        triples = list(m.entries)
-    return _kernels.rank_int(m.nrows, m.ncols, triples)
+    """Exact rank of the integer matrix m over the chosen field."""
+    columns: dict[int, dict[int, int]] = {}
+    for r, c, v in m.entries:
+        columns.setdefault(c, {})[r] = v
+    ordered = [columns[c] for c in sorted(columns)]
+    if field.is_rationals:
+        return _kernels.rank_int(ordered)
+    return _kernels.rank_mod_p(ordered, field.char)
 
 
 def reduced_betti(c: SimplicialComplex, field: FieldSpec) -> dict[int, int]:

@@ -89,7 +89,8 @@ def build_record(index: int, g: Graph, field_labels, graph6: str | None = None) 
 
 def _classify(task):
     """One nonblank corpus line: its record, None when a filter rejects it,
-    or (line number, message) when it does not parse."""
+    or (line number, message) when it does not parse.  A graph too deep for
+    the recursion raises ValueError naming the line, in any worker."""
     lineno, index, line, filters, max_n, field_labels = task
     try:
         g = parse_graph6(line)
@@ -97,9 +98,14 @@ def _classify(task):
         return lineno, str(exc)
     if max_n is not None and g.n > max_n:
         return None
-    if not all(FILTERS[name](g) for name in filters):
-        return None
-    return build_record(index, g, field_labels, graph6=line)
+    try:
+        if not all(FILTERS[name](g) for name in filters):
+            return None
+        return build_record(index, g, field_labels, graph6=line)
+    except RecursionError:
+        raise ValueError(
+            f"line {lineno}: graph on {g.n} vertices is beyond the exact recursion"
+        ) from None
 
 
 def survey(

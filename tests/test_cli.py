@@ -1,10 +1,22 @@
 import io
 import json
+import random
 import sys
 
 import pytest
 
-from tfgor import parse_graph6, survey, write_graph6, cycle_graph, girth4_planar
+from tfgor import (
+    Graph,
+    cycle_graph,
+    girth4_planar,
+    parse_facets,
+    parse_graph6,
+    path_graph,
+    reduced_euler_characteristic,
+    survey,
+    write_edge_list,
+    write_graph6,
+)
 from tfgor.cli import main
 
 
@@ -67,6 +79,28 @@ def test_check_multiple_fields(capsys):
 def test_check_parse_failure_exit_2(capsys):
     code, _, err = run(capsys, ["check", "--g6", "A" + chr(127)])
     assert code == 2 and "check" in err
+
+
+def test_check_beyond_recursion_exit_2(capsys, tmp_path):
+    # alpha recurses about once per vertex, past Python's recursion limit
+    p = tmp_path / "path1200.edges"
+    p.write_text(write_edge_list(path_graph(1200)))
+    code, out, err = run(capsys, ["check", "--edge-file", str(p)])
+    assert code == 2 and out == ""
+    assert err.startswith("tfgor check: ") and "recursion" in err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_survey_beyond_recursion_names_line_exit_2(capsys, monkeypatch, jobs):
+    # 600 disjoint edges recurse as deep as a long path, without its
+    # quadratic girth search; the second line goes to a worker at --jobs 2
+    matching = Graph(1200, [(2 * i, 2 * i + 1) for i in range(600)])
+    code, out, err = run(
+        capsys, ["survey", "--jobs", jobs],
+        stdin=f"A_\n{write_graph6(matching)}\n", monkeypatch=monkeypatch,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("tfgor survey: line 2: ") and "recursion" in err
 
 
 def test_survey_single_c5(capsys, monkeypatch):
@@ -371,6 +405,28 @@ def test_homology_rp2_f2(capsys):
     )
     assert code == 0
     assert "H~_1 = 1" in out and "H~_2 = 1" in out
+
+
+def test_homology_chi_is_alternating_betti_sum(capsys, tmp_path):
+    from conftest import FIXTURES
+
+    rng = random.Random(606)
+    paths = [FIXTURES / "rp2_minimal.facets"]
+    for k in range(12):
+        nv = rng.randint(1, 9)
+        facets = [
+            rng.sample(range(nv), rng.randint(1, min(nv, 5)))
+            for _ in range(rng.randint(1, 7))
+        ]
+        p = tmp_path / f"random{k}.facets"
+        p.write_text("".join(" ".join(map(str, f)) + "\n" for f in facets))
+        paths.append(p)
+    for p in paths:
+        chi = reduced_euler_characteristic(parse_facets(p.read_text()))
+        for field in ("q", "f2"):
+            code, out, _ = run(capsys, ["homology", "--facets", str(p), "--field", field])
+            assert code == 0
+            assert out.splitlines()[-1] == f"chi~ = {chi}"
 
 
 def test_homology_graph_uses_independence_complex(capsys):

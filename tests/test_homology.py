@@ -146,23 +146,6 @@ def test_rank_hollow_triangle_boundary():
     assert matrix_rank(m, RATIONALS) == 2
 
 
-def test_rank_with_fractions():
-    m = SparseMatrix(
-        2, 2,
-        ((0, 0, Fraction(1, 2)), (0, 1, Fraction(1, 3)),
-         (1, 0, Fraction(3, 2)), (1, 1, Fraction(1, 1))),
-    )
-    assert matrix_rank(m, RATIONALS) == 1
-
-
-def test_rank_with_fractions_over_prime_field():
-    m = SparseMatrix(2, 2, ((0, 0, Fraction(1, 2)), (1, 1, Fraction(3, 4))))
-    assert matrix_rank(m, GF3) == 1  # 3/4 vanishes mod 3
-    assert matrix_rank(m, RATIONALS) == 2
-    with pytest.raises(ValueError, match="no reduction"):
-        matrix_rank(m, GF2)
-
-
 def test_rank_mod_p_drops_entries_divisible_by_p():
     m = SparseMatrix(2, 2, ((0, 0, 2), (1, 1, 4)))
     assert matrix_rank(m, RATIONALS) == 2
@@ -177,6 +160,9 @@ def test_sparse_matrix_validation():
         SparseMatrix(2, 2, ((0, 0, 1), (0, 0, 2)))
     with pytest.raises(ValueError, match="range"):
         SparseMatrix(1, 1, ((0, 1, 1),))
+    for v in (Fraction(1, 2), 0.5):
+        with pytest.raises(ValueError, match="not an integer"):
+            SparseMatrix(1, 1, ((0, 0, v),))
 
 
 def test_rank_matches_dense_oracles_random():
