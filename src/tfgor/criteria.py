@@ -2,34 +2,33 @@
 second-power criterion, over a selectable coefficient field.
 
 Cohen-Macaulayness is Reisner's criterion (Reisner 1976; Stanley,
-Combinatorics and Commutative Algebra, II.4): every link has reduced
-homology only in its top degree.  Since lk_F = lk_v(lk_(F-v)), it is
-decided by vertex links: a complex is Cohen-Macaulay iff it is pure, has
-no reduced homology below its top degree, and every vertex link is
-Cohen-Macaulay.  Purity is implied by the criterion and only rejects
-early (tests compare against the bare per-face loop).  One cache keyed
-by (facets, field) holds the verdicts, so a link shared by many faces is
-ranked once.  The facets of a vertex link are built as bare tuples, so a
-complex is built only on a cache miss.  Gorensteinness is decided on the
-core: the core must be Cohen-Macaulay and Eulerian.  The second power of
-the edge ideal is decided through the edge-localization criterion: the
-graph is triangle-free and Cohen-Macaulay, and every edge localization
-is Cohen-Macaulay with independence number exactly one less.
+Combinatorics and Commutative Algebra, II.4), decided by vertex links
+since lk_F = lk_v(lk_(F-v)): a complex is Cohen-Macaulay iff it is pure,
+has no reduced homology below its top degree, and every vertex link is
+Cohen-Macaulay.  Purity is implied by the rest (by induction, the facets
+through a vertex have one size, and H~_0 = 0 connects the vertices) and
+only rejects early; tests compare against the bare per-face loop.  A
+cone is Cohen-Macaulay iff its base is, so the vertices in every facet
+are peeled off first.  Facets are sorted vertex bitmasks; a link or a
+peel clears bits, which keeps them sorted and inclusion-maximal.  One
+cache keyed by (facet masks, field) holds the verdicts, so a link shared
+by many faces is ranked once, and a complex is built only on a miss.  A
+facet file enters relabeled by rank, a graph as the maximal independent
+sets of a vertex mask.  Gorensteinness: the core is Eulerian and
+Cohen-Macaulay, the latter decided on the whole complex by the peel.
 
-On graphs, everything that needs no homology is computed in graphs
-without building a complex: alpha and alpha-criticality from one
-memoized recursion over vertex masks, girth by breadth-first layers,
-and well-coveredness from the maximal independent sets.  Cohen-Macaulay
-and Gorenstein complexes are pure, and Ind(g) is pure iff g is
-well-covered, so is_cm_graph and is_gorenstein_graph reject a graph that
-is not well-covered before Ind(g) is built.
+On graphs, everything that needs no homology is computed in graphs:
+alpha and alpha-criticality from one memoized recursion over vertex
+masks, girth by breadth-first layers, and well-coveredness from the
+maximal independent sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import and_, or_
 
 from .complexes import (
     SimplicialComplex,
@@ -39,7 +38,8 @@ from .complexes import (
 )
 from .graphs import (
     Graph,
-    edge_localize,
+    _bits_to_tuple,
+    _maximal_independent_masks,
     has_isolated_vertices,
     is_alpha_critical,
     is_in_w2,
@@ -66,26 +66,31 @@ def _require_nonvoid(c: SimplicialComplex):
 
 
 @lru_cache(maxsize=8192)
-def _cm(facets: tuple[tuple[int, ...], ...], field: FieldSpec) -> bool:
-    # keyed by facets: ground vertices in no face change no homology
-    size = len(facets[0])
-    if any(len(f) != size for f in facets):
+def _cm(facets: tuple[int, ...], field: FieldSpec) -> bool:
+    # sorted vertex bitmasks; ground vertices in no face change no homology
+    apex = reduce(and_, facets)
+    if apex:  # a cone is Cohen-Macaulay iff its base is
+        return _cm(tuple(f ^ apex for f in facets), field)
+    size = facets[0].bit_count()
+    if any(f.bit_count() != size for f in facets):
         return False
-    c = SimplicialComplex(set().union(*facets), facets, validate=False)
+    vertices = _bits_to_tuple(reduce(or_, facets))
+    c = SimplicialComplex(vertices, map(_bits_to_tuple, facets), validate=False)
     betti = reduced_betti(c, field)
-    if any(betti[i] for i in range(-1, c.dim)):
+    if any(betti[i] for i in range(-1, size - 1)):
         return False
-    # the facets of lk_v, sorted and inclusion-maximal as those of c are
+    # clearing bit v keeps the facets of lk_v sorted and inclusion-maximal
     return all(
-        _cm(tuple(tuple(x for x in f if x != v) for f in facets if v in f), field)
-        for v in c.vertices
+        _cm(tuple(f ^ (1 << v) for f in facets if f >> v & 1), field) for v in vertices
     )
 
 
 def is_cohen_macaulay(c: SimplicialComplex, field: FieldSpec) -> bool:
     """Reisner's condition: every link has homology only in its top degree."""
     _require_nonvoid(c)
-    return _cm(c.facets, field)
+    # facets as masks, relabeled by rank so that a large label makes no large mask
+    bit = {x: 1 << i for i, x in enumerate(sorted({x for f in c.facets for x in f}))}
+    return _cm(tuple(sorted(sum(bit[x] for x in f) for f in c.facets)), field)
 
 
 def is_eulerian(c: SimplicialComplex) -> bool:
@@ -110,35 +115,23 @@ def is_eulerian(c: SimplicialComplex) -> bool:
 
 def is_gorenstein(c: SimplicialComplex, field: FieldSpec) -> bool:
     """True iff the core of c is an Eulerian Cohen-Macaulay complex."""
-    _require_nonvoid(c)
-    core = core_of(c)
-    return is_eulerian(core) and _cm(core.facets, field)
+    # c is its core joined with a simplex, which the cone peel removes
+    return is_eulerian(core_of(c)) and is_cohen_macaulay(c, field)
 
 
 def is_cm_graph(g: Graph, field: FieldSpec) -> bool:
-    """Cohen-Macaulayness of Ind(g).
-
-    A Cohen-Macaulay complex is pure, by induction on its dimension: each
-    vertex link is Cohen-Macaulay, hence pure, so all facets through one
-    vertex have one size; in positive dimension H~_0 = 0 makes the complex
-    connected, and the two ends of an edge share the facets through it, so
-    that size is the same at every vertex.  The facets of Ind(g) are the
-    maximal independent sets of g, so Ind(g) is pure iff g is
-    well-covered, and a graph that is not well-covered is rejected before
-    its complex is built.
-    """
-    return is_well_covered(g) and _cm(independence_complex(g).facets, field)
+    """Cohen-Macaulayness of Ind(g), whose facets are the maximal
+    independent sets of g.  Ind(g) is pure iff g is well-covered, so a
+    graph that is not well-covered is rejected before any homology."""
+    return _cm(tuple(sorted(_maximal_independent_masks(g))), field)
 
 
 def is_gorenstein_graph(g: Graph, field: FieldSpec) -> bool:
     """Gorensteinness of Ind(g).
 
-    A Gorenstein complex has a Cohen-Macaulay, hence pure, core.  Ind(g) is
-    the join of its core with the simplex on its cone points, so each facet
-    of Ind(g) is a facet of the core plus all cone points, and Ind(g) is
-    pure iff its core is.  As in is_cm_graph, Ind(g) is pure iff g is
-    well-covered, so a graph that is not well-covered is rejected before
-    its complex is built.
+    A Gorenstein complex has a Cohen-Macaulay, hence pure, core, and Ind(g),
+    the join of its core with a simplex, is pure iff its core is.  So a
+    graph that is not well-covered is rejected before Ind(g) is built.
     """
     return is_well_covered(g) and is_gorenstein(independence_complex(g), field)
 
@@ -148,17 +141,22 @@ def is_second_power_cm(g: Graph, field: FieldSpec) -> bool:
     power of the edge ideal.
 
     Decides: g is triangle-free, g is Cohen-Macaulay, and for every edge
-    ab the localization at ab is Cohen-Macaulay with independence number
-    alpha(g) - 1.  The independence-number condition on every edge is
-    alpha-criticality (see graphs.is_alpha_critical), tested first because
-    it needs no homology.  The verdict depends on the field and is labeled
-    with it wherever reported.
+    ab the localization at ab, the vertex mask V minus N(a) and N(b) of g,
+    is Cohen-Macaulay with independence number alpha(g) - 1.  The
+    independence-number condition on every edge is alpha-criticality (see
+    graphs.is_alpha_critical), tested first because it needs no homology.
+    The verdict depends on the field and is labeled with it wherever
+    reported.
     """
+    full, nbr = (1 << g.n) - 1, g._nbr_bits
     return (
         is_triangle_free(g)
         and is_alpha_critical(g)
         and is_cm_graph(g, field)
-        and all(is_cm_graph(edge_localize(g, a, b), field) for a, b in g.edges())
+        and all(
+            _cm(tuple(sorted(_maximal_independent_masks(g, full & ~(nbr[a] | nbr[b])))), field)
+            for a, b in g.edges()
+        )
     )
 
 

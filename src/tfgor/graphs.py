@@ -330,8 +330,12 @@ def girth(g: Graph) -> float:
     vertex with two parents in layer k closes one of length 2k+2.  Either
     walk contains a cycle no longer than itself, and from a root on a
     shortest cycle the search finds that cycle's length exactly, so the
-    minimum over roots is the girth.
+    minimum over roots is the girth.  A forest (n minus its number of
+    components edges) needs no search.
     """
+    m = g.edge_count()
+    if m < g.n and m == g.n - len(components(g)):  # m >= n makes a cycle
+        return math.inf
     nbr = g._nbr_bits
     best = math.inf
     for r in range(g.n):
@@ -483,13 +487,11 @@ def edge_localize(g: Graph, a: int, b: int) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def _maximal_independent_masks(g: Graph):
-    n = g.n
-    if n == 0:
-        yield 0
-        return
-    full = (1 << n) - 1
-    nonadj = tuple(full & ~b & ~(1 << v) for v, b in enumerate(g._nbr_bits))
+def _maximal_independent_masks(g: Graph, s: int | None = None):
+    # the maximal independent sets of g[s], for a vertex mask s (default all)
+    if s is None:
+        s = (1 << g.n) - 1
+    nonadj = tuple(s & ~b & ~(1 << v) for v, b in enumerate(g._nbr_bits))
 
     def extend(chosen, cand, excl):
         if cand == 0 and excl == 0:
@@ -513,7 +515,7 @@ def _maximal_independent_masks(g: Graph):
             excl |= bit
             todo ^= bit
 
-    yield from extend(0, full, 0)
+    yield from extend(0, s, 0)
 
 
 def maximal_independent_sets(g: Graph) -> list[tuple[int, ...]]:

@@ -90,10 +90,30 @@ def test_check_beyond_recursion_exit_2(capsys, tmp_path):
     assert err.startswith("tfgor check: ") and "recursion" in err
 
 
+@pytest.mark.parametrize(
+    "g6", ["W" + "?" * 46, "U_" + "?" * 38], ids=["edgeless-24", "k2-plus-20"]
+)
+def test_check_ranks_no_cone(capsys, monkeypatch, g6):
+    # isolated vertices make Ind(g) a cone, Cohen-Macaulay iff its base is;
+    # ranking the 23-simplex of the edgeless graph would walk 2^24 faces
+    criteria = sys.modules["tfgor.criteria"]
+    real = criteria.reduced_betti
+
+    def no_cones(c, field):
+        assert not set.intersection(*map(set, c.facets)), c.facets
+        return real(c, field)
+
+    monkeypatch.setattr(criteria, "reduced_betti", no_cones)
+    code, out, err = run(capsys, ["check", "--g6", g6, "--field", "q", "--field", "f2"])
+    rec = json.loads(out)
+    assert code == 0 and err == ""
+    assert rec["gorenstein"] == rec["second_power_cm"] == {"q": True, "f2": True}
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_survey_beyond_recursion_names_line_exit_2(capsys, monkeypatch, jobs):
-    # 600 disjoint edges recurse as deep as a long path, without its
-    # quadratic girth search; the second line goes to a worker at --jobs 2
+    # 600 disjoint edges recurse as deep as a long path; the second line
+    # goes to a worker at --jobs 2
     matching = Graph(1200, [(2 * i, 2 * i + 1) for i in range(600)])
     code, out, err = run(
         capsys, ["survey", "--jobs", jobs],

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from oracles import oracle_doubly_cm
+from oracles import brute_independent_sets, oracle_cohen_macaulay, oracle_doubly_cm
 from tfgor import (
     GF2,
     GF3,
@@ -14,6 +14,7 @@ from tfgor import (
     check_theorem,
     complete_graph,
     cycle_graph,
+    delete_edge,
     delete_set,
     disjoint_union,
     edge_localize,
@@ -26,6 +27,8 @@ from tfgor import (
     is_gorenstein_graph,
     is_pure,
     is_second_power_cm,
+    is_triangle_free,
+    join,
     link,
     parse_facets,
     path_graph,
@@ -56,6 +59,9 @@ def test_cm_examples():
     assert not is_cohen_macaulay(independence_complex(cycle_graph(4)), RATIONALS)
     for field in (RATIONALS, GF2, GF3):
         assert is_cohen_macaulay(simplex([0, 1, 2]), field)
+    # labels become bit positions by rank, never by value
+    assert is_cohen_macaulay(parse_facets("0 7\n7 1000000000000000000\n"), RATIONALS)
+    assert not is_cohen_macaulay(parse_facets("0 7\n1000000000000000000\n"), RATIONALS)
 
 
 def test_cm_void_rejected():
@@ -66,7 +72,7 @@ def test_cm_void_rejected():
 def test_cm_purity_shortcut_matches_bare_loop():
     rng = random.Random(71)
     complexes = []
-    for _ in range(50):
+    for i in range(50):
         nv = rng.randint(1, 7)
         gens = [
             tuple(sorted(rng.sample(range(nv), rng.randint(1, min(nv, 4)))))
@@ -75,6 +81,9 @@ def test_cm_purity_shortcut_matches_bare_loop():
         complexes.append(SimplicialComplex.from_faces(gens))
         # ground vertices in no face: the CM cache is keyed by facets alone
         complexes.append(SimplicialComplex.from_faces(gens, vertices=range(nv + 2)))
+        # a cone over it, with one or two apexes: peeled before any ranking
+        apexes = simplex(range(nv + 2, nv + 3 + i % 2))
+        complexes.append(join(SimplicialComplex.from_faces(gens), apexes))
     for _ in range(30):
         g = random_graph(rng, rng.randint(1, 8))
         complexes.append(independence_complex(g))
@@ -176,6 +185,34 @@ def test_second_power_examples():
     assert is_second_power_cm(cycle_graph(5), RATIONALS)
     assert not is_second_power_cm(complete_graph(3), RATIONALS)
     assert not is_second_power_cm(cycle_graph(4), RATIONALS)
+
+
+def test_second_power_matches_relabeled_localizations():
+    # the definition: edge localizations as relabeled graphs, alpha-criticality
+    # by edge deletion, Cohen-Macaulayness by the dense face-by-face oracle
+    def alpha(h):
+        return max(map(len, brute_independent_sets(h.n, h.edges())))
+
+    rng = random.Random(37)
+    graphs = [random_graph(rng, rng.randint(1, 8), p) for p in (0.15, 0.3, 0.5) for _ in range(25)]
+    graphs += [girth4_planar(3), girth4_planar(4)] + [cycle_graph(n) for n in range(4, 10)]
+    # isolated vertices make Ind(g) a cone over Ind of the rest
+    graphs += [disjoint_union(cycle_graph(n), Graph(2)) for n in (5, 7)]
+    positives = 0
+    for field, char in ((RATIONALS, 0), (GF2, 2)):
+        for g in graphs:
+            expected = (
+                is_triangle_free(g)
+                and all(alpha(delete_edge(g, e)) > alpha(g) for e in g.edges())
+                and oracle_cohen_macaulay(independence_complex(g), char)
+                and all(
+                    oracle_cohen_macaulay(independence_complex(edge_localize(g, a, b)), char)
+                    for a, b in g.edges()
+                )
+            )
+            assert is_second_power_cm(g, field) == expected, g
+            positives += expected
+    assert positives >= 40
 
 
 def test_check_theorem_c5():

@@ -389,9 +389,27 @@ def _invariant_test_graphs():
 
 
 def test_girth_matches_brute_force():
+    rng = random.Random(13)
+    trees = [
+        Graph(n, [(v, rng.randrange(v)) for v in range(1, n)])
+        for n in (10, 40, 120) for _ in range(3)
+    ]
+    # one chord closes a cycle, so a tree plus a non-edge is no forest
+    chorded = [
+        Graph(t.n, t.edges() + [rng.choice([
+            e for e in combinations(range(t.n), 2) if not t.has_edge(*e)
+        ])])
+        for t in trees
+    ]
     graphs = _invariant_test_graphs() + [Graph(n) for n in range(25)]
+    graphs += [path_graph(n) for n in (30, 100, 300)] + trees + chorded
+    graphs += [disjoint_union(t, cycle_graph(4)) for t in trees[:3]]
     for g in graphs:
         assert girth(g) == brute_girth(g.n, g.edges()), g
+    # a forest needs no search; one breadth-first search per root is quadratic
+    start = time.perf_counter()
+    assert girth(path_graph(1200)) == math.inf
+    assert time.perf_counter() - start < 1.0
     forests = [
         disjoint_union(path_graph(3), path_graph(4)),
         disjoint_union(complete_graph(2), disjoint_union(Graph(2), path_graph(5))),
