@@ -30,7 +30,6 @@ from .criteria import (
     check_theorem,
     is_cm_graph,
     is_cohen_macaulay,
-    is_eulerian,
     is_gorenstein,
     is_gorenstein_graph,
     is_second_power_cm,

@@ -1,43 +1,39 @@
-"""Decision procedures for Cohen-Macaulay, Eulerian, Gorenstein and the
+"""Decision procedures for Cohen-Macaulay, Gorenstein and the
 second-power criterion, over a selectable coefficient field.
 
-Cohen-Macaulayness is Reisner's criterion (Reisner 1976; Stanley,
-Combinatorics and Commutative Algebra, II.4), decided by vertex links
-since lk_F = lk_v(lk_(F-v)): a complex is Cohen-Macaulay iff it is pure,
-has no reduced homology below its top degree, and every vertex link is
-Cohen-Macaulay.  Purity is implied by the rest (by induction, the facets
-through a vertex have one size, and H~_0 = 0 connects the vertices) and
-only rejects early; tests compare against the bare per-face loop.  A
-cone is Cohen-Macaulay iff its base is, so the vertices in every facet
-are peeled off first.  Facets are sorted vertex bitmasks; a link or a
-peel clears bits, which keeps them sorted and inclusion-maximal.  One
-cache keyed by (facet masks, field) holds the verdicts, so a link shared
-by many faces is ranked once, and a complex is built only on a miss.  A
-facet file enters relabeled by rank, a graph as the maximal independent
-sets of a vertex mask.  Gorensteinness: the core is Eulerian and
-Cohen-Macaulay, the latter decided on the whole complex by the peel.
+One walk over vertex links decides both, since lk_F = lk_v(lk_(F-v)).  A
+complex is Cohen-Macaulay iff it is pure, has no reduced homology below
+its top degree, and every vertex link is Cohen-Macaulay (Reisner 1976;
+Stanley, Combinatorics and Commutative Algebra, II.4); it is Gorenstein*
+iff moreover its top reduced Betti number is 1 here and at every link
+(Stanley II.5.1).  Purity is implied by the rest (by induction, the
+facets through a vertex have one size, and H~_0 = 0 connects the
+vertices) and only rejects early; tests compare against the bare
+per-face loop.  A cone is Cohen-Macaulay iff its base is, and acyclic,
+so the vertices in every facet are peeled off first.  Facets are sorted
+vertex bitmasks; a link or a peel clears bits, which keeps them sorted
+and inclusion-maximal.  One cache keyed by (facet masks, field) holds
+the verdicts, so a link shared by many faces is ranked once, and a
+complex is built only on a miss.  A facet file enters relabeled by rank,
+a graph as the maximal independent sets of a vertex mask.  A complex is
+Gorenstein iff its core, the peeled complex, is Gorenstein*.
 
 On graphs, everything that needs no homology is computed in graphs:
-alpha and alpha-criticality from one memoized recursion over vertex
-masks, girth by breadth-first layers, and well-coveredness from the
-maximal independent sets.
+alpha, chi~ and alpha-criticality from one memoized recursion over
+vertex masks, girth by breadth-first layers, and well-coveredness from
+the maximal independent sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import combinations
 from operator import and_, or_
 
-from .complexes import (
-    SimplicialComplex,
-    core_of,
-    independence_complex,
-    is_pure,
-)
+from .complexes import SimplicialComplex
 from .graphs import (
     Graph,
+    _alpha_and_poly,
     _bits_to_tuple,
     _maximal_independent_masks,
     has_isolated_vertices,
@@ -51,7 +47,6 @@ from .homology import FieldSpec, reduced_betti
 __all__ = [
     "TheoremVerdict",
     "is_cohen_macaulay",
-    "is_eulerian",
     "is_gorenstein",
     "is_cm_graph",
     "is_gorenstein_graph",
@@ -60,80 +55,75 @@ __all__ = [
 ]
 
 
-def _require_nonvoid(c: SimplicialComplex):
-    if c.is_void:
-        raise ValueError("operation undefined on the void complex")
-
-
 @lru_cache(maxsize=8192)
-def _cm(facets: tuple[int, ...], field: FieldSpec) -> bool:
-    # sorted vertex bitmasks; ground vertices in no face change no homology
+def _cm(facets: tuple[int, ...], field: FieldSpec) -> int:
+    # sorted vertex bitmasks; ground vertices in no face change no homology.
+    # 0: not Cohen-Macaulay, 1: Cohen-Macaulay, 2: Gorenstein*
     apex = reduce(and_, facets)
-    if apex:  # a cone is Cohen-Macaulay iff its base is
-        return _cm(tuple(f ^ apex for f in facets), field)
+    if apex:  # a cone is Cohen-Macaulay iff its base is, never Gorenstein*
+        return min(_cm(tuple(f ^ apex for f in facets), field), 1)
     size = facets[0].bit_count()
     if any(f.bit_count() != size for f in facets):
-        return False
+        return 0
     vertices = _bits_to_tuple(reduce(or_, facets))
     c = SimplicialComplex(vertices, map(_bits_to_tuple, facets), validate=False)
     betti = reduced_betti(c, field)
     if any(betti[i] for i in range(-1, size - 1)):
-        return False
+        return 0
+    verdict = 2 if betti[size - 1] == 1 else 1
     # clearing bit v keeps the facets of lk_v sorted and inclusion-maximal
-    return all(
-        _cm(tuple(f ^ (1 << v) for f in facets if f >> v & 1), field) for v in vertices
-    )
+    for v in vertices:
+        lk = tuple(f ^ (1 << v) for f in facets if f >> v & 1)
+        verdict = min(verdict, _cm(lk, field))
+        if not verdict:
+            break
+    return verdict
+
+
+def _facet_masks(c: SimplicialComplex) -> tuple[int, ...]:
+    # relabeled by rank, so that a large label makes no large mask
+    if c.is_void:
+        raise ValueError("operation undefined on the void complex")
+    bit = {x: 1 << i for i, x in enumerate(sorted({x for f in c.facets for x in f}))}
+    return tuple(sorted(sum(bit[x] for x in f) for f in c.facets))
 
 
 def is_cohen_macaulay(c: SimplicialComplex, field: FieldSpec) -> bool:
     """Reisner's condition: every link has homology only in its top degree."""
-    _require_nonvoid(c)
-    # facets as masks, relabeled by rank so that a large label makes no large mask
-    bit = {x: 1 << i for i, x in enumerate(sorted({x for f in c.facets for x in f}))}
-    return _cm(tuple(sorted(sum(bit[x] for x in f) for f in c.facets)), field)
-
-
-def is_eulerian(c: SimplicialComplex) -> bool:
-    """True iff c is pure and the reduced Euler characteristic of every
-    face's link equals (-1)^(link dimension)."""
-    _require_nonvoid(c)
-    if not is_pure(c):
-        return False
-    d = c.dim
-    # chi~(link(F)) accumulated over all faces at once: each face H
-    # contributes (-1)^(|H|-|F|-1) to every subset F of H.
-    acc = dict.fromkeys(c.faces(), 0)
-    for h in c.faces():
-        for k in range(len(h) + 1):
-            sgn = 1 if (len(h) - k) % 2 else -1
-            for f in combinations(h, k):
-                acc[f] += sgn
-    return all(
-        chi == (1 if (d - len(f)) % 2 == 0 else -1) for f, chi in acc.items()
-    )
+    return _cm(_facet_masks(c), field) > 0
 
 
 def is_gorenstein(c: SimplicialComplex, field: FieldSpec) -> bool:
-    """True iff the core of c is an Eulerian Cohen-Macaulay complex."""
-    # c is its core joined with a simplex, which the cone peel removes
-    return is_eulerian(core_of(c)) and is_cohen_macaulay(c, field)
+    """True iff the core of c, c with its cone apexes peeled, is Gorenstein*."""
+    masks = _facet_masks(c)
+    apex = reduce(and_, masks)
+    return _cm(tuple(f ^ apex for f in masks), field) == 2
+
+
+def _cm_ind(g: Graph, field: FieldSpec, s: int | None = None) -> int:
+    # _cm of Ind(g[s]), whose facets are the maximal independent sets of g[s]
+    return _cm(tuple(sorted(_maximal_independent_masks(g, s))), field)
 
 
 def is_cm_graph(g: Graph, field: FieldSpec) -> bool:
-    """Cohen-Macaulayness of Ind(g), whose facets are the maximal
-    independent sets of g.  Ind(g) is pure iff g is well-covered, so a
-    graph that is not well-covered is rejected before any homology."""
-    return _cm(tuple(sorted(_maximal_independent_masks(g))), field)
+    """Cohen-Macaulayness of Ind(g).  Ind(g) is pure iff g is well-covered,
+    so a graph that is not well-covered is rejected before any homology."""
+    return _cm_ind(g, field) > 0
 
 
 def is_gorenstein_graph(g: Graph, field: FieldSpec) -> bool:
-    """Gorensteinness of Ind(g).
-
-    A Gorenstein complex has a Cohen-Macaulay, hence pure, core, and Ind(g),
-    the join of its core with a simplex, is pure iff its core is.  So a
-    graph that is not well-covered is rejected before Ind(g) is built.
-    """
-    return is_well_covered(g) and is_gorenstein(independence_complex(g), field)
+    """Gorensteinness of Ind(g), whose core is Ind(g') for g' the
+    non-isolated vertices.  Two necessary conditions for Ind(g') to be
+    Gorenstein* need no homology and run first: Euler-Poincare for a
+    homology sphere, chi~ = -I(g'; -1) = (-1)^(alpha(g') - 1), and purity,
+    which Ind(g) has iff g is well-covered."""
+    core = sum(1 << v for v, b in enumerate(g._nbr_bits) if b)
+    alpha, poly = _alpha_and_poly(g)(core)
+    return (
+        -poly == (1 if alpha % 2 else -1)
+        and is_well_covered(g)
+        and _cm_ind(g, field, core) == 2
+    )
 
 
 def is_second_power_cm(g: Graph, field: FieldSpec) -> bool:
@@ -153,10 +143,7 @@ def is_second_power_cm(g: Graph, field: FieldSpec) -> bool:
         is_triangle_free(g)
         and is_alpha_critical(g)
         and is_cm_graph(g, field)
-        and all(
-            _cm(tuple(sorted(_maximal_independent_masks(g, full & ~(nbr[a] | nbr[b])))), field)
-            for a, b in g.edges()
-        )
+        and all(_cm_ind(g, field, full & ~(nbr[a] | nbr[b])) > 0 for a, b in g.edges())
     )
 
 

@@ -216,8 +216,8 @@ def _int_pair(lineno: int, line: str, what: str) -> tuple[int, int]:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse a header line 'n m' and then m lines 'u v'.  Blank lines are
-    skipped but counted, so every error starts with 'line N:'."""
+    """Parse a header line 'n m' and then m lines 'u v', no edge twice.
+    Blank lines are skipped but counted, so every error starts 'line N:'."""
     raw = text.splitlines()
     lines = [(k, ln) for k, r in enumerate(raw, start=1) if (ln := r.strip())]
     if not lines:
@@ -228,14 +228,16 @@ def parse_edge_list(text: str) -> Graph:
         raise ValueError(f"line {head_no}: negative count in header {head!r}")
     if len(body) != m:
         raise ValueError(f"line {head_no}: expected {m} edge lines, got {len(body)}")
-    edges = []
+    edges = set()
     for k, ln in body:
         u, v = _int_pair(k, ln, "edge line 'u v'")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"line {k}: edge ({u}, {v}) out of range for n={n}")
         if u == v:
             raise ValueError(f"line {k}: loop edge at vertex {u}")
-        edges.append((u, v))
+        if (e := (min(u, v), max(u, v))) in edges:
+            raise ValueError(f"line {k}: duplicate edge ({u}, {v})")
+        edges.add(e)
     return Graph(n, edges)
 
 

@@ -20,6 +20,7 @@ import multiprocessing
 from ._version import __version__
 from .criteria import check_theorem
 from .graphs import (
+    _G6_HEADER,
     Graph,
     girth,
     has_isolated_vertices,
@@ -56,9 +57,9 @@ FILTERS = {
 def build_record(index: int, g: Graph, field_labels, graph6: str | None = None) -> dict:
     """Classify one graph into the report record shape.
 
-    The per-field maps are keyed by the caller's label strings.  alpha,
-    well_covered and euler_char are read off the graph, without building
-    its independence complex.
+    The per-field maps are keyed by the caller's label strings, and a given
+    graph6 string is recorded without its header.  alpha, well_covered and
+    euler_char are read off the graph, without building Ind(g).
     """
     if not field_labels:
         raise ValueError("at least one field label is required")
@@ -70,7 +71,7 @@ def build_record(index: int, g: Graph, field_labels, graph6: str | None = None) 
     any_verdict = next(iter(verdicts.values()))
     return {
         "index": index,
-        "graph6": graph6 if graph6 is not None else write_graph6(g),
+        "graph6": write_graph6(g) if graph6 is None else graph6.removeprefix(_G6_HEADER),
         "n": g.n,
         "edge_count": g.edge_count(),
         "girth": None if math.isinf(gth) else int(gth),

@@ -338,6 +338,26 @@ def oracle_cohen_macaulay(complex_, char: int) -> bool:
     return True
 
 
+def oracle_eulerian(complex_) -> bool:
+    """Pure, and every face's link has reduced Euler characteristic
+    (-1)^(dim of the link).  Only complex_.facets is read.
+
+    The faces of lk F are the H - F for the faces H containing F, so
+    chi~(lk F) is the sum of (-1)^(|H| - |F| - 1) over those H."""
+    sizes = {len(h) for h in complex_.facets}
+    if len(sizes) != 1:
+        return False
+    (size,) = sizes
+    faces = oracle_faces(complex_)
+    for f in faces:
+        chi = sum(
+            1 if (len(h) - len(f)) % 2 else -1 for h in faces if set(f) <= set(h)
+        )
+        if chi != (1 if (size - len(f) - 1) % 2 == 0 else -1):
+            return False
+    return True
+
+
 def oracle_doubly_cm(complex_, char: int) -> bool:
     """Cohen-Macaulay, and still Cohen-Macaulay of the same dimension after
     deleting any single vertex."""

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import random
@@ -49,8 +50,14 @@ def test_check_k2_edge_list(capsys, tmp_path):
     assert rec["graph6"] == "A_"
 
 
+def test_check_records_bare_graph6(capsys):
+    code, out, _ = run(capsys, ["check", "--g6", ">>graph6<<A_"])
+    assert code == 0 and json.loads(out)["graph6"] == "A_"
+
+
 @pytest.mark.parametrize(
-    "text, line", [("3 1\n0 a\n", 2), ("3 1\n\n0 5\n", 3), ("3 -1\n", 1)]
+    "text, line",
+    [("3 1\n0 a\n", 2), ("3 1\n\n0 5\n", 3), ("3 -1\n", 1), ("3 2\n0 1\n1 0\n", 3)],
 )
 def test_check_edge_file_error_names_line_exit_2(capsys, tmp_path, text, line):
     p = tmp_path / "bad.txt"
@@ -134,6 +141,16 @@ def test_survey_single_c5(capsys, monkeypatch):
     assert rep["records"][0]["index"] == 0
     assert rep["fields"] == ["q"]
     assert rep["version"]
+
+
+def test_survey_records_bare_graph6(capsys, monkeypatch):
+    # the record drops the header; the digest still hashes the raw lines
+    corpus = ">>graph6<<Dhc\nA_\n"
+    code, out, _ = run(capsys, ["survey"], stdin=corpus, monkeypatch=monkeypatch)
+    rep = json.loads(out)
+    assert code == 0
+    assert [rec["graph6"] for rec in rep["records"]] == ["Dhc", "A_"]
+    assert rep["corpus_digest"] == hashlib.sha256(corpus.encode()).hexdigest()
 
 
 def test_survey_k3_out_of_hypothesis(capsys, monkeypatch):

@@ -4,7 +4,12 @@ from itertools import combinations
 
 import pytest
 
-from oracles import brute_independent_sets, oracle_cohen_macaulay, oracle_doubly_cm
+from oracles import (
+    brute_independent_sets,
+    oracle_cohen_macaulay,
+    oracle_doubly_cm,
+    oracle_eulerian,
+)
 from tfgor import (
     GF2,
     GF3,
@@ -13,6 +18,7 @@ from tfgor import (
     SimplicialComplex,
     check_theorem,
     complete_graph,
+    core_of,
     cycle_graph,
     delete_edge,
     delete_set,
@@ -22,7 +28,6 @@ from tfgor import (
     independence_complex,
     is_cm_graph,
     is_cohen_macaulay,
-    is_eulerian,
     is_gorenstein,
     is_gorenstein_graph,
     is_pure,
@@ -116,11 +121,11 @@ def test_cm_ranks_each_distinct_link_once(monkeypatch, n, faces, links):
 
 
 def test_eulerian_examples():
-    assert is_eulerian(independence_complex(complete_graph(2)))
-    assert not is_eulerian(independence_complex(complete_graph(3)))
-    assert is_eulerian(independence_complex(TWO_K2))
-    assert is_eulerian(SimplicialComplex.from_faces([]))
-    assert not is_eulerian(SimplicialComplex.from_faces([(0, 1), (2,)]))
+    assert oracle_eulerian(independence_complex(complete_graph(2)))
+    assert not oracle_eulerian(independence_complex(complete_graph(3)))
+    assert oracle_eulerian(independence_complex(TWO_K2))
+    assert oracle_eulerian(SimplicialComplex.from_faces([]))
+    assert not oracle_eulerian(SimplicialComplex.from_faces([(0, 1), (2,)]))
 
 
 def test_gorenstein_complex_examples():
@@ -171,6 +176,121 @@ def test_well_covered_shortcut_matches_complex_path(corpus_tf_graphs):
             assert is_gorenstein_graph(g, field) == is_gorenstein(c, field), g
             positives += cm
     assert positives >= 20
+
+
+FIELD_CHARS = ((RATIONALS, 0), (GF2, 2), (GF3, 3))
+
+
+def gorenstein_reference(c, char):
+    # the definition: the core is Eulerian and Cohen-Macaulay
+    core = core_of(c)
+    return oracle_eulerian(core) and oracle_cohen_macaulay(core, char)
+
+
+# Ind of this graph is the 4-cycle 0-1-2-3 with the edge 3-4 attached
+WHISKERED_C4_COMPLEMENT = Graph(5, [(0, 2), (1, 3), (0, 4), (1, 4), (2, 4)])
+
+
+def sphere(labels):
+    # the boundary of the simplex on labels
+    return SimplicialComplex.from_faces(combinations(labels, len(labels) - 1))
+
+
+def test_gorenstein_matches_eulerian_cm_core(rp2):
+    rng = random.Random(53)
+    complexes = []
+    for i in range(40):
+        nv = rng.randint(1, 7)
+        gens = [
+            tuple(sorted(rng.sample(range(nv), rng.randint(1, min(nv, 4)))))
+            for _ in range(rng.randint(1, 5))
+        ]
+        base = SimplicialComplex.from_faces(gens)
+        complexes.append(base)
+        # a cone with one or two apexes, and ground vertices in no face
+        complexes.append(join(base, simplex(range(nv, nv + 1 + i % 2))))
+        complexes.append(SimplicialComplex.from_faces(gens, vertices=range(nv + 2)))
+    two_circles = SimplicialComplex.from_faces(
+        [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+    )
+    disk = SimplicialComplex.from_faces([(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5)])
+    # Cohen-Macaulay with top Betti number 1, yet not Gorenstein*
+    whisker = independence_complex(WHISKERED_C4_COMPLEMENT)
+    assert is_cohen_macaulay(rp2, RATIONALS) and not oracle_eulerian(rp2)
+    assert oracle_eulerian(two_circles) and not is_cohen_macaulay(two_circles, RATIONALS)
+    assert is_cohen_macaulay(disk, RATIONALS) and not oracle_eulerian(disk)
+    assert is_cohen_macaulay(whisker, RATIONALS) and reduced_betti(whisker, RATIONALS)[1] == 1
+    spheres = [sphere(range(k)) for k in (2, 3, 4)]
+    complexes += [rp2, two_circles, disk, whisker, SimplicialComplex.from_faces([]), *spheres]
+    complexes += [join(spheres[0], spheres[1]), join(spheres[1], spheres[1])]
+    complexes += [join(spheres[0], simplex([0, 1])), join(spheres[2], simplex([0]))]
+    positives = 0
+    for field, char in FIELD_CHARS:
+        for c in complexes:
+            expected = gorenstein_reference(c, char)
+            assert is_gorenstein(c, field) == expected, (c, field)
+            positives += expected
+    assert positives >= 250
+
+
+def test_gorenstein_graph_matches_eulerian_cm_core():
+    rng = random.Random(59)
+    graphs = [random_graph(rng, rng.randint(0, 9), p) for p in (0.2, 0.35, 0.5) for _ in range(20)]
+    graphs += [Graph(0), Graph(3), disjoint_union(cycle_graph(5), Graph(2))]
+    graphs += [disjoint_union(TWO_K2, complete_graph(1)), girth4_planar(3)]
+    graphs += [WHISKERED_C4_COMPLEMENT]
+    positives = 0
+    for field, char in FIELD_CHARS:
+        for g in graphs:
+            expected = gorenstein_reference(independence_complex(g), char)
+            assert is_gorenstein_graph(g, field) == expected, g
+            positives += expected
+    assert positives >= 80
+
+
+def test_gorenstein_guards_run_before_the_link_walk(monkeypatch, corpus_tf_graphs):
+    # the Euler characteristic and well-coveredness reject a graph before
+    # the link walk, and so before any homology; the corpus graphs are
+    # connected with n >= 2, so Ind(g) is its own core
+    criteria = sys.modules["tfgor.criteria"]
+
+    def no_walk(facets, field):
+        raise AssertionError("walked the links")
+
+    monkeypatch.setattr(criteria, "_cm", no_walk)
+    rejected = 0
+    for g in corpus_tf_graphs:
+        indep = brute_independent_sets(g.n, g.edges())
+        alpha = max(map(len, indep))
+        chi = sum(1 if len(t) % 2 else -1 for t in indep)
+        maximal = [t for t in indep if all(set(t) & {v, *g.neighbors(v)} for v in g.vertices())]
+        if chi != (1 if alpha % 2 else -1) or len({len(t) for t in maximal}) > 1:
+            for field in (RATIONALS, GF2):
+                assert not is_gorenstein_graph(g, field), g
+            rejected += 1
+    assert rejected >= 1700
+
+
+def test_second_power_localizes_every_edge(monkeypatch):
+    # each edge ab hands the vertex mask V minus N(a) and N(b) to the
+    # maximal independent set search; the verdicts alone cannot tell,
+    # since no small graph has a non-Cohen-Macaulay localization
+    criteria = sys.modules["tfgor.criteria"]
+    real = criteria._maximal_independent_masks
+    searched = set()
+
+    def recording(g, s=None):
+        searched.add(s)
+        return real(g, s)
+
+    monkeypatch.setattr(criteria, "_maximal_independent_masks", recording)
+    for g in (complete_graph(2), cycle_graph(5), girth4_planar(3), girth4_planar(4)):
+        for field in (RATIONALS, GF2):
+            searched.clear()
+            assert is_second_power_cm(g, field)
+            for a, b in g.edges():
+                closed = {a, b, *g.neighbors(a), *g.neighbors(b)}
+                assert sum(1 << v for v in g.vertices() if v not in closed) in searched, (a, b)
 
 
 def test_gorenstein_graph_with_isolated_vertices_uses_core():

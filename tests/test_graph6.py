@@ -89,6 +89,8 @@ def test_edge_list_errors():
         ("3 1\n0 1 2\n", "line 2: expected edge line"),
         ("\n3 1\n\n0 5\n", r"line 4: edge \(0, 5\) out of range for n=3"),
         ("3 2\n0 1\n\n2 2\n", "line 4: loop edge at vertex 2"),
+        ("3 2\n0 1\n1 0\n", r"line 3: duplicate edge \(1, 0\)"),
+        ("3 3\n1 2\n0 1\n\n1 2\n", r"line 5: duplicate edge \(1, 2\)"),
     ]
     for text, message in cases:
         with pytest.raises(ValueError, match=f"^{message}"):
