@@ -73,10 +73,7 @@ from .homology import (
     GF5,
     RATIONALS,
     FieldSpec,
-    SparseMatrix,
-    boundary_matrix,
     is_k_acyclic,
-    matrix_rank,
     reduced_betti,
 )
 from .survey import build_record, report_to_csv, report_to_json, survey

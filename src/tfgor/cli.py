@@ -4,7 +4,8 @@ Subcommands: check (classify one graph), survey (classify a graph6
 corpus), family (emit a generated family member), homology (print Betti
 numbers and the reduced Euler characteristic).  Exit codes: 0 no
 counterexamples, 1 counterexample found, 2 usage or input error (a
-malformed or unreadable input, or a graph beyond the exact recursion).
+malformed or unreadable input, or a graph beyond the exact recursion or
+the available memory).
 """
 
 from __future__ import annotations
@@ -183,7 +184,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     """Run one subcommand; bad input (ValueError, OSError) and a graph too
-    deep for the recursion both print 'tfgor <command>: ...' and exit 2."""
+    deep for the recursion or too large for memory all print
+    'tfgor <command>: ...' and exit 2."""
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
@@ -191,6 +193,8 @@ def main(argv=None) -> int:
         message = str(exc)
     except RecursionError:
         message = "the graph is beyond the exact recursion (maximum recursion depth exceeded)"
+    except MemoryError:
+        message = "out of memory"
     print(f"tfgor {args.command}: {message}", file=sys.stderr)
     return 2
 

@@ -4,9 +4,11 @@ The reduced chain complex uses the ascending-vertex wedge basis: the
 boundary of a face drops its s-th smallest vertex with sign (-1)^s, every
 vertex maps to the empty face with coefficient +1, and degree -1 is always
 present (so the complex {()} is not acyclic).  Betti numbers come from
-exact ranks of the sparse boundary matrices, whose entries are integers:
-matrix_rank hands their columns, as {row: value} dicts, to the standard
-column reduction in _kernels.
+exact ranks of the boundary maps: the faces are grouped by size in one
+pass, and each degree's columns are built straight from an index of the
+faces one size down, as {row: +-1} dicts, and handed to the standard
+column reduction in _kernels, which reduces them mod p itself.  A cone
+(a vertex in every facet) is acyclic and is answered without faces.
 """
 
 from __future__ import annotations
@@ -22,9 +24,6 @@ __all__ = [
     "GF2",
     "GF3",
     "GF5",
-    "SparseMatrix",
-    "boundary_matrix",
-    "matrix_rank",
     "reduced_betti",
     "is_k_acyclic",
 ]
@@ -87,70 +86,14 @@ GF3 = FieldSpec(3)
 GF5 = FieldSpec(5)
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
-    """Integer matrix as sorted (row, col, nonzero int value) triples."""
-
-    nrows: int
-    ncols: int
-    entries: tuple[tuple[int, int, int], ...]
-
-    def __post_init__(self):
-        seen = set()
-        for r, c, v in self.entries:
-            if not (0 <= r < self.nrows and 0 <= c < self.ncols):
-                raise ValueError(f"entry ({r},{c}) out of range")
-            if not isinstance(v, int):
-                raise ValueError(f"entry {v!r} at ({r},{c}) is not an integer")
-            if v == 0:
-                raise ValueError(f"stored zero at ({r},{c})")
-            if (r, c) in seen:
-                raise ValueError(f"duplicate entry at ({r},{c})")
-            seen.add((r, c))
-        object.__setattr__(self, "entries", tuple(sorted(self.entries)))
-
-    def to_dense(self) -> list[list]:
-        out = [[0] * self.ncols for _ in range(self.nrows)]
-        for r, c, v in self.entries:
-            out[r][c] = v
-        return out
-
-
-def _faces_by_size(c: SimplicialComplex, size: int) -> list[tuple[int, ...]]:
-    return [f for f in c.faces() if len(f) == size]
-
-
-def boundary_matrix(c: SimplicialComplex, i: int, field: FieldSpec) -> SparseMatrix:
-    """Matrix of the degree-i boundary map, columns the i-faces and rows the
-    (i-1)-faces in sorted order."""
-    if c.is_void:
-        raise ValueError("void complex has no chain complex")
-    d = c.dim
-    if i < -1 or i > d + 1:
-        raise ValueError(f"degree {i} out of range for dim {d}")
-    rows = _faces_by_size(c, i)
-    cols = _faces_by_size(c, i + 1)
-    row_index = {f: k for k, f in enumerate(rows)}
-    p = field.char
-    entries = []
-    for ci, f in enumerate(cols):
-        for s in range(len(f)):
-            val = 1 if s % 2 == 0 else -1
-            if p:
-                val %= p
-            entries.append((row_index[f[:s] + f[s + 1:]], ci, val))
-    return SparseMatrix(len(rows), len(cols), tuple(entries))
-
-
-def matrix_rank(m: SparseMatrix, field: FieldSpec) -> int:
-    """Exact rank of the integer matrix m over the chosen field."""
-    columns: dict[int, dict[int, int]] = {}
-    for r, c, v in m.entries:
-        columns.setdefault(c, {})[r] = v
-    ordered = [columns[c] for c in sorted(columns)]
-    if field.is_rationals:
-        return _kernels.rank_int(ordered)
-    return _kernels.rank_mod_p(ordered, field.char)
+def _boundary(rows, cols) -> list[dict[int, int]]:
+    """Columns of the boundary map from the faces cols to the faces rows,
+    each a {row index: +-1} dict."""
+    index = {f: k for k, f in enumerate(rows)}
+    return [
+        {index[f[:s] + f[s + 1:]]: -1 if s % 2 else 1 for s in range(len(f))}
+        for f in cols
+    ]
 
 
 def reduced_betti(c: SimplicialComplex, field: FieldSpec) -> dict[int, int]:
@@ -158,16 +101,21 @@ def reduced_betti(c: SimplicialComplex, field: FieldSpec) -> dict[int, int]:
     if c.is_void:
         raise ValueError("void complex has no homology")
     d = c.dim
-    counts = [0] * (d + 2)
+    if set(c.facets[0]).intersection(*c.facets):  # a cone is acyclic
+        return dict.fromkeys(range(-1, d + 1), 0)
+    by_size: list[list[tuple[int, ...]]] = [[] for _ in range(d + 2)]
     for f in c.faces():
-        counts[len(f)] += 1
+        by_size[len(f)].append(f)
     ranks = [0] * (d + 3)  # ranks[i+1] = rank of the degree-i boundary map
-    if d >= 0 and counts[1]:
-        ranks[1] = 1  # every vertex maps to the empty face with coefficient +1
-    for i in range(1, d + 1):
-        ranks[i + 1] = matrix_rank(boundary_matrix(c, i, field), field)
+    for i in range(d + 1):
+        columns = _boundary(by_size[i], by_size[i + 1])
+        ranks[i + 1] = (
+            _kernels.rank_int(columns)
+            if field.is_rationals
+            else _kernels.rank_mod_p(columns, field.char)
+        )
     return {
-        i: counts[i + 1] - ranks[i + 1] - ranks[i + 2] for i in range(-1, d + 1)
+        i: len(by_size[i + 1]) - ranks[i + 1] - ranks[i + 2] for i in range(-1, d + 1)
     }
 
 

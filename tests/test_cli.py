@@ -117,6 +117,21 @@ def test_check_ranks_no_cone(capsys, monkeypatch, g6):
     assert rec["gorenstein"] == rec["second_power_cm"] == {"q": True, "f2": True}
 
 
+@pytest.mark.parametrize(
+    "command, target", [("check", "build_record"), ("survey", "survey")]
+)
+def test_out_of_memory_exit_2(capsys, monkeypatch, command, target):
+    # exit 1 means "counterexample found"; running out of memory is not one
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(sys.modules["tfgor.cli"], target, exhausted)
+    argv = ["check", "--g6", "Dhc"] if command == "check" else ["survey"]
+    code, out, err = run(capsys, argv, stdin="Dhc\n", monkeypatch=monkeypatch)
+    assert code == 2 and out == ""
+    assert err == f"tfgor {command}: out of memory\n"
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_survey_beyond_recursion_names_line_exit_2(capsys, monkeypatch, jobs):
     # 600 disjoint edges recurse as deep as a long path; the second line

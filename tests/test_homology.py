@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -7,6 +6,7 @@ import pytest
 from oracles import (
     oracle_betti,
     oracle_betti_snf,
+    oracle_boundaries,
     rank_bareiss_dense,
     rank_fraction,
     rank_mod_p_dense,
@@ -20,13 +20,10 @@ from tfgor import (
     FieldSpec,
     Graph,
     SimplicialComplex,
-    SparseMatrix,
-    boundary_matrix,
     complete_graph,
     cycle_graph,
     independence_complex,
     join,
-    matrix_rank,
     parse_facets,
     reduced_betti,
     reduced_euler_characteristic,
@@ -34,6 +31,8 @@ from tfgor import (
     is_k_acyclic,
 )
 from tfgor import BACKEND, _kernels
+from tfgor.cli import main
+from tfgor.homology import _boundary
 
 HOLLOW_TRIANGLE = parse_facets("0 1\n1 2\n0 2\n")
 
@@ -51,10 +50,36 @@ def random_graph(rng, n, p=0.4):
     return Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
 
 
-def to_triples(mat):
-    return [
-        (r, c, v) for r, row in enumerate(mat) for c, v in enumerate(row) if v
+def to_columns(mat):
+    """The columns of a dense matrix as fresh {row: value} dicts (the
+    kernels mutate their input, so build them anew for each call)."""
+    ncols = len(mat[0]) if mat else 0
+    return [{r: row[c] for r, row in enumerate(mat) if row[c]} for c in range(ncols)]
+
+
+def to_dense(columns, nrows):
+    mat = [[0] * len(columns) for _ in range(nrows)]
+    for c, col in enumerate(columns):
+        for r, v in col.items():
+            mat[r][c] = v
+    return mat
+
+
+def boundaries(c):
+    """The faces of c grouped by size and the dense degree-i boundary map of
+    _boundary for each i in 0..dim."""
+    by_size = [[] for _ in range(c.dim + 2)]
+    for f in c.faces():
+        by_size[len(f)].append(f)
+    return by_size, [
+        to_dense(_boundary(by_size[i], by_size[i + 1]), len(by_size[i]))
+        for i in range(c.dim + 1)
     ]
+
+
+def kernel_rank(mat, char):
+    columns = to_columns(mat)
+    return _kernels.rank_int(columns) if char == 0 else _kernels.rank_mod_p(columns, char)
 
 
 # ---------------------------------------------------------------------------
@@ -73,49 +98,26 @@ def test_field_spec():
 
 
 # ---------------------------------------------------------------------------
-# boundary matrices
+# boundary columns
 # ---------------------------------------------------------------------------
 
 
 def test_boundary_single_edge():
-    c = simplex([0, 1])
-    m = boundary_matrix(c, 1, RATIONALS)
-    assert (m.nrows, m.ncols) == (2, 1)
     # rows are the vertices (0,), (1,): dropping the smaller vertex keeps
     # (1,) with sign +1, dropping the larger keeps (0,) with sign -1
-    assert dict(((r, c_), v) for r, c_, v in m.entries) == {(1, 0): 1, (0, 0): -1}
-
-
-def test_boundary_degree_minus_one():
-    m = boundary_matrix(HOLLOW_TRIANGLE, -1, RATIONALS)
-    assert (m.nrows, m.ncols) == (0, 1) and m.entries == ()
-
-
-def test_boundary_degree_dim_plus_one():
-    m = boundary_matrix(HOLLOW_TRIANGLE, 2, RATIONALS)
-    assert (m.nrows, m.ncols) == (3, 0)
+    assert _boundary([(0,), (1,)], [(0, 1)]) == [{1: 1, 0: -1}]
 
 
 def test_boundary_vertices_map_to_empty_face():
-    m = boundary_matrix(HOLLOW_TRIANGLE, 0, RATIONALS)
-    assert (m.nrows, m.ncols) == (1, 3)
-    assert all(v == 1 for _, _, v in m.entries)
-
-
-def test_boundary_out_of_range():
-    with pytest.raises(ValueError):
-        boundary_matrix(HOLLOW_TRIANGLE, 3, RATIONALS)
-    with pytest.raises(ValueError):
-        boundary_matrix(SimplicialComplex.void(), 0, RATIONALS)
+    assert _boundary([()], [(0,), (1,), (2,)]) == [{0: 1}] * 3
 
 
 def test_boundary_composition_is_zero():
     rng = random.Random(77)
     for _ in range(30):
         c = random_complex(rng, 9)
-        for i in range(1, c.dim + 1):
-            a = boundary_matrix(c, i, RATIONALS).to_dense()
-            b = boundary_matrix(c, i + 1, RATIONALS).to_dense()
+        _, mats = boundaries(c)
+        for a, b in zip(mats, mats[1:]):
             if not a or not b or not b[0]:
                 continue
             for bi in range(len(a)):
@@ -123,46 +125,40 @@ def test_boundary_composition_is_zero():
                     assert sum(a[bi][k] * b[k][bj] for k in range(len(b))) == 0
 
 
-def test_boundary_mod2_entries():
-    m = boundary_matrix(HOLLOW_TRIANGLE, 1, GF2)
-    assert all(v == 1 for _, _, v in m.entries)
+def test_boundary_matches_oracle_random():
+    # every degree 0..dim, including the map of the vertices to ()
+    rng = random.Random(88)
+    for _ in range(60):
+        c = random_complex(rng, 9)
+        by_size, mats = boundaries(c)
+        oracle_by_size, oracle_mats = oracle_boundaries(c)
+        assert by_size == [oracle_by_size[k] for k in range(c.dim + 2)]
+        assert mats == oracle_mats
 
 
 # ---------------------------------------------------------------------------
-# matrix_rank
+# the rank kernels
 # ---------------------------------------------------------------------------
 
 
 def test_rank_trivial():
-    zero = SparseMatrix(3, 4, ())
-    assert matrix_rank(zero, RATIONALS) == 0
-    ident = SparseMatrix(3, 3, ((0, 0, 1), (1, 1, 1), (2, 2, 1)))
-    assert matrix_rank(ident, RATIONALS) == 3
-    assert matrix_rank(ident, GF2) == 3
+    zero = [[0] * 4 for _ in range(3)]
+    assert kernel_rank(zero, 0) == 0
+    ident = [[int(r == c) for c in range(3)] for r in range(3)]
+    assert kernel_rank(ident, 0) == 3
+    assert kernel_rank(ident, 2) == 3
 
 
 def test_rank_hollow_triangle_boundary():
-    m = boundary_matrix(HOLLOW_TRIANGLE, 1, RATIONALS)
-    assert matrix_rank(m, RATIONALS) == 2
+    _, mats = boundaries(HOLLOW_TRIANGLE)
+    assert kernel_rank(mats[1], 0) == 2
 
 
 def test_rank_mod_p_drops_entries_divisible_by_p():
-    m = SparseMatrix(2, 2, ((0, 0, 2), (1, 1, 4)))
-    assert matrix_rank(m, RATIONALS) == 2
-    assert matrix_rank(m, GF2) == 0
-    assert matrix_rank(m, GF3) == 2
-
-
-def test_sparse_matrix_validation():
-    with pytest.raises(ValueError, match="zero"):
-        SparseMatrix(1, 1, ((0, 0, 0),))
-    with pytest.raises(ValueError, match="duplicate"):
-        SparseMatrix(2, 2, ((0, 0, 1), (0, 0, 2)))
-    with pytest.raises(ValueError, match="range"):
-        SparseMatrix(1, 1, ((0, 1, 1),))
-    for v in (Fraction(1, 2), 0.5):
-        with pytest.raises(ValueError, match="not an integer"):
-            SparseMatrix(1, 1, ((0, 0, v),))
+    m = [[2, 0], [0, 4]]
+    assert kernel_rank(m, 0) == 2
+    assert kernel_rank(m, 2) == 0
+    assert kernel_rank(m, 3) == 2
 
 
 def test_rank_matches_dense_oracles_random():
@@ -173,11 +169,10 @@ def test_rank_matches_dense_oracles_random():
             [rng.choice((-2, -1, 0, 0, 1, 1, 3)) for _ in range(nc)]
             for _ in range(nr)
         ]
-        m = SparseMatrix(nr, nc, tuple(to_triples(mat)))
-        assert matrix_rank(m, RATIONALS) == rank_fraction(mat)
-        assert matrix_rank(m, RATIONALS) == rank_bareiss_dense(mat)
+        assert kernel_rank(mat, 0) == rank_fraction(mat)
+        assert kernel_rank(mat, 0) == rank_bareiss_dense(mat)
         for p in (2, 3, 5):
-            assert matrix_rank(m, FieldSpec(p)) == rank_mod_p_dense(mat, p)
+            assert kernel_rank(mat, p) == rank_mod_p_dense(mat, p)
     # sparse and up to 30x30, made rank-deficient by appending integer
     # combinations of earlier columns, so one column is reduced many times
     # and the fraction-free kernel divides out contents; each matrix is
@@ -197,12 +192,11 @@ def test_rank_matches_dense_oracles_random():
         rng.shuffle(shuffled)
         for cs in (cols, shuffled):
             mat = [list(row) for row in zip(*cs)]
-            m = SparseMatrix(nr, len(cs), tuple(to_triples(mat)))
             rank = rank_fraction(mat)
             assert rank < len(cs)
-            assert matrix_rank(m, RATIONALS) == rank == rank_bareiss_dense(mat)
+            assert kernel_rank(mat, 0) == rank == rank_bareiss_dense(mat)
             for p in (2, 3, 5):
-                assert matrix_rank(m, FieldSpec(p)) == rank_mod_p_dense(mat, p)
+                assert kernel_rank(mat, p) == rank_mod_p_dense(mat, p)
     # entries beyond 64-bit intermediates stay exact
     big = [
         [[2**40]],
@@ -211,15 +205,9 @@ def test_rank_matches_dense_oracles_random():
         [[2**70, 2**70 + 1, 0], [-(2**40), 5, 2**70], [2**70, 2**70 + 1, 0]],
     ]
     for mat in big:
-        m = SparseMatrix(len(mat), len(mat[0]), tuple(to_triples(mat)))
-        assert matrix_rank(m, RATIONALS) == rank_fraction(mat)
+        assert kernel_rank(mat, 0) == rank_fraction(mat)
         for p in (2, 3, 5):
-            assert matrix_rank(m, FieldSpec(p)) == rank_mod_p_dense(mat, p)
-
-
-# ---------------------------------------------------------------------------
-# the rank kernel
-# ---------------------------------------------------------------------------
+            assert kernel_rank(mat, p) == rank_mod_p_dense(mat, p)
 
 
 def test_backend_reported():
@@ -272,6 +260,31 @@ def test_cones_are_acyclic_random():
             assert is_k_acyclic(coned, field)
 
 
+def test_cones_enumerate_no_faces(monkeypatch, capsys):
+    # a cone is acyclic, so reduced_betti answers it from the facets alone;
+    # the 20-vertex edgeless graph has a 19-simplex of 2^20 faces as Ind(G)
+    real = SimplicialComplex.faces
+
+    def faces_of_non_cones(c):
+        assert not set(c.facets[0]).intersection(*c.facets), c.facets
+        return real(c)
+
+    monkeypatch.setattr(SimplicialComplex, "faces", faces_of_non_cones)
+    rng = random.Random(707)
+    cones = [simplex([0]), simplex(range(5)), simplex(range(30))]
+    for _ in range(25):
+        c = random_complex(rng, 8)
+        cones.append(join(c, simplex([max(c.vertices) + 1])))
+    for c in cones:
+        for field in (RATIONALS, GF2, GF3):
+            assert reduced_betti(c, field) == dict.fromkeys(range(-1, c.dim + 1), 0)
+    for field in ("q", "f2", "f3"):
+        assert main(["homology", "--g6", "S" + "?" * 32, "--field", field]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == f"field: {field}" and out[-1] == "chi~ = 0"
+        assert out[1:-1] == [f"H~_{i} = 0" for i in range(-1, 20)]
+
+
 def test_betti_matches_dense_oracle_random():
     rng = random.Random(404)
     for _ in range(60):
@@ -299,16 +312,14 @@ def test_rank_field_consistency_via_snf():
     rng = random.Random(606)
     for _ in range(40):
         c = random_complex(rng, 8)
-        for i in range(0, c.dim + 1):
-            m = boundary_matrix(c, i, RATIONALS)
-            dense = m.to_dense()
+        for dense in boundaries(c)[1]:
             if not dense or not dense[0]:
                 continue
-            rank_q = matrix_rank(m, RATIONALS)
+            rank_q = kernel_rank(dense, 0)
             divisors = [d for d in smith_diagonal(dense) if d]
             assert rank_q == len(divisors)
             for p in (2, 3, 5):
-                rank_p = matrix_rank(m, FieldSpec(p))
+                rank_p = kernel_rank(dense, p)
                 assert rank_p <= rank_q
                 assert rank_p == sum(1 for d in divisors if d % p)
 
