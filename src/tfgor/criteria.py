@@ -21,7 +21,9 @@ Gorenstein iff its core, the peeled complex, is Gorenstein*.
 On graphs, everything that needs no homology is computed in graphs:
 alpha, chi~ and alpha-criticality from one memoized recursion over
 vertex masks, girth by breadth-first layers, and well-coveredness from
-the maximal independent sets.
+the maximal independent sets.  Those verdicts need no field and are
+memoized in the Graph, so deciding a graph over several fields repeats
+only the homology.
 """
 
 from __future__ import annotations
@@ -107,8 +109,9 @@ def _cm_ind(g: Graph, field: FieldSpec, s: int | None = None) -> int:
 
 def is_cm_graph(g: Graph, field: FieldSpec) -> bool:
     """Cohen-Macaulayness of Ind(g).  Ind(g) is pure iff g is well-covered,
-    so a graph that is not well-covered is rejected before any homology."""
-    return _cm_ind(g, field) > 0
+    so a graph that is not well-covered is rejected before any homology,
+    by the verdict memoized in g."""
+    return is_well_covered(g) and _cm_ind(g, field) > 0
 
 
 def is_gorenstein_graph(g: Graph, field: FieldSpec) -> bool:

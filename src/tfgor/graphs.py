@@ -58,19 +58,21 @@ def _bits_to_tuple(bits: int) -> tuple[int, ...]:
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
-    Adjacency is kept both as sorted neighbor tuples and as per-vertex
-    bitmasks; the bitmasks drive the independent-set enumeration.  The
-    graph also holds the memo of its independence recursion (see
-    _alpha_and_poly), a function of the adjacency alone, so alpha, the
-    Euler characteristic and alpha-criticality share their work.
+    Adjacency is one bitmask per vertex, and neighbor tuples, degrees and
+    edge lists are read off those masks.  The graph also holds two memos,
+    functions of the adjacency alone: the independence recursion (see
+    _alpha_and_poly), so alpha, the Euler characteristic and edge
+    localizations share their work; and the verdicts that need no field,
+    so classifying a graph over several fields decides triangle-freeness,
+    well-coveredness, W2 (one scan, see _cover_verdicts) and
+    alpha-criticality once.
     """
 
-    __slots__ = ("n", "_nbr_bits", "_nbrs", "_indep_memo")
+    __slots__ = ("n", "_nbr_bits", "_indep_memo", "_verdict_memo")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        self.n = n
         bits = [0] * n
         for e in edges:
             u, v = e
@@ -80,15 +82,26 @@ class Graph:
                 raise ValueError(f"loop edge at vertex {u}")
             bits[u] |= 1 << v
             bits[v] |= 1 << u
+        self._set_adjacency(bits)
+
+    @classmethod
+    def _from_bits(cls, bits) -> Graph:
+        """A graph from symmetric, loop-free neighbor masks, unchecked."""
+        g = cls.__new__(cls)
+        g._set_adjacency(bits)
+        return g
+
+    def _set_adjacency(self, bits) -> None:
+        self.n = len(bits)
         self._nbr_bits = tuple(bits)
-        self._nbrs = tuple(_bits_to_tuple(b) for b in bits)
         self._indep_memo = {0: (0, 1)}
+        self._verdict_memo = {}
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._nbrs[v]
+        return _bits_to_tuple(self._nbr_bits[v])
 
     def degree(self, v: int) -> int:
-        return len(self._nbrs[v])
+        return self._nbr_bits[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         return (
@@ -98,10 +111,17 @@ class Graph:
         )
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in self._nbrs[u] if u < v]
+        out = []
+        for u, b in enumerate(self._nbr_bits):
+            b >>= u + 1  # the neighbors above u; bit i is vertex u + 1 + i
+            while b:
+                low = b & -b
+                out.append((u, u + low.bit_length()))
+                b ^= low
+        return out
 
     def edge_count(self) -> int:
-        return sum(len(nb) for nb in self._nbrs) // 2
+        return sum(b.bit_count() for b in self._nbr_bits) // 2
 
     def vertices(self) -> range:
         return range(self.n)
@@ -135,6 +155,7 @@ def from_edge_list(n: int, edges) -> Graph:
 # ---------------------------------------------------------------------------
 
 _G6_HEADER = ">>graph6<<"
+_G6_BITS = tuple(format(x, "06b") for x in range(64))
 
 
 def parse_graph6(text: str) -> Graph:
@@ -165,18 +186,21 @@ def parse_graph6(text: str) -> Graph:
         raise ValueError(
             f"graph6 body has {len(data) - idx} bytes, expected {nbytes} for n={n}"
         )
-    body = data[idx:]
-    edges = []
+    bits = "".join([_G6_BITS[x] for x in data[idx:]])
+    if "1" in bits[npairs:]:
+        raise ValueError("nonzero padding bits in graph6 string")
+    # column j holds the pairs (0,j)..(j-1,j); reversed, pair (i,j) is bit i
+    nbr = [0] * n
     k = 0
     for j in range(1, n):
-        for i in range(j):
-            if body[k // 6] >> (5 - k % 6) & 1:
-                edges.append((i, j))
-            k += 1
-    for k in range(npairs, nbytes * 6):
-        if body[k // 6] >> (5 - k % 6) & 1:
-            raise ValueError("nonzero padding bits in graph6 string")
-    return Graph(n, edges)
+        col = int(bits[k:k + j][::-1], 2)
+        k += j
+        nbr[j] = col
+        while col:
+            low = col & -col
+            nbr[low.bit_length() - 1] |= 1 << j
+            col ^= low
+    return Graph._from_bits(nbr)
 
 
 def write_graph6(g: Graph) -> str:
@@ -190,16 +214,13 @@ def write_graph6(g: Graph) -> str:
         head = [63, 63] + [(n >> 6 * (5 - i)) & 63 for i in range(6)]
     else:
         raise ValueError("graph too large for graph6")
-    npairs = n * (n - 1) // 2
-    body = [0] * ((npairs + 5) // 6)
-    k = 0
-    for j in range(1, n):
-        bj = g._nbr_bits[j]
-        for i in range(j):
-            if bj >> i & 1:
-                body[k // 6] |= 1 << (5 - k % 6)
-            k += 1
-    return "".join(chr(x + 63) for x in head + body)
+    # column j is bits 0..j-1 of vertex j's mask, lowest first
+    bits = "".join(
+        [format(g._nbr_bits[j] & ~(-1 << j), f"0{j}b")[::-1] for j in range(1, n)]
+    )
+    bits += "0" * (-len(bits) % 6)
+    body = [int(bits[k:k + 6], 2) for k in range(0, len(bits), 6)]
+    return "".join([chr(x + 63) for x in head + body])
 
 
 # ---------------------------------------------------------------------------
@@ -332,15 +353,19 @@ def girth(g: Graph) -> float:
     vertex with two parents in layer k closes one of length 2k+2.  Either
     walk contains a cycle no longer than itself, and from a root on a
     shortest cycle the search finds that cycle's length exactly, so the
-    minimum over roots is the girth.  A forest (n minus its number of
-    components edges) needs no search.
+    minimum over roots is the girth.  The search ends early once it finds
+    a cycle as short as any g can have: 3, or 4 when g is triangle-free.
+    A forest (n minus its number of components edges) needs no search.
     """
     m = g.edge_count()
     if m < g.n and m == g.n - len(components(g)):  # m >= n makes a cycle
         return math.inf
+    floor = 4 if is_triangle_free(g) else 3
     nbr = g._nbr_bits
     best = math.inf
     for r in range(g.n):
+        if best == floor:
+            break
         seen = frontier = 1 << r
         k = 0
         while frontier and 2 * k + 1 < best:
@@ -363,38 +388,46 @@ def girth(g: Graph) -> float:
 
 
 def is_triangle_free(g: Graph) -> bool:
-    """True iff the girth is at least 4 (forests count)."""
-    return all(g._nbr_bits[u] & g._nbr_bits[v] == 0 for u, v in g.edges())
+    """True iff the girth is at least 4 (forests count).  Memoized in g."""
+    got = g._verdict_memo.get("triangle_free")
+    if got is None:
+        nbr = g._nbr_bits
+        got = g._verdict_memo["triangle_free"] = all(
+            nbr[u] & nbr[v] == 0 for u, v in g.edges()
+        )
+    return got
+
+
+def _flood(nbr, seen: int) -> int:
+    # the vertex mask of everything connected to the vertices in seen
+    frontier = seen
+    while frontier:
+        reach = 0
+        while frontier:
+            reach |= nbr[(frontier & -frontier).bit_length() - 1]
+            frontier &= frontier - 1
+        frontier = reach & ~seen
+        seen |= frontier
+    return seen
 
 
 def components(g: Graph) -> list[tuple[int, ...]]:
     """Connected components as sorted vertex tuples, sorted lexicographically."""
-    seen = [False] * g.n
     out = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp, frontier = [s], [s]
-        seen[s] = True
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in g.neighbors(x):
-                    if not seen[y]:
-                        seen[y] = True
-                        comp.append(y)
-                        nxt.append(y)
-            frontier = nxt
-        out.append(tuple(sorted(comp)))
-    return sorted(out)
+    left = (1 << g.n) - 1
+    while left:  # each component is found from its least vertex, in order
+        comp = _flood(g._nbr_bits, left & -left)
+        out.append(_bits_to_tuple(comp))
+        left &= ~comp
+    return out
 
 
 def has_isolated_vertices(g: Graph) -> bool:
-    return any(len(nb) == 0 for nb in g._nbrs)
+    return 0 in g._nbr_bits
 
 
 def is_connected(g: Graph) -> bool:
-    return len(components(g)) <= 1
+    return g.n == 0 or _flood(g._nbr_bits, 1) == (1 << g.n) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -578,10 +611,33 @@ def independence_euler_characteristic(g: Graph) -> int:
     return -_alpha_and_poly(g)((1 << g.n) - 1)[1]
 
 
+def _cover_verdicts(g: Graph) -> tuple[bool, bool]:
+    """(well-covered, every maximal set passes W2's private-neighbor test;
+    see is_in_w2), from one pass over the maximal independent sets that
+    ends at the first one smaller than alpha.  Memoized in g."""
+    got = g._verdict_memo.get("cover")
+    if got is None:
+        nbr = g._nbr_bits
+        alpha = independence_number(g)
+        covered = private_ok = True
+        for t in _maximal_independent_masks(g):
+            if t.bit_count() != alpha:
+                covered = private_ok = False
+                break
+            if private_ok:
+                private = 0  # the x in t that are the only neighbor in t of some y
+                for b in nbr:
+                    c = b & t
+                    if c & (c - 1) == 0:
+                        private |= c
+                private_ok = private == t
+        got = g._verdict_memo["cover"] = (covered, private_ok)
+    return got
+
+
 def is_well_covered(g: Graph) -> bool:
     """True iff every maximal independent set has the same size."""
-    alpha = independence_number(g)
-    return all(m.bit_count() == alpha for m in _maximal_independent_masks(g))
+    return _cover_verdicts(g)[0]
 
 
 def is_in_w2(g: Graph) -> bool:
@@ -600,25 +656,15 @@ def is_in_w2(g: Graph) -> bool:
     and its only neighbor in T is x).  So the maximal sets of g - x have
     size alpha, or alpha - 1 exactly when some T - x is maximal, and g is
     in W2 iff for every maximal T and every x in T some y has
-    N(y) & T = {x}.
+    N(y) & T = {x}.  The enumeration is the one that decides
+    well-coveredness, memoized in g (see _cover_verdicts).
     """
     if g.n == 0:
         return True
     if has_isolated_vertices(g):
         return False
-    nbr = g._nbr_bits
-    alpha = independence_number(g)
-    for t in _maximal_independent_masks(g):
-        if t.bit_count() != alpha:
-            return False
-        private = 0  # the x in t that are the only neighbor in t of some y
-        for b in nbr:
-            c = b & t
-            if c & (c - 1) == 0:
-                private |= c
-        if private != t:
-            return False
-    return True
+    covered, private_ok = _cover_verdicts(g)
+    return covered and private_ok
 
 
 def is_alpha_critical(g: Graph) -> bool:
@@ -629,12 +675,16 @@ def is_alpha_critical(g: Graph) -> bool:
     alpha(g_ab) + 2) where g_ab is g without N(a) and N(b); and adding a to
     an independent set of g_ab shows alpha(g_ab) <= alpha(g) - 1.  Hence
     the edge ab is critical iff alpha(g_ab) = alpha(g) - 1.  Every g_ab is
-    a vertex mask of one memoized recursion.
+    a vertex mask of one memoized recursion, and the verdict is memoized
+    in g.
     """
-    solve = _alpha_and_poly(g)
-    nbr = g._nbr_bits
-    full = (1 << g.n) - 1
-    alpha = solve(full)[0]
-    return all(
-        solve(full & ~(nbr[a] | nbr[b]))[0] == alpha - 1 for a, b in g.edges()
-    )
+    got = g._verdict_memo.get("alpha_critical")
+    if got is None:
+        solve = _alpha_and_poly(g)
+        nbr = g._nbr_bits
+        full = (1 << g.n) - 1
+        alpha = solve(full)[0]
+        got = g._verdict_memo["alpha_critical"] = all(
+            solve(full & ~(nbr[a] | nbr[b]))[0] == alpha - 1 for a, b in g.edges()
+        )
+    return got

@@ -3,10 +3,13 @@
 A survey consumes a stream of graph6 lines.  Each nonblank line is
 classified in one pass, in a worker when there are several: it is parsed
 once, filtered, and every admitted graph becomes a record with
-check_theorem's verdict for each requested field.  A malformed line comes
-back as its line number and message instead.  The parent only digests the
-lines and collects the results in line order, so record order equals
-corpus order regardless of the worker count.  Reports carry no
+check_theorem's verdict for each requested field.  Only Gorensteinness and
+the second-power criterion depend on the field; triangle-freeness,
+well-coveredness, W2 and alpha-criticality are memoized in the parsed
+Graph, so the fields after the first find them decided.  A malformed
+line comes back as its line number and message instead.  The parent only
+digests the lines and collects the results in line order, so record
+order equals corpus order regardless of the worker count.  Reports carry no
 timestamps, so identical inputs give byte-identical output.
 """
 

@@ -92,12 +92,12 @@ def brute_maximal_independent_sets(n, edges):
 
 
 # ---------------------------------------------------------------------------
-# reference graph6 encoder (n <= 62), straight from the format description
+# reference graph6 encoder (n <= 258047), straight from the format description
 # ---------------------------------------------------------------------------
 
 
 def reference_graph6(n, edges):
-    assert 0 <= n <= 62
+    assert 0 <= n <= 258047
     adj = {frozenset(e) for e in edges}
     bits = []
     for j in range(1, n):
@@ -105,7 +105,10 @@ def reference_graph6(n, edges):
             bits.append(1 if frozenset((i, j)) in adj else 0)
     while len(bits) % 6:
         bits.append(0)
-    out = [chr(63 + n)]
+    if n <= 62:
+        out = [chr(63 + n)]
+    else:  # '~' and then n in 18 bits, big-endian, six to a byte
+        out = ["~"] + [chr(63 + (n >> shift & 63)) for shift in (12, 6, 0)]
     for k in range(0, len(bits), 6):
         value = 0
         for b in bits[k:k + 6]:

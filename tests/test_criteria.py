@@ -33,9 +33,12 @@ from tfgor import (
     is_pure,
     is_second_power_cm,
     is_triangle_free,
+    is_well_covered,
     join,
     link,
+    build_record,
     parse_facets,
+    parse_graph6,
     path_graph,
     reduced_betti,
     simplex,
@@ -291,6 +294,35 @@ def test_second_power_localizes_every_edge(monkeypatch):
             for a, b in g.edges():
                 closed = {a, b, *g.neighbors(a), *g.neighbors(b)}
                 assert sum(1 << v for v in g.vertices() if v not in closed) in searched, (a, b)
+
+
+def test_records_enumerate_maximal_independent_sets_once(monkeypatch, corpus_tf_lines):
+    # well-coveredness, W2 and alpha-criticality need no field: a record over
+    # three fields of a graph that is not well-covered, which no field's
+    # homology can rescue, enumerates the maximal independent sets of the
+    # whole graph once
+    graphs, criteria = sys.modules["tfgor.graphs"], sys.modules["tfgor.criteria"]
+    real = graphs._maximal_independent_masks
+    whole = []
+
+    def counting(g, s=None):
+        if s is None:
+            whole.append(g)
+        return real(g, s)
+
+    monkeypatch.setattr(graphs, "_maximal_independent_masks", counting)
+    monkeypatch.setattr(criteria, "_maximal_independent_masks", counting)
+    checked = 0
+    for i, line in enumerate(corpus_tf_lines):
+        if is_well_covered(parse_graph6(line)):
+            continue
+        g = parse_graph6(line)  # a fresh graph, its memo empty
+        whole.clear()
+        rec = build_record(i, g, ("q", "f2", "f3"))
+        assert len(whole) == 1, line
+        assert not rec["well_covered"] and not rec["w2"]
+        checked += 1
+    assert checked == 1671
 
 
 def test_gorenstein_graph_with_isolated_vertices_uses_core():

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -36,27 +37,32 @@ def test_header_allowed():
 
 
 def test_parse_errors():
-    with pytest.raises(ValueError, match="illegal character"):
-        parse_graph6("A" + chr(127))
-    with pytest.raises(ValueError, match="expected"):
-        parse_graph6("D_")  # truncated body for n=5
-    with pytest.raises(ValueError, match="padding"):
+    # each message in full, so a faster decoder keeps them
+    cases = [
+        ("A" + chr(127), "illegal character in graph6 string"),
+        ("D_", "graph6 body has 1 bytes, expected 2 for n=5"),  # truncated
+        ("D_cc", "graph6 body has 3 bytes, expected 2 for n=5"),
         # n=2 needs one pair bit; set a padding bit instead
-        parse_graph6("A" + chr(63 + 0b000100))
-    with pytest.raises(ValueError, match="empty"):
-        parse_graph6("   ")
-    with pytest.raises(ValueError, match="length prefix"):
-        parse_graph6("~A")
+        ("A" + chr(63 + 0b000100), "nonzero padding bits in graph6 string"),
+        ("A" + chr(63 + 0b010000), "nonzero padding bits in graph6 string"),
+        ("D" + chr(63) + chr(63 + 1), "nonzero padding bits in graph6 string"),
+        ("   ", "empty graph6 string"),
+        ("~A", "malformed graph6 length prefix"),
+        ("~~A", "malformed graph6 length prefix"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_graph6(text)
 
 
 def test_roundtrip_random():
     rng = random.Random(17)
-    for _ in range(100):
-        n = rng.randint(0, 13)
+    sizes = [rng.randint(0, 13) for _ in range(100)] + [61, 62, 63, 64, 70]
+    for n in sizes:
         g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.4])
-        assert parse_graph6(write_graph6(g)) == g
-        if n <= 62:
-            assert write_graph6(g) == reference_graph6(n, g.edges())
+        s = reference_graph6(n, g.edges())
+        assert parse_graph6(s) == g
+        assert write_graph6(g) == s
 
 
 def test_roundtrip_large_n():
@@ -64,6 +70,18 @@ def test_roundtrip_large_n():
     s = write_graph6(g)
     assert s.startswith("~")
     assert parse_graph6(s) == g
+
+
+def test_roundtrip_3000_vertices_is_linear():
+    # the body is decoded through one bit string, with no big integer
+    # shifted once per byte
+    rng = random.Random(3)
+    n = 3000
+    edges = [(i, i + 1) for i in range(n - 1)] + [tuple(rng.sample(range(n), 2)) for _ in range(n)]
+    g = Graph(n, edges)
+    start = time.perf_counter()
+    assert parse_graph6(write_graph6(g)) == g
+    assert time.perf_counter() - start < 2.0
 
 
 def test_edge_list_roundtrip():

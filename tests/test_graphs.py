@@ -1,7 +1,7 @@
 import math
 import random
 import time
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -31,6 +31,7 @@ from tfgor import (
     independence_number,
     induced_subgraph,
     is_alpha_critical,
+    is_connected,
     is_in_w2,
     is_independent_set,
     is_triangle_free,
@@ -38,6 +39,7 @@ from tfgor import (
     localize,
     localized_vertices,
     maximal_independent_sets,
+    parse_graph6,
     path_graph,
     reduced_euler_characteristic,
 )
@@ -417,6 +419,55 @@ def test_girth_matches_brute_force():
     ]
     assert all(girth(g) == math.inf for g in forests)
     assert [girth(cycle_graph(n)) for n in range(3, 10)] == list(range(3, 10))
+
+
+def test_girth_matches_brute_force_on_corpora(corpus_tf_lines, corpus_girth5_lines):
+    # the search ends at the first cycle of length 3, or 4 on a
+    # triangle-free graph; graphs with triangles must still find 3
+    rng = random.Random(29)
+    graphs = [parse_graph6(ln) for ln in corpus_tf_lines + corpus_girth5_lines]
+    with_triangles = [random_graph(rng, rng.randint(3, 10), p) for p in (0.3, 0.5, 0.8) for _ in range(40)]
+    with_triangles = [g for g in with_triangles if not is_triangle_free(g)]
+    assert len(with_triangles) >= 60
+    for g in graphs + with_triangles:
+        assert girth(g) == brute_girth(g.n, g.edges()), g
+
+
+def _memo_test_graphs():
+    rng = random.Random(61)
+    graphs = [Graph(0), Graph(1), Graph(4), complete_graph(2), cycle_graph(5)]
+    graphs += [disjoint_union(Graph(1), cycle_graph(5)), disjoint_union(cycle_graph(4), Graph(2))]
+    graphs += [random_graph(rng, rng.randint(0, 9), p) for p in (0.15, 0.3, 0.5, 0.7) for _ in range(8)]
+    return graphs
+
+
+def test_graph_memo_does_not_depend_on_call_order():
+    # well-coveredness and W2 share one memoized scan and alpha-criticality
+    # and triangle-freeness are memoized too: in every call order, on a
+    # fresh graph each time, every verdict agrees with the brute force
+    verdicts = (is_well_covered, is_in_w2, is_alpha_critical, is_connected, is_triangle_free)
+    orders = list(permutations(range(len(verdicts))))
+    for h in _memo_test_graphs():
+        edges = h.edges()
+        maximal = brute_maximal_independent_sets(h.n, edges)
+        alpha = _brute_alpha(h.n, edges)
+        want = (
+            len({len(s) for s in maximal}) == 1,
+            h.n == 0 or (
+                not has_isolated_vertices(h)
+                and all(_brute_maximal_sizes(h, x) == {alpha} for x in (None, *range(h.n)))
+            ),
+            all(_brute_alpha(h.n, [f for f in edges if f != e]) > alpha for e in edges),
+            len(components(h)) <= 1,
+            brute_girth(h.n, edges) >= 4,
+        )
+        for order in orders:
+            g = Graph(h.n, edges)
+            got = [None] * len(verdicts)
+            for k in order:
+                got[k] = verdicts[k](g)
+            assert tuple(got) == want, (h, order)
+            assert tuple(f(g) for f in verdicts) == want, (h, order)
 
 
 def test_alpha_and_euler_characteristic_match_oracles():
