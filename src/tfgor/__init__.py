@@ -76,7 +76,7 @@ from .homology import (
     is_k_acyclic,
     reduced_betti,
 )
-from .survey import build_record, report_to_csv, report_to_json, survey
+from .survey import build_record, record_to_json, report_to_csv, report_to_json, survey
 
 # The rank kernels are pure Python; kept as a name for run metadata.
 BACKEND = "pure"

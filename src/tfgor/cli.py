@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import sys
 
 from ._version import __version__
@@ -23,6 +22,7 @@ from .survey import (
     FIELD_CHOICES,
     FILTERS,
     build_record,
+    record_to_json,
     report_to_csv,
     report_to_json,
     survey,
@@ -124,7 +124,7 @@ def _cmd_check(args) -> int:
     g = _load_graph(args)
     g6 = args.g6.strip() if args.g6 is not None else write_graph6(g)
     record = build_record(0, g, fields, graph6=g6)
-    print(json.dumps(record, indent=2))
+    print(record_to_json(record))
     return 0 if record["consistent"] else 1
 
 
@@ -146,7 +146,8 @@ def _cmd_survey(args) -> int:
         )
         for lineno, msg in skipped:
             print(f"tfgor survey: skipped line {lineno}: {msg}", file=sys.stderr)
-        out.write(report_to_json(report) if args.format == "json" else report_to_csv(report))
+        write = report_to_json if args.format == "json" else report_to_csv
+        write(report, out)
     return 1 if report["counterexamples"] else 0
 
 

@@ -22,7 +22,8 @@ On graphs, everything that needs no homology is computed in graphs:
 alpha, chi~ and alpha-criticality from one memoized recursion over
 vertex masks, girth by breadth-first layers, and well-coveredness from
 the maximal independent sets.  Those verdicts need no field and are
-memoized in the Graph, so deciding a graph over several fields repeats
+memoized in the Graph, and so are the facet masks of each vertex mask
+handed to the link walk, so deciding a graph over several fields repeats
 only the homology.
 """
 
@@ -103,8 +104,14 @@ def is_gorenstein(c: SimplicialComplex, field: FieldSpec) -> bool:
 
 
 def _cm_ind(g: Graph, field: FieldSpec, s: int | None = None) -> int:
-    # _cm of Ind(g[s]), whose facets are the maximal independent sets of g[s]
-    return _cm(tuple(sorted(_maximal_independent_masks(g, s))), field)
+    # _cm of Ind(g[s]), whose facets are the maximal independent sets of g[s].
+    # Their sorted masks need no field and are memoized in g, the whole graph
+    # under its full mask, so that it and a core equal to V share one entry.
+    key = ("facets", (1 << g.n) - 1 if s is None else s)
+    facets = g._verdict_memo.get(key)
+    if facets is None:
+        facets = g._verdict_memo[key] = tuple(sorted(_maximal_independent_masks(g, s)))
+    return _cm(facets, field)
 
 
 def is_cm_graph(g: Graph, field: FieldSpec) -> bool:

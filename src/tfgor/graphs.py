@@ -65,7 +65,8 @@ class Graph:
     localizations share their work; and the verdicts that need no field,
     so classifying a graph over several fields decides triangle-freeness,
     well-coveredness, W2 (one scan, see _cover_verdicts) and
-    alpha-criticality once.
+    alpha-criticality once, and enumerates the maximal independent sets
+    of each vertex mask the criteria ask for once (see criteria._cm_ind).
     """
 
     __slots__ = ("n", "_nbr_bits", "_indep_memo", "_verdict_memo")

@@ -10,7 +10,9 @@ Graph, so the fields after the first find them decided.  A malformed
 line comes back as its line number and message instead.  The parent only
 digests the lines and collects the results in line order, so record
 order equals corpus order regardless of the worker count.  Reports carry no
-timestamps, so identical inputs give byte-identical output.
+timestamps, so identical inputs give byte-identical output.  A report is
+written a record at a time, each record by one template built from the
+record layout, so it is never held as one string.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import hashlib
 import json
 import math
 import multiprocessing
+from json.encoder import encode_basestring_ascii
 
 from ._version import __version__
 from .criteria import check_theorem
@@ -43,6 +46,7 @@ __all__ = [
     "FIELD_CHOICES",
     "build_record",
     "survey",
+    "record_to_json",
     "report_to_json",
     "report_to_csv",
 ]
@@ -183,8 +187,92 @@ def survey(
     return report, skipped
 
 
-def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+# The record layout: every key of a record, in order.  The JSON template and
+# the CSV columns both read it.  A per-field key maps each of the report's
+# fields to a verdict, and spreads into one CSV column per field.
+_RECORD_KEYS = (
+    "index", "graph6", "n", "edge_count", "girth", "connected",
+    "no_isolated", "alpha", "well_covered", "w2", "alpha_critical",
+    "euler_char", "gorenstein", "second_power_cm", "consistent",
+)
+_PER_FIELD_KEYS = ("gorenstein", "second_power_cm")
+
+
+def _leaves(rec: dict, fields):
+    # the record's values in layout order, each per-field map spread over fields
+    for key in _RECORD_KEYS:
+        value = rec[key]
+        if key in _PER_FIELD_KEYS:
+            yield from map(value.__getitem__, fields)
+        else:
+            yield value
+
+
+def _emit(chunks, out):
+    # written piece by piece to out when given, else joined and returned
+    if out is None:
+        return "".join(chunks)
+    for chunk in chunks:
+        out.write(chunk)
+    return None
+
+
+def _json_leaf(value) -> str:
+    # a record's scalar as json.dumps writes it
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return int.__repr__(value)
+
+
+def _record_renderer(fields, depth: int):
+    """A function of a record giving json.dumps(record, indent=2) as it
+    appears `depth` levels deep in an indent=2 document: one %-format of a
+    template with a slot per leaf, built once for the fields."""
+    # keys and field labels ("q", "f" and a prime) hold no "%" to escape
+    pad = "\n" + "  " * (depth + 1)
+    name = encode_basestring_ascii
+    items = []
+    for key in _RECORD_KEYS:
+        value = "%s"
+        if key in _PER_FIELD_KEYS:
+            value = "{" + ",".join(f"{pad}  {name(lb)}: %s" for lb in fields) + pad + "}"
+        items.append(f"{pad}{name(key)}: {value}")
+    template = "{" + ",".join(items) + "\n" + "  " * depth + "}"
+    return lambda rec: template % tuple(map(_json_leaf, _leaves(rec, fields)))
+
+
+def record_to_json(record: dict) -> str:
+    """One record as json.dumps(record, indent=2) writes it, through the
+    renderer report_to_json gives every record."""
+    return _record_renderer(tuple(record["gorenstein"]), 0)(record)
+
+
+def _json_chunks(report: dict):
+    # the head before the records (survey puts them last) through json,
+    # then each record through the renderer for the report's fields
+    head = json.dumps({k: v for k, v in report.items() if k != "records"}, indent=2)
+    yield head[:-2] + ',\n  "records": ['
+    render = _record_renderer(report["fields"], 2)
+    sep = "\n    "
+    for rec in report["records"]:
+        yield sep + render(rec)
+        sep = ",\n    "
+    yield "\n  ]\n}\n" if report["records"] else "]\n}\n"
+
+
+def report_to_json(report: dict, out=None) -> str | None:
+    """The report as json.dumps(report, indent=2) writes it, plus a newline.
+
+    With out (any object with a write method) the text is written there a
+    record at a time and never held whole; without it, it is returned.
+    """
+    return _emit(_json_chunks(report), out)
 
 
 def _csv_cell(value) -> str:
@@ -195,29 +283,18 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-# the scalar record keys, in CSV column order, before the per-field columns
-_CSV_SCALARS = (
-    "index", "graph6", "n", "edge_count", "girth", "connected",
-    "no_isolated", "alpha", "well_covered", "w2", "alpha_critical",
-    "euler_char",
-)
-
-
-def report_to_csv(report: dict) -> str:
-    """Lossy flat projection of the records: booleans as 0/1, the per-field
-    maps flattened to one column per field."""
+def _csv_chunks(report: dict):
     fields = report["fields"]
-    header = (
-        list(_CSV_SCALARS)
-        + [f"gorenstein_{lb}" for lb in fields]
-        + [f"second_power_cm_{lb}" for lb in fields]
-        + ["consistent"]
-    )
-    out = [",".join(header)]
+    columns = []
+    for key in _RECORD_KEYS:
+        columns += [f"{key}_{lb}" for lb in fields] if key in _PER_FIELD_KEYS else [key]
+    yield ",".join(columns) + "\n"
     for rec in report["records"]:
-        row = [_csv_cell(rec[k]) for k in _CSV_SCALARS]
-        row += [_csv_cell(rec["gorenstein"][lb]) for lb in fields]
-        row += [_csv_cell(rec["second_power_cm"][lb]) for lb in fields]
-        row.append(_csv_cell(rec["consistent"]))
-        out.append(",".join(row))
-    return "\n".join(out) + "\n"
+        yield ",".join(map(_csv_cell, _leaves(rec, fields))) + "\n"
+
+
+def report_to_csv(report: dict, out=None) -> str | None:
+    """Lossy flat projection of the records: booleans as 0/1, the per-field
+    maps flattened to one column per field.  Written to out a row at a
+    time when given, returned otherwise."""
+    return _emit(_csv_chunks(report), out)

@@ -8,6 +8,7 @@ import pytest
 
 from tfgor import (
     Graph,
+    build_record,
     cycle_graph,
     girth4_planar,
     parse_facets,
@@ -81,6 +82,15 @@ def test_check_multiple_fields(capsys):
     rec = json.loads(out)
     assert code == 0
     assert rec["gorenstein"] == {"q": True, "f2": True}
+
+
+def test_check_output_is_json_dumps_of_the_record(capsys, corpus_tf_lines):
+    # a graph6 string with a backslash, which JSON escapes
+    g6 = next(ln for ln in corpus_tf_lines if "\\" in ln)
+    code, out, _ = run(capsys, ["check", "--g6", g6, "--field", "q", "--field", "f2"])
+    rec = build_record(0, parse_graph6(g6), ("q", "f2"), graph6=g6)
+    assert out == json.dumps(rec, indent=2) + "\n"
+    assert code == (0 if rec["consistent"] else 1)
 
 
 def test_check_parse_failure_exit_2(capsys):

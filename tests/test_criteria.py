@@ -287,8 +287,9 @@ def test_second_power_localizes_every_edge(monkeypatch):
         return real(g, s)
 
     monkeypatch.setattr(criteria, "_maximal_independent_masks", recording)
-    for g in (complete_graph(2), cycle_graph(5), girth4_planar(3), girth4_planar(4)):
-        for field in (RATIONALS, GF2):
+    for field in (RATIONALS, GF2):
+        # fresh graphs per field: a graph memoizes the masks it has searched
+        for g in (complete_graph(2), cycle_graph(5), girth4_planar(3), girth4_planar(4)):
             searched.clear()
             assert is_second_power_cm(g, field)
             for a, b in g.edges():
@@ -323,6 +324,33 @@ def test_records_enumerate_maximal_independent_sets_once(monkeypatch, corpus_tf_
         assert not rec["well_covered"] and not rec["w2"]
         checked += 1
     assert checked == 1671
+
+
+@pytest.mark.parametrize(
+    "g, whole, total", [(cycle_graph(5), 2, 7), (girth4_planar(4), 2, 17)], ids=["c5", "planar4"]
+)
+def test_records_enumerate_each_vertex_mask_once(monkeypatch, g, whole, total):
+    # the facet masks of a vertex mask need no field: over three fields a
+    # well-covered graph enumerates its whole vertex set twice (the cover
+    # scan, which may stop early, and the memoized facets) and each edge
+    # localization once
+    graphs, criteria = sys.modules["tfgor.graphs"], sys.modules["tfgor.criteria"]
+    real = graphs._maximal_independent_masks
+    searched = []
+
+    def counting(g, s=None):
+        searched.append((1 << g.n) - 1 if s is None else s)
+        return real(g, s)
+
+    monkeypatch.setattr(graphs, "_maximal_independent_masks", counting)
+    monkeypatch.setattr(criteria, "_maximal_independent_masks", counting)
+    g = Graph(g.n, g.edges())  # a fresh graph, its memo empty
+    rec = build_record(0, g, ("q", "f2", "f3"))
+    assert rec["well_covered"] and rec["consistent"]
+    full = (1 << g.n) - 1
+    assert searched.count(full) <= whole and len(searched) <= total
+    localized = [s for s in searched if s != full]
+    assert len(localized) == len(set(localized))
 
 
 def test_gorenstein_graph_with_isolated_vertices_uses_core():

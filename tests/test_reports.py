@@ -3,14 +3,29 @@
 The digests were recorded from the reports of tfgor 0.1.0 and must
 not change unless the report format does (then bump the version).  A
 faster invariant or a short-cut in a criterion must leave them alone.
+The streamed writer is also checked against json.dumps(report, indent=2).
 """
 
 import hashlib
+import io
+import json
+import sys
+import tracemalloc
 
 import pytest
 
 from conftest import load_corpus
-from tfgor import report_to_csv, report_to_json, survey
+from tfgor import (
+    build_record,
+    parse_graph6,
+    record_to_json,
+    report_to_csv,
+    report_to_json,
+    survey,
+)
+from tfgor.survey import FIELD_CHOICES
+
+survey_module = sys.modules["tfgor.survey"]
 
 GOLDEN = {
     ("connected_trifree_2to9.g6", ()): (
@@ -38,3 +53,82 @@ def test_report_bytes_are_golden(corpus, filters):
     assert skipped == []
     assert report["summary"]["counterexamples"] == 0
     assert (_sha256(report_to_json(report)), _sha256(report_to_csv(report))) == GOLDEN[corpus, filters]
+
+
+# a tree (girth null), C5 (chi~ = -1), a graph6 string with a backslash,
+# and K3, which the triangle-free filter rejects
+WRITER_CORPUS = ["A_", "Dhc", "EC\\o", "Bw"]
+
+
+def _writer_reports():
+    one, _ = survey(WRITER_CORPUS, fields=("q",))
+    four, _ = survey(WRITER_CORPUS, fields=FIELD_CHOICES)
+    empty, _ = survey(["Bw"], filters=("triangle-free",), fields=("q", "f2"))
+    flagged, _ = survey(WRITER_CORPUS, fields=("f2", "q"))
+    flagged["counterexamples"] = [1, 3]
+    return {"one-field": one, "four-fields": four, "no-records": empty, "counterexamples": flagged}
+
+
+def test_writer_corpus_covers_every_leaf_kind():
+    records = _writer_reports()["one-field"]["records"]
+    assert any(rec["girth"] is None for rec in records)
+    assert any(rec["euler_char"] < 0 for rec in records)
+    assert any("\\" in rec["graph6"] for rec in records)
+    assert {type(rec["consistent"]) for rec in records} == {bool}
+
+
+@pytest.mark.parametrize("name", ["one-field", "four-fields", "no-records", "counterexamples"])
+def test_report_to_json_matches_json_dumps(name):
+    report = _writer_reports()[name]
+    text = report_to_json(report)
+    assert text == json.dumps(report, indent=2) + "\n"
+    sink = io.StringIO()
+    assert report_to_json(report, sink) is None
+    assert sink.getvalue() == text
+
+
+@pytest.mark.parametrize("name", ["one-field", "four-fields", "no-records"])
+def test_report_to_csv_writes_what_it_returns(name):
+    report = _writer_reports()[name]
+    sink = io.StringIO()
+    assert report_to_csv(report, sink) is None
+    assert sink.getvalue() == report_to_csv(report)
+
+
+def test_record_to_json_matches_json_dumps(corpus_tf_lines):
+    for i, line in enumerate(corpus_tf_lines[::40]):
+        rec = build_record(i, parse_graph6(line), ("f3", "q"), graph6=line)
+        assert record_to_json(rec) == json.dumps(rec, indent=2)
+
+
+def test_record_keys_follow_the_layout():
+    rec = build_record(0, parse_graph6("EC\\o"), ("f2", "q", "f5"))
+    assert tuple(rec) == survey_module._RECORD_KEYS
+    for key in survey_module._PER_FIELD_KEYS:
+        assert list(rec[key]) == ["f2", "q", "f5"]
+
+
+class _Discard:
+    def __init__(self):
+        self.length = 0
+
+    def write(self, chunk):
+        self.length += len(chunk)
+
+
+def test_report_is_streamed_not_held():
+    # the report is written a record at a time, so the writer's own peak
+    # is a small fraction of the report's length
+    report, _ = survey(WRITER_CORPUS, fields=("q", "f2", "f3"))
+    rec = report["records"][2]
+    report["records"] = [dict(rec, index=i) for i in range(20_000)]
+    length = len(report_to_json(report))
+    sink = _Discard()
+    tracemalloc.start()
+    try:
+        report_to_json(report, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.length == length
+    assert peak < length / 10, (peak, length)
