@@ -18,6 +18,19 @@ complex is built only on a miss.  A facet file enters relabeled by rank,
 a graph as the maximal independent sets of a vertex mask.  A complex is
 Gorenstein iff its core, the peeled complex, is Gorenstein*.
 
+A query over the rationals first asks the walk over GF(2), and returns
+its verdict unless that is 0; only then does it rank over Q, node by
+node, each link query trying GF(2) again.  The lift is sound: if a
+complex is Cohen-Macaulay over GF(2), by Reisner no link has GF(2)
+homology below its top degree; by the universal coefficient theorem,
+dim H~_i(X; GF(p)) >= dim H~_i(X; Q) in every degree, so no link has
+rational homology there either.  By Euler-Poincare each link's top Betti
+number is then (-1)^dim chi~ over both fields, and chi~ needs no field,
+so the two verdicts agree, Gorenstein* included.  The converse fails
+with 2-torsion: RP^2 is Cohen-Macaulay over Q, not over GF(2).  So a
+survey over q and f2 walks each link once, over GF(2), and over q alone
+a Cohen-Macaulay link is ranked only with the cheaper mod-2 kernel.
+
 On graphs, everything that needs no homology is computed in graphs:
 alpha, chi~ and alpha-criticality from one memoized recursion over
 vertex masks, girth by breadth-first layers, and well-coveredness from
@@ -45,7 +58,7 @@ from .graphs import (
     is_triangle_free,
     is_well_covered,
 )
-from .homology import FieldSpec, reduced_betti
+from .homology import GF2, FieldSpec, reduced_betti
 
 __all__ = [
     "TheoremVerdict",
@@ -61,13 +74,21 @@ __all__ = [
 @lru_cache(maxsize=8192)
 def _cm(facets: tuple[int, ...], field: FieldSpec) -> int:
     # sorted vertex bitmasks; ground vertices in no face change no homology.
-    # 0: not Cohen-Macaulay, 1: Cohen-Macaulay, 2: Gorenstein*
+    # 0: not Cohen-Macaulay, 1: Cohen-Macaulay, 2: Gorenstein*.
+    # Over Q a nonzero verdict over GF(2) is final: then no link has GF(2)
+    # homology below its top degree, so by universal coefficients none has
+    # rational homology there, and chi~ gives both fields the same top
+    # Betti numbers (module docstring)
     apex = reduce(and_, facets)
     if apex:  # a cone is Cohen-Macaulay iff its base is, never Gorenstein*
         return min(_cm(tuple(f ^ apex for f in facets), field), 1)
     size = facets[0].bit_count()
     if any(f.bit_count() != size for f in facets):
         return 0
+    if field.is_rationals:
+        verdict = _cm(facets, GF2)
+        if verdict:
+            return verdict
     vertices = _bits_to_tuple(reduce(or_, facets))
     c = SimplicialComplex(vertices, map(_bits_to_tuple, facets), validate=False)
     betti = reduced_betti(c, field)

@@ -13,7 +13,9 @@ from oracles import (
 from tfgor import (
     GF2,
     GF3,
+    GF5,
     RATIONALS,
+    FieldSpec,
     Graph,
     SimplicialComplex,
     check_theorem,
@@ -77,7 +79,9 @@ def test_cm_void_rejected():
         is_cohen_macaulay(SimplicialComplex.void(), RATIONALS)
 
 
-def test_cm_purity_shortcut_matches_bare_loop():
+def reisner_family():
+    # random complexes, with ground vertices in no face and as cones, and
+    # random independence complexes with their edge localizations
     rng = random.Random(71)
     complexes = []
     for i in range(50):
@@ -98,9 +102,29 @@ def test_cm_purity_shortcut_matches_bare_loop():
         complexes.extend(
             independence_complex(edge_localize(g, a, b)) for a, b in g.edges()
         )
+    return complexes
+
+
+def test_cm_purity_shortcut_matches_bare_loop():
     for field in (RATIONALS, GF2, GF3):
-        for c in complexes:
+        for c in reisner_family():
             assert is_cohen_macaulay(c, field) == reisner_loop_no_shortcut(c, field)
+
+
+def count_ranked(monkeypatch):
+    # clears the Cohen-Macaulay cache and records every complex handed to
+    # reduced_betti by the link walk, with its field
+    criteria = sys.modules["tfgor.criteria"]
+    real = criteria.reduced_betti
+    ranked = []
+
+    def counting(cx, field):
+        ranked.append((cx.facets, field))
+        return real(cx, field)
+
+    criteria._cm.cache_clear()
+    monkeypatch.setattr(criteria, "reduced_betti", counting)
+    return ranked
 
 
 @pytest.mark.parametrize("n, faces, links", [(4, 139, 59), (5, 495, 174)])
@@ -109,18 +133,19 @@ def test_cm_ranks_each_distinct_link_once(monkeypatch, n, faces, links):
     c = independence_complex(g)
     distinct = {link(c, f).facets for f in c.faces()}
     assert (len(c.faces()), len(distinct)) == (faces, links)
-    criteria = sys.modules["tfgor.criteria"]
-    real = criteria.reduced_betti
-    ranked = []
-
-    def counting(cx, field):
-        ranked.append(cx.facets)
-        return real(cx, field)
-
-    criteria._cm.cache_clear()
-    monkeypatch.setattr(criteria, "reduced_betti", counting)
+    ranked = count_ranked(monkeypatch)
     assert is_cm_graph(g, RATIONALS)
-    assert len(ranked) == len(distinct) and set(ranked) == distinct
+    # a rational query walks the links over GF(2), whose verdict is final
+    assert {field for _, field in ranked} == {GF2}
+    facets = [f for f, _ in ranked]
+    assert len(facets) == len(distinct) and set(facets) == distinct
+
+
+def test_record_over_q_and_f2_ranks_nothing_over_q(monkeypatch):
+    ranked = count_ranked(monkeypatch)
+    rec = build_record(0, girth4_planar(5), ("q", "f2"))
+    assert rec["gorenstein"] == rec["second_power_cm"] == {"q": True, "f2": True}
+    assert ranked and all(field == GF2 for _, field in ranked)
 
 
 def test_eulerian_examples():
@@ -199,7 +224,8 @@ def sphere(labels):
     return SimplicialComplex.from_faces(combinations(labels, len(labels) - 1))
 
 
-def test_gorenstein_matches_eulerian_cm_core(rp2):
+def gorenstein_family():
+    # random complexes, as cones and with ground vertices in no face
     rng = random.Random(53)
     complexes = []
     for i in range(40):
@@ -213,6 +239,11 @@ def test_gorenstein_matches_eulerian_cm_core(rp2):
         # a cone with one or two apexes, and ground vertices in no face
         complexes.append(join(base, simplex(range(nv, nv + 1 + i % 2))))
         complexes.append(SimplicialComplex.from_faces(gens, vertices=range(nv + 2)))
+    return complexes
+
+
+def test_gorenstein_matches_eulerian_cm_core(rp2):
+    complexes = gorenstein_family()
     two_circles = SimplicialComplex.from_faces(
         [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
     )
@@ -249,6 +280,60 @@ def test_gorenstein_graph_matches_eulerian_cm_core():
             assert is_gorenstein_graph(g, field) == expected, g
             positives += expected
     assert positives >= 80
+
+
+def rp2_joins(rp2):
+    # RP^2 and its joins with S^0, a point and a 3-cycle: 2-torsion makes
+    # each Cohen-Macaulay over Q and not over GF(2)
+    return [rp2] + [join(rp2, d) for d in (sphere([0, 1]), simplex([0]), sphere([0, 1, 2]))]
+
+
+@pytest.fixture(scope="module")
+def lift_cases(rp2):
+    # each complex with its references over Q and over GF(2): Cohen-Macaulay
+    # by the dense oracle (over Q also by the bare loop), and Gorenstein by
+    # the definition
+    torsion = rp2_joins(rp2)
+    cases = []
+    for c in torsion + reisner_family() + gorenstein_family():
+        refs = {}
+        for field, char in ((RATIONALS, 0), (GF2, 2)):
+            refs[field] = oracle_cohen_macaulay(c, char), gorenstein_reference(c, char)
+        assert reisner_loop_no_shortcut(c, RATIONALS) == refs[RATIONALS][0]
+        cases.append((c, refs))
+    assert all(refs[RATIONALS][0] and not refs[GF2][0] for _, refs in cases[: len(torsion)])
+    return cases
+
+
+@pytest.mark.parametrize("order", [("q",), ("q", "f2"), ("f2", "q")], ids="-".join)
+def test_rational_verdicts_match_references_with_the_gf2_lift(lift_cases, order):
+    # a rational query reads a nonzero GF(2) verdict off the cache or walks
+    # for it, and ranks over Q only where GF(2) says no; each complex starts
+    # from a cold cache, so the order decides which walk fills it
+    criteria = sys.modules["tfgor.criteria"]
+    for c, refs in lift_cases:
+        criteria._cm.cache_clear()
+        for field in map(FieldSpec.from_label, order):
+            assert (is_cohen_macaulay(c, field), is_gorenstein(c, field)) == refs[field], (c, field)
+
+
+def test_verdicts_over_gf_p_are_zero_or_the_rational_one(lift_cases):
+    # universal coefficients: dim H~_i(X; GF(p)) >= dim H~_i(X; Q), and chi~
+    # needs no field, so a nonzero verdict over GF(p), which the walk never
+    # lifts, equals the rational one; that one is read off the oracles, as
+    # Gorenstein* is Cohen-Macaulay and Eulerian (Stanley II.5.1)
+    criteria = sys.modules["tfgor.criteria"]
+    torsion = agree = 0
+    for c, refs in lift_cases:
+        masks = criteria._facet_masks(c)
+        rational = 1 + oracle_eulerian(c) if refs[RATIONALS][0] else 0
+        assert criteria._cm(masks, RATIONALS) == rational, c
+        for field in (GF2, GF3, GF5):
+            verdict = criteria._cm(masks, field)
+            assert verdict in (0, rational), (c, field)
+            torsion += rational and not verdict
+            agree += verdict and verdict == rational
+    assert torsion >= 4 and agree >= 900
 
 
 def test_gorenstein_guards_run_before_the_link_walk(monkeypatch, corpus_tf_graphs):
