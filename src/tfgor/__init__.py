@@ -8,22 +8,9 @@ criterion for the edge ideal) coincide.
 from ._version import __version__
 from .complexes import (
     SimplicialComplex,
-    cone_apexes,
-    core_of,
-    core_vertices,
-    delete_set,
-    f_vector,
-    faces,
+    facet_masks,
     independence_complex,
-    is_cone,
-    is_pure,
-    join,
-    link,
     parse_facets,
-    reduced_euler_characteristic,
-    restrict,
-    simplex,
-    star,
 )
 from .criteria import (
     TheoremVerdict,
@@ -39,11 +26,7 @@ from .graphs import (
     complete_graph,
     components,
     cycle_graph,
-    delete_edge,
-    delete_vertex,
     disjoint_union,
-    edge_localize,
-    edge_localized_vertices,
     from_edge_list,
     generate,
     girth,
@@ -51,15 +34,11 @@ from .graphs import (
     has_isolated_vertices,
     independence_euler_characteristic,
     independence_number,
-    induced_subgraph,
     is_alpha_critical,
     is_connected,
     is_in_w2,
-    is_independent_set,
     is_triangle_free,
     is_well_covered,
-    localize,
-    localized_vertices,
     maximal_independent_sets,
     parse_edge_list,
     parse_graph6,
@@ -73,7 +52,6 @@ from .homology import (
     GF5,
     RATIONALS,
     FieldSpec,
-    is_k_acyclic,
     reduced_betti,
 )
 from .survey import build_record, record_to_json, report_to_csv, report_to_json, survey

@@ -15,7 +15,7 @@ import contextlib
 import sys
 
 from ._version import __version__
-from .complexes import independence_complex, parse_facets
+from .complexes import facet_masks, independence_complex, parse_facets
 from .graphs import generate, parse_edge_list, parse_graph6, write_edge_list, write_graph6
 from .homology import FieldSpec, reduced_betti
 from .survey import (
@@ -167,7 +167,7 @@ def _cmd_homology(args) -> int:
     else:
         complex_ = independence_complex(_load_graph(args))
     print(f"field: {field.label}")
-    betti = reduced_betti(complex_, field)
+    betti = reduced_betti(facet_masks(complex_), field)
     for i in sorted(betti):
         print(f"H~_{i} = {betti[i]}")
     # Euler-Poincare, over any field: chi~ = sum_i (-1)^i b~_i

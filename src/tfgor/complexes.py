@@ -1,37 +1,23 @@
-"""Simplicial complexes on integer-labeled ground sets.
+"""Simplicial complexes as facet files give them, and the independence
+complex of a graph.
 
-A complex is stored by its facets (inclusion-maximal faces).  The ground
-set may strictly contain the union of the facets so that deletions and
-restrictions can keep their original labels.  The complex {()} consisting
-of the empty face alone is the default "empty" value; the void complex
-(no faces at all) exists as a flagged special case and is rejected by the
-homology and criteria operations.
+A SimplicialComplex is stored by its facets (inclusion-maximal faces), as
+sorted label tuples, on a ground set that may strictly contain their
+union.  The complex {()} of the empty face alone is the default "empty"
+value; the void complex (no faces at all) exists as a flagged special
+case.  Homology and the criteria work on sorted facet bitmasks instead,
+and facet_masks is the one conversion; it rejects the void complex.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 from .graphs import Graph, maximal_independent_sets
 
 __all__ = [
     "SimplicialComplex",
-    "simplex",
     "independence_complex",
     "parse_facets",
-    "faces",
-    "f_vector",
-    "link",
-    "delete_set",
-    "restrict",
-    "star",
-    "core_vertices",
-    "core_of",
-    "cone_apexes",
-    "is_cone",
-    "join",
-    "reduced_euler_characteristic",
-    "is_pure",
+    "facet_masks",
 ]
 
 
@@ -52,9 +38,9 @@ def _maximal_only(cands) -> tuple[tuple[int, ...], ...]:
 
 
 class SimplicialComplex:
-    """Facet-based simplicial complex with memoized face enumeration."""
+    """Facet-based simplicial complex on a ground set of integer labels."""
 
-    __slots__ = ("vertices", "facets", "_faces")
+    __slots__ = ("vertices", "facets")
 
     def __init__(self, vertices, facets, validate: bool = True):
         vs = tuple(sorted(set(vertices)))
@@ -70,7 +56,6 @@ class SimplicialComplex:
                         raise ValueError(f"facet {fs[i]} contained in {fs[j]}")
         self.vertices = vs
         self.facets = fs
-        self._faces = None
 
     @classmethod
     def from_faces(cls, generators, vertices=()) -> "SimplicialComplex":
@@ -101,19 +86,6 @@ class SimplicialComplex:
             raise ValueError("the void complex has no dimension")
         return max(len(f) for f in self.facets) - 1
 
-    def faces(self) -> tuple[tuple[int, ...], ...]:
-        """Every face including (), sorted by (dimension, lexicographic)."""
-        if self._faces is None:
-            if self.is_void:
-                self._faces = ()
-            else:
-                seen = {()}
-                for fac in self.facets:
-                    for k in range(1, len(fac) + 1):
-                        seen.update(combinations(fac, k))
-                self._faces = tuple(sorted(seen, key=lambda f: (len(f), f)))
-        return self._faces
-
     def __contains__(self, f) -> bool:
         try:
             t = _as_face(f)
@@ -138,12 +110,6 @@ class SimplicialComplex:
             f"SimplicialComplex(vertices={list(self.vertices)!r}, "
             f"facets={[list(f) for f in self.facets]!r})"
         )
-
-
-def simplex(labels) -> SimplicialComplex:
-    """The full simplex on the given labels ({()} when labels is empty)."""
-    face = _as_face(labels)
-    return SimplicialComplex(face, (face,), validate=False)
 
 
 def independence_complex(g: Graph) -> SimplicialComplex:
@@ -175,127 +141,11 @@ def parse_facets(text: str) -> SimplicialComplex:
     return SimplicialComplex.from_faces(gens)
 
 
-def faces(c: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
-    return c.faces()
-
-
-def f_vector(c: SimplicialComplex) -> tuple[int, ...]:
-    """Face counts (f_-1, f_0, ..., f_(dim)); (0,) for the void complex."""
+def facet_masks(c: SimplicialComplex) -> tuple[int, ...]:
+    """The facets of c as sorted vertex bitmasks, the form homology and
+    the criteria take.  Labels become bits by rank, so a large label makes
+    no large mask and the vertex order, hence every boundary sign, stays."""
     if c.is_void:
-        return (0,)
-    counts = [0] * (c.dim + 2)
-    for f in c.faces():
-        counts[len(f)] += 1
-    return tuple(counts)
-
-
-def link(c: SimplicialComplex, f) -> SimplicialComplex:
-    """Faces H disjoint from f with H union f in c, on the ground V minus f."""
-    t = _as_face(f)
-    fs = set(t)
-    sub = [fac for fac in c.facets if fs <= set(fac)]
-    if not sub:
-        raise ValueError(f"{t} is not a face")
-    new_facets = tuple(tuple(x for x in fac if x not in fs) for fac in sub)
-    new_vertices = tuple(x for x in c.vertices if x not in fs)
-    return SimplicialComplex(new_vertices, new_facets, validate=False)
-
-
-def delete_set(c: SimplicialComplex, s) -> SimplicialComplex:
-    """Faces avoiding s, on the ground set V minus s."""
-    drop = set(_require_subset(c, s))
-    if c.is_void:
-        return SimplicialComplex.void(x for x in c.vertices if x not in drop)
-    cands = {tuple(x for x in fac if x not in drop) for fac in c.facets}
-    return SimplicialComplex(
-        (x for x in c.vertices if x not in drop),
-        _maximal_only(cands),
-        validate=False,
-    )
-
-
-def restrict(c: SimplicialComplex, s) -> SimplicialComplex:
-    """Faces contained in s, on the ground set s."""
-    keep = set(_require_subset(c, s))
-    if c.is_void:
-        return SimplicialComplex.void(keep)
-    cands = {tuple(x for x in fac if x in keep) for fac in c.facets}
-    return SimplicialComplex(keep, _maximal_only(cands), validate=False)
-
-
-def _require_subset(c: SimplicialComplex, s) -> tuple[int, ...]:
-    t = tuple(sorted(set(s)))
-    ground = set(c.vertices)
-    for x in t:
-        if x not in ground:
-            raise ValueError(f"vertex {x} not in the ground set")
-    return t
-
-
-def star(c: SimplicialComplex, v: int) -> SimplicialComplex:
-    """Faces F with F union {v} still a face; void if v is in no face."""
-    if v not in c.vertices:
-        raise ValueError(f"vertex {v} not in the ground set")
-    sub = tuple(fac for fac in c.facets if v in fac)
-    if not sub:
-        return SimplicialComplex.void(c.vertices)
-    return SimplicialComplex(c.vertices, sub, validate=False)
-
-
-def core_vertices(c: SimplicialComplex) -> tuple[int, ...]:
-    """Ground vertices whose star is a proper subcomplex."""
-    return tuple(
-        x for x in c.vertices if not all(x in fac for fac in c.facets)
-    )
-
-
-def cone_apexes(c: SimplicialComplex) -> tuple[int, ...]:
-    """Vertices v with star(c, v) = c, i.e. v lies in every facet."""
-    core = set(core_vertices(c))
-    return tuple(x for x in c.vertices if x not in core)
-
-
-def is_cone(c: SimplicialComplex) -> bool:
-    return bool(cone_apexes(c))
-
-
-def core_of(c: SimplicialComplex) -> SimplicialComplex:
-    """Restriction of c to the vertices whose star is proper."""
-    if c.is_void:
-        return c
-    return restrict(c, core_vertices(c))
-
-
-def join(c: SimplicialComplex, d: SimplicialComplex) -> SimplicialComplex:
-    """Join of two complexes, faces F union H.
-
-    Overlapping ground sets are resolved by shifting every label of d up
-    by max(V(c)) + 1, mirroring the disjoint union of graphs; already
-    disjoint ground sets keep their labels.
-    """
-    if set(c.vertices) & set(d.vertices):
-        shift = max(c.vertices) + 1
-        d = SimplicialComplex(
-            (x + shift for x in d.vertices),
-            (tuple(x + shift for x in f) for f in d.facets),
-            validate=False,
-        )
-    vertices = c.vertices + d.vertices
-    if c.is_void or d.is_void:
-        return SimplicialComplex.void(vertices)
-    new_facets = tuple(
-        sorted(tuple(sorted(fc + fd)) for fc in c.facets for fd in d.facets)
-    )
-    return SimplicialComplex(vertices, new_facets, validate=False)
-
-
-def reduced_euler_characteristic(c: SimplicialComplex) -> int:
-    """Alternating face-count sum over all faces: sum of (-1)^(|F|-1)."""
-    if c.is_void:
-        raise ValueError("the void complex has no Euler characteristic")
-    return sum(1 if len(f) % 2 else -1 for f in c.faces())
-
-
-def is_pure(c: SimplicialComplex) -> bool:
-    """True iff all facets share one dimension (vacuously true when void)."""
-    return len({len(f) for f in c.facets}) <= 1
+        raise ValueError("operation undefined on the void complex")
+    bit = {x: 1 << i for i, x in enumerate(sorted({x for f in c.facets for x in f}))}
+    return tuple(sorted(sum(bit[x] for x in f) for f in c.facets))

@@ -13,10 +13,12 @@ per-face loop.  A cone is Cohen-Macaulay iff its base is, and acyclic,
 so the vertices in every facet are peeled off first.  Facets are sorted
 vertex bitmasks; a link or a peel clears bits, which keeps them sorted
 and inclusion-maximal.  One cache keyed by (facet masks, field) holds
-the verdicts, so a link shared by many faces is ranked once, and a
-complex is built only on a miss.  A facet file enters relabeled by rank,
-a graph as the maximal independent sets of a vertex mask.  A complex is
-Gorenstein iff its core, the peeled complex, is Gorenstein*.
+the verdicts, so a link shared by many faces is ranked once, and a miss
+hands its masks to homology.reduced_betti as they are.  A facet file
+enters through complexes.facet_masks, relabeled by rank, a graph as the
+maximal independent sets of a vertex mask, so deciding a graph builds
+no SimplicialComplex.  A complex is Gorenstein iff its core, the peeled
+complex, is Gorenstein*.
 
 A query over the rationals first asks the walk over GF(2), and returns
 its verdict unless that is 0; only then does it rank over Q, node by
@@ -45,12 +47,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import and_, or_
+from typing import TYPE_CHECKING
 
-from .complexes import SimplicialComplex
+from .complexes import facet_masks
 from .graphs import (
     Graph,
     _alpha_and_poly,
-    _bits_to_tuple,
     _maximal_independent_masks,
     has_isolated_vertices,
     is_alpha_critical,
@@ -59,6 +61,9 @@ from .graphs import (
     is_well_covered,
 )
 from .homology import GF2, FieldSpec, reduced_betti
+
+if TYPE_CHECKING:
+    from .complexes import SimplicialComplex
 
 __all__ = [
     "TheoremVerdict",
@@ -89,37 +94,30 @@ def _cm(facets: tuple[int, ...], field: FieldSpec) -> int:
         verdict = _cm(facets, GF2)
         if verdict:
             return verdict
-    vertices = _bits_to_tuple(reduce(or_, facets))
-    c = SimplicialComplex(vertices, map(_bits_to_tuple, facets), validate=False)
-    betti = reduced_betti(c, field)
+    betti = reduced_betti(facets, field)
     if any(betti[i] for i in range(-1, size - 1)):
         return 0
     verdict = 2 if betti[size - 1] == 1 else 1
-    # clearing bit v keeps the facets of lk_v sorted and inclusion-maximal
-    for v in vertices:
-        lk = tuple(f ^ (1 << v) for f in facets if f >> v & 1)
+    # clearing bit b keeps the facets of its link sorted and inclusion-maximal
+    left = reduce(or_, facets)
+    while left:
+        b = left & -left
+        left ^= b
+        lk = tuple(f ^ b for f in facets if f & b)
         verdict = min(verdict, _cm(lk, field))
         if not verdict:
             break
     return verdict
 
 
-def _facet_masks(c: SimplicialComplex) -> tuple[int, ...]:
-    # relabeled by rank, so that a large label makes no large mask
-    if c.is_void:
-        raise ValueError("operation undefined on the void complex")
-    bit = {x: 1 << i for i, x in enumerate(sorted({x for f in c.facets for x in f}))}
-    return tuple(sorted(sum(bit[x] for x in f) for f in c.facets))
-
-
 def is_cohen_macaulay(c: SimplicialComplex, field: FieldSpec) -> bool:
     """Reisner's condition: every link has homology only in its top degree."""
-    return _cm(_facet_masks(c), field) > 0
+    return _cm(facet_masks(c), field) > 0
 
 
 def is_gorenstein(c: SimplicialComplex, field: FieldSpec) -> bool:
     """True iff the core of c, c with its cone apexes peeled, is Gorenstein*."""
-    masks = _facet_masks(c)
+    masks = facet_masks(c)
     apex = reduce(and_, masks)
     return _cm(tuple(f ^ apex for f in masks), field) == 2
 

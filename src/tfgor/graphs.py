@@ -1,9 +1,12 @@
 """Finite simple graphs and their independence combinatorics.
 
 Vertices are the integer labels 0..n-1.  Graph values are immutable once
-built and every operation returns a fresh graph, so they can be shared
-freely across worker processes.  All set-valued results come back sorted
-(lexicographically for lists of sets) to keep reports reproducible.
+built, so they can be shared freely across worker processes.  An induced
+subgraph, such as the localization at an edge, is a vertex bitmask of the
+graph it lives in, never a new graph, so it shares that graph's memos;
+the criteria hand such masks to the maximal independent set search.  All
+set-valued results come back sorted (lexicographically for lists of sets)
+to keep reports reproducible.
 """
 
 from __future__ import annotations
@@ -29,14 +32,6 @@ __all__ = [
     "components",
     "has_isolated_vertices",
     "is_connected",
-    "induced_subgraph",
-    "delete_vertex",
-    "delete_edge",
-    "is_independent_set",
-    "localize",
-    "localized_vertices",
-    "edge_localize",
-    "edge_localized_vertices",
     "maximal_independent_sets",
     "independence_number",
     "independence_euler_characteristic",
@@ -429,86 +424,6 @@ def has_isolated_vertices(g: Graph) -> bool:
 
 def is_connected(g: Graph) -> bool:
     return g.n == 0 or _flood(g._nbr_bits, 1) == (1 << g.n) - 1
-
-
-# ---------------------------------------------------------------------------
-# Subgraphs and localizations
-# ---------------------------------------------------------------------------
-
-
-def _vertex_subset(g: Graph, s) -> tuple[int, ...]:
-    kept = tuple(sorted(set(s)))
-    for x in kept:
-        if not 0 <= x < g.n:
-            raise ValueError(f"vertex {x} out of range for n={g.n}")
-    return kept
-
-
-def induced_subgraph(g: Graph, s) -> Graph:
-    """Induced subgraph on s, relabeled 0..|s|-1 in increasing label order.
-
-    New vertex i corresponds to sorted(s)[i].
-    """
-    kept = _vertex_subset(g, s)
-    index = {x: i for i, x in enumerate(kept)}
-    edges = [
-        (index[u], index[v]) for u, v in g.edges() if u in index and v in index
-    ]
-    return Graph(len(kept), edges)
-
-
-def delete_vertex(g: Graph, x: int) -> Graph:
-    if not 0 <= x < g.n:
-        raise ValueError(f"vertex {x} out of range")
-    return induced_subgraph(g, [v for v in range(g.n) if v != x])
-
-
-def delete_edge(g: Graph, e) -> Graph:
-    u, v = e
-    if not g.has_edge(u, v):
-        raise ValueError(f"{(u, v)} is not an edge")
-    return Graph(g.n, [f for f in g.edges() if f not in ((u, v), (v, u))])
-
-
-def is_independent_set(g: Graph, s) -> bool:
-    kept = _vertex_subset(g, s)
-    mask = 0
-    for x in kept:
-        mask |= 1 << x
-    return all(g._nbr_bits[x] & mask == 0 for x in kept)
-
-
-def localized_vertices(g: Graph, s) -> tuple[int, ...]:
-    """Original labels surviving the localization at the independent set s."""
-    kept = _vertex_subset(g, s)
-    if not is_independent_set(g, kept):
-        raise ValueError(f"{kept} is not an independent set")
-    removed = set(kept)
-    for x in kept:
-        removed.update(g.neighbors(x))
-    return tuple(v for v in range(g.n) if v not in removed)
-
-
-def localize(g: Graph, s) -> Graph:
-    """Delete the independent set s together with all its neighbors.
-
-    The result is relabeled 0..k-1; localized_vertices(g, s) gives the
-    original label of each new vertex.
-    """
-    return induced_subgraph(g, localized_vertices(g, s))
-
-
-def edge_localized_vertices(g: Graph, a: int, b: int) -> tuple[int, ...]:
-    """Original labels surviving the localization at the edge ab."""
-    if not g.has_edge(a, b):
-        raise ValueError(f"{(a, b)} is not an edge")
-    removed = set(g.neighbors(a)) | set(g.neighbors(b))
-    return tuple(v for v in range(g.n) if v not in removed)
-
-
-def edge_localize(g: Graph, a: int, b: int) -> Graph:
-    """Induced subgraph on V minus N(a) and N(b); a and b go too."""
-    return induced_subgraph(g, edge_localized_vertices(g, a, b))
 
 
 # ---------------------------------------------------------------------------

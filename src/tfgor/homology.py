@@ -1,22 +1,27 @@
 """Exact reduced simplicial homology over the rationals and prime fields.
 
-The reduced chain complex uses the ascending-vertex wedge basis: the
-boundary of a face drops its s-th smallest vertex with sign (-1)^s, every
-vertex maps to the empty face with coefficient +1, and degree -1 is always
-present (so the complex {()} is not acyclic).  Betti numbers come from
-exact ranks of the boundary maps: the faces are grouped by size in one
-pass, and each degree's columns are built straight from an index of the
-faces one size down, as {row: +-1} dicts, and handed to the standard
-column reduction in _kernels, which reduces them mod p itself.  A cone
-(a vertex in every facet) is acyclic and is answered without faces.
+A complex is a tuple of sorted facet bitmasks, bit v for vertex v: the
+form the link walk in criteria holds, and the one complexes.facet_masks
+makes of a facet file.  The reduced chain complex uses the
+ascending-vertex wedge basis: the boundary of a face drops its s-th
+lowest bit with sign (-1)^s, every vertex maps to the empty face (mask 0)
+with coefficient +1, and degree -1 is always present (so the complex of
+the empty face alone, (0,), is not acyclic).  Betti numbers come from
+exact ranks of the boundary maps: the faces are grouped by size as masks
+in one pass, and each degree's columns are built straight from an index
+of the faces one size down, as {row: +-1} dicts, and handed to the
+standard column reduction in _kernels, which reduces them mod p itself.
+A cone (a vertex in every facet) is acyclic and is answered without faces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import combinations
+from operator import and_
 
 from . import _kernels
-from .complexes import SimplicialComplex
 
 __all__ = [
     "FieldSpec",
@@ -25,7 +30,6 @@ __all__ = [
     "GF3",
     "GF5",
     "reduced_betti",
-    "is_k_acyclic",
 ]
 
 
@@ -51,21 +55,15 @@ class FieldSpec:
             raise ValueError(f"field characteristic {self.char} is not prime")
 
     @classmethod
-    def rationals(cls) -> "FieldSpec":
-        return cls(0)
-
-    @classmethod
-    def prime(cls, p: int) -> "FieldSpec":
-        if p < 2:
-            raise ValueError("prime field needs p >= 2")
-        return cls(p)
-
-    @classmethod
     def from_label(cls, label: str) -> "FieldSpec":
+        """q for the rationals, fp for GF(p)."""
         if label == "q":
             return cls(0)
         if label.startswith("f"):
-            return cls.prime(int(label[1:]))
+            p = int(label[1:])
+            if p < 2:
+                raise ValueError("prime field needs p >= 2")
+            return cls(p)
         raise ValueError(f"unknown field label {label!r}")
 
     @property
@@ -86,26 +84,47 @@ GF3 = FieldSpec(3)
 GF5 = FieldSpec(5)
 
 
+def _faces_by_size(facets) -> list[list[int]]:
+    """Every face mask of the complex, in one sorted list per face size
+    0..max facet size."""
+    by_size = [set() for _ in range(max(f.bit_count() for f in facets) + 1)]
+    by_size[0].add(0)
+    for f in facets:
+        bits = []
+        while f:
+            bits.append(f & -f)
+            f &= f - 1
+        for k in range(1, len(bits) + 1):
+            by_size[k].update(map(sum, combinations(bits, k)))
+    return [sorted(s) for s in by_size]
+
+
 def _boundary(rows, cols) -> list[dict[int, int]]:
-    """Columns of the boundary map from the faces cols to the faces rows,
-    each a {row index: +-1} dict."""
+    """Columns of the boundary map from the face masks cols to the face
+    masks rows, each a {row index: +-1} dict; the bits of a column are
+    dropped lowest first, with signs +1, -1, +1, ..."""
     index = {f: k for k, f in enumerate(rows)}
-    return [
-        {index[f[:s] + f[s + 1:]]: -1 if s % 2 else 1 for s in range(len(f))}
-        for f in cols
-    ]
+    columns = []
+    for f in cols:
+        col, sign, rest = {}, 1, f
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            col[index[f ^ b]] = sign
+            sign = -sign
+        columns.append(col)
+    return columns
 
 
-def reduced_betti(c: SimplicialComplex, field: FieldSpec) -> dict[int, int]:
-    """Dimensions of reduced homology per degree, -1 up to dim."""
-    if c.is_void:
+def reduced_betti(facets: tuple[int, ...], field: FieldSpec) -> dict[int, int]:
+    """Dimensions of reduced homology per degree, -1 up to dim, of the
+    complex with the given sorted facet masks; () is the void complex."""
+    if not facets:
         raise ValueError("void complex has no homology")
-    d = c.dim
-    if set(c.facets[0]).intersection(*c.facets):  # a cone is acyclic
+    d = max(f.bit_count() for f in facets) - 1
+    if reduce(and_, facets):  # a cone is acyclic
         return dict.fromkeys(range(-1, d + 1), 0)
-    by_size: list[list[tuple[int, ...]]] = [[] for _ in range(d + 2)]
-    for f in c.faces():
-        by_size[len(f)].append(f)
+    by_size = _faces_by_size(facets)
     ranks = [0] * (d + 3)  # ranks[i+1] = rank of the degree-i boundary map
     for i in range(d + 1):
         columns = _boundary(by_size[i], by_size[i + 1])
@@ -117,8 +136,3 @@ def reduced_betti(c: SimplicialComplex, field: FieldSpec) -> dict[int, int]:
     return {
         i: len(by_size[i + 1]) - ranks[i + 1] - ranks[i + 2] for i in range(-1, d + 1)
     }
-
-
-def is_k_acyclic(c: SimplicialComplex, field: FieldSpec) -> bool:
-    """True iff every reduced Betti number vanishes (false for {()})."""
-    return not any(reduced_betti(c, field).values())

@@ -4,7 +4,10 @@ Nothing here shares code with the package internals: faces are
 re-enumerated from facets by powerset, boundary matrices are dense lists
 of lists, and ranks come from plain Gaussian elimination over Fraction,
 from dense fraction-free elimination over the integers, or from an
-integer Smith-style diagonalization.
+integer Smith-style diagonalization.  The subcomplexes and subgraphs the
+lemma tests state their facts about (links, deletions, joins,
+localizations) are defined here by set operations on labels, and come
+back as the package's value types, Graph and SimplicialComplex.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ import math
 from fractions import Fraction
 from itertools import combinations
 from types import SimpleNamespace
+
+from tfgor import Graph, SimplicialComplex
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +94,64 @@ def brute_maximal_independent_sets(n, edges):
         if not any(ss < set(t) for t in indep):
             out.append(s)
     return sorted(out)
+
+
+# ---------------------------------------------------------------------------
+# subgraphs and localizations, relabeled 0..k-1 in increasing label order
+# ---------------------------------------------------------------------------
+
+
+def _graph_subset(g, s):
+    kept = tuple(sorted(set(s)))
+    for x in kept:
+        if not 0 <= x < g.n:
+            raise ValueError(f"vertex {x} out of range for n={g.n}")
+    return kept
+
+
+def induced_subgraph(g, s):
+    """Induced subgraph on s; new vertex i is sorted(s)[i]."""
+    index = {x: i for i, x in enumerate(_graph_subset(g, s))}
+    return Graph(
+        len(index),
+        [(index[u], index[v]) for u, v in g.edges() if u in index and v in index],
+    )
+
+
+def delete_vertex(g, x):
+    if not 0 <= x < g.n:
+        raise ValueError(f"vertex {x} out of range")
+    return induced_subgraph(g, [v for v in range(g.n) if v != x])
+
+
+def delete_edge(g, e):
+    u, v = e
+    if not g.has_edge(u, v):
+        raise ValueError(f"{(u, v)} is not an edge")
+    return Graph(g.n, [f for f in g.edges() if f not in ((u, v), (v, u))])
+
+
+def localized_vertices(g, s):
+    """Labels surviving the localization at the independent set s: every
+    vertex outside s and its neighbors."""
+    kept = _graph_subset(g, s)
+    if any(g.has_edge(u, v) for u, v in combinations(kept, 2)):
+        raise ValueError(f"{kept} is not an independent set")
+    removed = set(kept).union(*(g.neighbors(x) for x in kept))
+    return tuple(v for v in range(g.n) if v not in removed)
+
+
+def localize(g, s):
+    """Delete the independent set s together with all its neighbors."""
+    return induced_subgraph(g, localized_vertices(g, s))
+
+
+def edge_localize(g, a, b):
+    """Induced subgraph on V minus N(a) and N(b); a and b go too."""
+    if not g.has_edge(a, b):
+        raise ValueError(f"{(a, b)} is not an edge")
+    removed = set(g.neighbors(a)) | set(g.neighbors(b))
+    return induced_subgraph(g, [v for v in range(g.n) if v not in removed])
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +381,105 @@ def oracle_betti_snf(complex_, char: int) -> dict[int, int]:
         i: len(by_size.get(i + 1, ())) - ranks[i + 1] - ranks[i + 2]
         for i in range(-1, d + 1)
     }
+
+
+# ---------------------------------------------------------------------------
+# subcomplexes, on ground sets that keep their original labels
+# ---------------------------------------------------------------------------
+
+
+def simplex(labels):
+    """The full simplex on the given labels ({()} when labels is empty)."""
+    face = tuple(sorted(labels))
+    return SimplicialComplex(face, (face,), validate=False)
+
+
+def link(c, f):
+    """Faces H disjoint from f with H union f in c, on the ground V minus f."""
+    fs = set(f)
+    sub = [fac for fac in c.facets if fs <= set(fac)]
+    if not sub:
+        raise ValueError(f"{tuple(sorted(fs))} is not a face")
+    return SimplicialComplex(
+        (x for x in c.vertices if x not in fs),
+        (tuple(x for x in fac if x not in fs) for fac in sub),
+        validate=False,
+    )
+
+
+def _ground_subset(c, s):
+    missing = sorted(set(s) - set(c.vertices))
+    if missing:
+        raise ValueError(f"vertex {missing[0]} not in the ground set")
+    return set(s)
+
+
+def delete_set(c, s):
+    """Faces avoiding s, on the ground set V minus s."""
+    drop = _ground_subset(c, s)
+    rest = [x for x in c.vertices if x not in drop]
+    if c.is_void:
+        return SimplicialComplex.void(rest)
+    return SimplicialComplex.from_faces(
+        (tuple(x for x in fac if x not in drop) for fac in c.facets), vertices=rest
+    )
+
+
+def restrict(c, s):
+    """Faces contained in s, on the ground set s."""
+    keep = _ground_subset(c, s)
+    if c.is_void:
+        return SimplicialComplex.void(keep)
+    return SimplicialComplex.from_faces(
+        (tuple(x for x in fac if x in keep) for fac in c.facets), vertices=keep
+    )
+
+
+def is_cone(c):
+    """Some ground vertex lies in every facet."""
+    return any(all(x in fac for fac in c.facets) for x in c.vertices)
+
+
+def core_of(c):
+    """Restriction of c to the vertices whose star is proper: those that
+    miss some facet."""
+    if c.is_void:
+        return c
+    return restrict(c, [x for x in c.vertices if not all(x in fac for fac in c.facets)])
+
+
+def join(c, d):
+    """Join of two complexes, faces F union H.
+
+    Overlapping ground sets are resolved by shifting every label of d up
+    by max(V(c)) + 1, mirroring the disjoint union of graphs; already
+    disjoint ground sets keep their labels.
+    """
+    if set(c.vertices) & set(d.vertices):
+        shift = max(c.vertices) + 1
+        d = SimplicialComplex(
+            (x + shift for x in d.vertices),
+            (tuple(x + shift for x in f) for f in d.facets),
+            validate=False,
+        )
+    vertices = c.vertices + d.vertices
+    if c.is_void or d.is_void:
+        return SimplicialComplex.void(vertices)
+    return SimplicialComplex(
+        vertices, (fc + fd for fc in c.facets for fd in d.facets), validate=False
+    )
+
+
+def reduced_euler_characteristic(c):
+    """Alternating face-count sum over all faces: sum of (-1)^(|F|-1)."""
+    if c.is_void:
+        raise ValueError("the void complex has no Euler characteristic")
+    return sum(1 if len(f) % 2 else -1 for f in oracle_faces(c))
+
+
+def is_pure(c):
+    """True iff all facets share one dimension (vacuously true when void)."""
+    return len({len(f) for f in c.facets}) <= 1
 
 
 # ---------------------------------------------------------------------------

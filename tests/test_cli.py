@@ -3,18 +3,23 @@ import io
 import json
 import random
 import sys
+from functools import reduce
+from operator import and_
 
 import pytest
 
+from oracles import reduced_euler_characteristic
 from tfgor import (
     Graph,
+    SimplicialComplex,
     build_record,
+    complete_graph,
     cycle_graph,
+    disjoint_union,
     girth4_planar,
     parse_facets,
     parse_graph6,
     path_graph,
-    reduced_euler_characteristic,
     survey,
     write_edge_list,
     write_graph6,
@@ -116,15 +121,38 @@ def test_check_ranks_no_cone(capsys, monkeypatch, g6):
     criteria = sys.modules["tfgor.criteria"]
     real = criteria.reduced_betti
 
-    def no_cones(c, field):
-        assert not set.intersection(*map(set, c.facets)), c.facets
-        return real(c, field)
+    def no_cones(facets, field):
+        assert not reduce(and_, facets), facets
+        return real(facets, field)
 
     monkeypatch.setattr(criteria, "reduced_betti", no_cones)
     code, out, err = run(capsys, ["check", "--g6", g6, "--field", "q", "--field", "f2"])
     rec = json.loads(out)
     assert code == 0 and err == ""
     assert rec["gorenstein"] == rec["second_power_cm"] == {"q": True, "f2": True}
+
+
+def test_graph_path_builds_no_complex(capsys, monkeypatch):
+    # a graph reaches the link walk as vertex masks of itself and the walk
+    # hands masks to reduced_betti, so neither a record nor `tfgor check`
+    # constructs a SimplicialComplex; each starts from a cold walk cache
+    criteria = sys.modules["tfgor.criteria"]
+
+    def no_complex(self, *args, **kwargs):
+        raise AssertionError("built a SimplicialComplex")
+
+    monkeypatch.setattr(SimplicialComplex, "__init__", no_complex)
+    two_k2 = disjoint_union(complete_graph(2), complete_graph(2))
+    k2_isolated = disjoint_union(complete_graph(2), Graph(3))
+    fields = ("q", "f2", "f3")
+    for g in (girth4_planar(4), cycle_graph(5), two_k2, k2_isolated):
+        criteria._cm.cache_clear()
+        rec = build_record(0, Graph(g.n, g.edges()), fields)
+        assert rec["consistent"] and rec["gorenstein"] == {f: True for f in fields}
+        criteria._cm.cache_clear()
+        argv = ["check", "--g6", write_graph6(g)]
+        code, out, err = run(capsys, argv + [a for f in fields for a in ("--field", f)])
+        assert (code, err) == (0, "") and json.loads(out) == rec
 
 
 @pytest.mark.parametrize(
