@@ -5,25 +5,44 @@ Letscher and Zomorodian 2002; Bauer, Kerber and Reininghaus 2014): the
 columns are reduced left to right, each against the stored pivot columns
 keyed by their lowest nonzero row, until it vanishes or its lowest row is
 new; then it is stored.  Stored columns have pairwise distinct lowest
-rows, so they are linearly independent and span the reduced columns: the
-rank is their number.  The prime-field kernel scales each pivot column to
-a unit pivot; the integer kernel is fraction-free, cross-multiplying the
-two columns and dividing the result by its content to keep coefficients
-small.  Both are exact for arbitrarily large entries.
+rows, so they are linearly independent and span the reduced columns.
+Each of the three kernels returns the set of those lowest rows, its pivot
+rows: the rank is their number, and homology clears the columns they
+index one degree down.
 
-A matrix is handed in as its columns in order, each a {row: value} dict
-of nonzero integers; the kernels own these dicts and may mutate them.
+rank_gf2 takes each column as an int with bit r for row r: its lowest
+row is bit_length() - 1, and reducing it by a pivot column is one XOR.
+rank_mod_p and rank_int take each column as a {row: value} dict of
+nonzero integers and may mutate these dicts.  The prime-field kernel
+reduces the entries mod p and scales each pivot column to a unit pivot;
+the integer kernel is fraction-free, cross-multiplying the two columns
+and dividing the result by its content to keep coefficients small.  All
+three are exact for any number of rows and any size of entries.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-__all__ = ["rank_mod_p", "rank_int"]
+__all__ = ["rank_gf2", "rank_mod_p", "rank_int"]
 
 
-def rank_mod_p(columns, p: int) -> int:
-    """Exact rank over GF(p) of the integer matrix with these columns."""
+def rank_gf2(columns) -> set[int]:
+    """The pivot rows over GF(2) of the 0/1 matrix with these columns."""
+    pivots: dict[int, int] = {}
+    for col in columns:
+        while col:
+            low = col.bit_length() - 1
+            piv = pivots.get(low)
+            if piv is None:
+                pivots[low] = col
+                break
+            col ^= piv
+    return set(pivots)
+
+
+def rank_mod_p(columns, p: int) -> set[int]:
+    """The pivot rows over GF(p) of the integer matrix with these columns."""
     pivots: dict[int, dict[int, int]] = {}
     for col in columns:
         col = {r: w for r, v in col.items() if (w := v % p)}
@@ -41,11 +60,11 @@ def rank_mod_p(columns, p: int) -> int:
                     col[r] = nv
                 else:
                     del col[r]
-    return len(pivots)
+    return set(pivots)
 
 
-def rank_int(columns) -> int:
-    """Exact rank over the rationals of the integer matrix with these columns."""
+def rank_int(columns) -> set[int]:
+    """The pivot rows over the rationals of the integer matrix with these columns."""
     pivots: dict[int, dict[int, int]] = {}
     for col in columns:
         while col:
@@ -61,4 +80,4 @@ def rank_int(columns) -> int:
                 new[r] = new.get(r, 0) - b * v
             content = gcd(*new.values())
             col = {r: v // content for r, v in new.items() if v}
-    return len(pivots)
+    return set(pivots)

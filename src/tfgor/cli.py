@@ -15,8 +15,15 @@ import contextlib
 import sys
 
 from ._version import __version__
-from .complexes import facet_masks, independence_complex, parse_facets
-from .graphs import generate, parse_edge_list, parse_graph6, write_edge_list, write_graph6
+from .complexes import facet_masks, parse_facets
+from .graphs import (
+    _maximal_independent_masks,
+    generate,
+    parse_edge_list,
+    parse_graph6,
+    write_edge_list,
+    write_graph6,
+)
 from .homology import FieldSpec, reduced_betti
 from .survey import (
     FIELD_CHOICES,
@@ -163,11 +170,11 @@ def _cmd_family(args) -> int:
 def _cmd_homology(args) -> int:
     field = FieldSpec.from_label(args.field)
     if args.facets is not None:
-        complex_ = parse_facets(_read(args.facets))
-    else:
-        complex_ = independence_complex(_load_graph(args))
+        facets = facet_masks(parse_facets(_read(args.facets)))
+    else:  # Ind(g) as the masks of its facets, the maximal independent sets
+        facets = tuple(sorted(_maximal_independent_masks(_load_graph(args))))
     print(f"field: {field.label}")
-    betti = reduced_betti(facet_masks(complex_), field)
+    betti = reduced_betti(facets, field)
     for i in sorted(betti):
         print(f"H~_{i} = {betti[i]}")
     # Euler-Poincare, over any field: chi~ = sum_i (-1)^i b~_i

@@ -7,18 +7,28 @@ ascending-vertex wedge basis: the boundary of a face drops its s-th
 lowest bit with sign (-1)^s, every vertex maps to the empty face (mask 0)
 with coefficient +1, and degree -1 is always present (so the complex of
 the empty face alone, (0,), is not acyclic).  Betti numbers come from
-exact ranks of the boundary maps: the faces are grouped by size as masks
-in one pass, and each degree's columns are built straight from an index
-of the faces one size down, as {row: +-1} dicts, and handed to the
-standard column reduction in _kernels, which reduces them mod p itself.
-A cone (a vertex in every facet) is acyclic and is answered without faces.
+exact ranks of the boundary maps, in one pass from the top degree down:
+the faces one size down are found as the boundaries of the faces of each
+size, plus the facets of that size, numbered in the order they are found,
+and each column is built in the same loop; only two face sizes are held
+at a time.  Over GF(2) a column is an int with bit r for row r, reduced
+by XOR; otherwise it is a {row: +-1} dict, reduced mod p or fraction-free
+over the integers (see _kernels).  The kernels return their pivot rows,
+and the rank is their number.  With clearing (Chen and Kerber,
+"Persistent homology computation with a twist", 2011; Bauer, Kerber and
+Reininghaus, PHAT, 2014), a column whose index is a pivot row of the map
+one degree up is never reduced: that map's reduced column with this
+lowest row is a cycle, so the column is a combination of earlier ones
+and reduces to zero, leaving the rank unchanged.  That needs the rows of
+one map and the columns of the next in one shared order, which the
+discovery order is.  A cone (a vertex in every facet) is acyclic and is
+answered without faces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
 from operator import and_
 
 from . import _kernels
@@ -84,36 +94,43 @@ GF3 = FieldSpec(3)
 GF5 = FieldSpec(5)
 
 
-def _faces_by_size(facets) -> list[list[int]]:
-    """Every face mask of the complex, in one sorted list per face size
-    0..max facet size."""
-    by_size = [set() for _ in range(max(f.bit_count() for f in facets) + 1)]
-    by_size[0].add(0)
+def _boundaries(facets, gf2: bool):
+    """The boundary maps of the complex, top down: for each face size k
+    from the largest facet's down to 1, yield the faces of size k and the
+    columns of their map to the faces of size k-1.  The faces of size k-1
+    are numbered in the order the columns meet them, then the facets of
+    that size, and the next map takes them as its columns in that order.
+    A column drops the bits of its face lowest first; over GF(2) it is an
+    int with bit r for row r, otherwise a {row: +-1} dict with signs +1,
+    -1, +1, ..."""
+    by_size: dict[int, list[int]] = {}
     for f in facets:
-        bits = []
-        while f:
-            bits.append(f & -f)
-            f &= f - 1
-        for k in range(1, len(bits) + 1):
-            by_size[k].update(map(sum, combinations(bits, k)))
-    return [sorted(s) for s in by_size]
-
-
-def _boundary(rows, cols) -> list[dict[int, int]]:
-    """Columns of the boundary map from the face masks cols to the face
-    masks rows, each a {row index: +-1} dict; the bits of a column are
-    dropped lowest first, with signs +1, -1, +1, ..."""
-    index = {f: k for k, f in enumerate(rows)}
-    columns = []
-    for f in cols:
-        col, sign, rest = {}, 1, f
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            col[index[f ^ b]] = sign
-            sign = -sign
-        columns.append(col)
-    return columns
+        by_size.setdefault(f.bit_count(), []).append(f)
+    faces = by_size[max(by_size)]
+    for k in range(max(by_size), 0, -1):
+        index: dict[int, int] = {}
+        row = index.setdefault
+        columns = []
+        for f in faces:
+            rest = f
+            if gf2:
+                col = 0
+                while rest:
+                    b = rest & -rest
+                    rest ^= b
+                    col |= 1 << row(f ^ b, len(index))
+            else:
+                col, sign = {}, 1
+                while rest:
+                    b = rest & -rest
+                    rest ^= b
+                    col[row(f ^ b, len(index))] = sign
+                    sign = -sign
+            columns.append(col)
+        for f in by_size.get(k - 1, ()):
+            row(f, len(index))
+        yield faces, columns
+        faces = list(index)
 
 
 def reduced_betti(facets: tuple[int, ...], field: FieldSpec) -> dict[int, int]:
@@ -124,15 +141,18 @@ def reduced_betti(facets: tuple[int, ...], field: FieldSpec) -> dict[int, int]:
     d = max(f.bit_count() for f in facets) - 1
     if reduce(and_, facets):  # a cone is acyclic
         return dict.fromkeys(range(-1, d + 1), 0)
-    by_size = _faces_by_size(facets)
-    ranks = [0] * (d + 3)  # ranks[i+1] = rank of the degree-i boundary map
-    for i in range(d + 1):
-        columns = _boundary(by_size[i], by_size[i + 1])
-        ranks[i + 1] = (
-            _kernels.rank_int(columns)
-            if field.is_rationals
-            else _kernels.rank_mod_p(columns, field.char)
-        )
-    return {
-        i: len(by_size[i + 1]) - ranks[i + 1] - ranks[i + 2] for i in range(-1, d + 1)
-    }
+    sizes = [1] * (d + 2)  # sizes[k] = number of faces of size k
+    ranks = [0] * (d + 3)  # ranks[k] = rank of the map from the faces of size k
+    cleared = set()  # pivot rows of the map above, each a column reducing to zero
+    for faces, columns in _boundaries(facets, field.char == 2):
+        k = faces[0].bit_count()
+        sizes[k] = len(faces)
+        columns = [col for j, col in enumerate(columns) if j not in cleared]
+        if field.is_rationals:
+            cleared = _kernels.rank_int(columns)
+        elif field.char == 2:
+            cleared = _kernels.rank_gf2(columns)
+        else:
+            cleared = _kernels.rank_mod_p(columns, field.char)
+        ranks[k] = len(cleared)
+    return {i: sizes[i + 1] - ranks[i + 1] - ranks[i + 2] for i in range(-1, d + 1)}

@@ -32,7 +32,7 @@ from tfgor import (
 )
 from tfgor import BACKEND, _kernels
 from tfgor.cli import main
-from tfgor.homology import _boundary, _faces_by_size
+from tfgor.homology import _boundaries
 
 HOLLOW_TRIANGLE = parse_facets("0 1\n1 2\n0 2\n")
 
@@ -57,14 +57,6 @@ def to_columns(mat):
     return [{r: row[c] for r, row in enumerate(mat) if row[c]} for c in range(ncols)]
 
 
-def to_dense(columns, nrows):
-    mat = [[0] * len(columns) for _ in range(nrows)]
-    for c, col in enumerate(columns):
-        for r, v in col.items():
-            mat[r][c] = v
-    return mat
-
-
 def betti(c, field):
     """reduced_betti of a parsed or built complex."""
     return reduced_betti(facet_masks(c), field)
@@ -80,23 +72,56 @@ def sparse(c, rng):
     )
 
 
+def chain(facets, gf2=False):
+    """The maps of _boundaries bottom up: for each degree i in 0..dim, the
+    row faces (size i), the column faces (size i+1) and the columns."""
+    steps, rows = [], [0]
+    for faces, columns in reversed(list(_boundaries(facets, gf2))):
+        steps.append((rows, faces, columns))
+        rows = faces
+    return steps
+
+
+def bit_rows(col):
+    """The rows of a GF(2) column, as a {row: 1} dict."""
+    return {r: 1 for r in range(col.bit_length()) if col >> r & 1}
+
+
 def boundaries(c):
-    """The faces of c as masks in the oracle's (size, lex) order, and the
-    dense degree-i boundary map of _boundary for each i in 0..dim."""
+    """The dense degree-i boundary map of _boundaries for each i in
+    0..dim, rows and columns permuted into the oracle's (size, lex) order
+    of the faces."""
     oracle_by_size, _ = oracle_boundaries(c)
     bit = {x: 1 << i for i, x in enumerate(c.vertices)}
-    by_size = [
-        [sum(bit[x] for x in f) for f in oracle_by_size[k]] for k in range(c.dim + 2)
+    at = [
+        {sum(bit[x] for x in f): k for k, f in enumerate(oracle_by_size[size])}
+        for size in range(c.dim + 2)
     ]
-    return by_size, [
-        to_dense(_boundary(by_size[i], by_size[i + 1]), len(by_size[i]))
-        for i in range(c.dim + 1)
-    ]
+    mats = []
+    for i, (rows, faces, columns) in enumerate(chain(facet_masks(c))):
+        mat = [[0] * len(faces) for _ in rows]
+        for f, col in zip(faces, columns):
+            for r, v in col.items():
+                mat[at[i][rows[r]]][at[i + 1][f]] = v
+        mats.append(mat)
+    return mats
 
 
 def kernel_rank(mat, char):
     columns = to_columns(mat)
-    return _kernels.rank_int(columns) if char == 0 else _kernels.rank_mod_p(columns, char)
+    if char == 0:
+        return len(_kernels.rank_int(columns))
+    return len(_kernels.rank_mod_p(columns, char))
+
+
+def kernel(columns, char):
+    """The pivot rows of fresh copies of these columns, over GF(2) as
+    int bitsets."""
+    if char == 0:
+        return _kernels.rank_int([dict(col) for col in columns])
+    if char == 2:
+        return _kernels.rank_gf2(list(columns))
+    return _kernels.rank_mod_p([dict(col) for col in columns], char)
 
 
 # ---------------------------------------------------------------------------
@@ -123,23 +148,45 @@ def test_field_spec():
 
 
 def test_boundary_single_edge():
-    # rows are the vertices 0b01, 0b10: dropping the lower bit keeps 0b10
-    # with sign +1, dropping the higher keeps 0b01 with sign -1
-    assert _boundary([0b01, 0b10], [0b11]) == [{1: 1, 0: -1}]
-    # bits far apart, rows in any order: signs alternate from the lowest bit
-    rows = [1 << 40 | 1, 1 << 40 | 1 << 7, 1 << 7 | 1]
-    assert _boundary(rows, [1 << 40 | 1 << 7 | 1]) == [{1: 1, 0: -1, 2: 1}]
+    # dropping the lower bit finds 0b10 first (row 0, sign +1), dropping
+    # the higher finds 0b01 (row 1, sign -1); the vertices then map to ()
+    assert list(_boundaries((0b11,), False)) == [
+        ([0b11], [{0: 1, 1: -1}]),
+        ([0b10, 0b01], [{0: 1}, {0: 1}]),
+    ]
+    assert list(_boundaries((0b11,), True)) == [([0b11], [0b11]), ([0b10, 0b01], [1, 1])]
+    # bits far apart: rows in the order found, signs alternate from the lowest bit
+    top = 1 << 40 | 1 << 7 | 1
+    faces, columns = next(_boundaries((top,), False))
+    assert (faces, columns) == ([top], [{0: 1, 1: -1, 2: 1}])
+    faces, _ = list(_boundaries((top,), False))[1]
+    assert faces == [1 << 40 | 1 << 7, 1 << 40 | 1, 1 << 7 | 1]
 
 
 def test_boundary_vertices_map_to_empty_face():
-    assert _boundary([0], [1, 2, 4]) == [{0: 1}] * 3
+    assert list(_boundaries((1, 2, 4), False)) == [([1, 2, 4], [{0: 1}] * 3)]
+    assert list(_boundaries((1, 2, 4), True)) == [([1, 2, 4], [1] * 3)]
+    assert list(_boundaries((0,), False)) == []
+
+
+def test_boundary_numbers_smaller_facets_last():
+    # the vertex 0b100 is a facet: it is in no boundary, so it is
+    # numbered after the faces the edge's column meets
+    steps = list(_boundaries((0b011, 0b100), False))
+    assert steps == [([0b011], [{0: 1, 1: -1}]), ([0b010, 0b001, 0b100], [{0: 1}] * 3)]
+    # the row order of a map is the column order of the next one down
+    rng = random.Random(66)
+    for _ in range(30):
+        facets = facet_masks(random_complex(rng, 9))
+        for (rows, _, _), (_, faces, _) in zip(chain(facets)[1:], chain(facets)):
+            assert rows == faces
 
 
 def test_boundary_composition_is_zero():
     rng = random.Random(77)
     for _ in range(30):
         c = random_complex(rng, 9)
-        _, mats = boundaries(c)
+        mats = boundaries(c)
         for a, b in zip(mats, mats[1:]):
             if not a or not b or not b[0]:
                 continue
@@ -149,15 +196,21 @@ def test_boundary_composition_is_zero():
 
 
 def test_boundary_matches_oracle_random():
-    # every degree 0..dim, including the map of the vertices to (); the
-    # face grouping yields the oracle's faces, as sorted masks
+    # every degree 0..dim, including the map of the vertices to (); each
+    # degree meets the oracle's faces, and the GF(2) columns are the
+    # supports of the signed ones
     rng = random.Random(88)
     for _ in range(60):
         c = random_complex(rng, 9)
-        by_size, mats = boundaries(c)
-        _, oracle_mats = oracle_boundaries(c)
-        assert mats == oracle_mats
-        assert _faces_by_size(facet_masks(c)) == [sorted(fs) for fs in by_size]
+        oracle_by_size, oracle_mats = oracle_boundaries(c)
+        assert boundaries(c) == oracle_mats
+        facets = facet_masks(c)
+        bit = {x: 1 << i for i, x in enumerate(c.vertices)}
+        for i, (rows, faces, columns) in enumerate(chain(facets)):
+            assert sorted(faces) == sorted(sum(bit[x] for x in f) for f in oracle_by_size[i + 1])
+        for signed, bits in zip(chain(facets), chain(facets, gf2=True)):
+            assert signed[:2] == bits[:2]
+            assert [dict.fromkeys(col, 1) for col in signed[2]] == list(map(bit_rows, bits[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +227,7 @@ def test_rank_trivial():
 
 
 def test_rank_hollow_triangle_boundary():
-    _, mats = boundaries(HOLLOW_TRIANGLE)
+    mats = boundaries(HOLLOW_TRIANGLE)
     assert kernel_rank(mats[1], 0) == 2
 
 
@@ -234,9 +287,35 @@ def test_rank_matches_dense_oracles_random():
             assert kernel_rank(mat, p) == rank_mod_p_dense(mat, p)
 
 
+def test_rank_gf2_matches_mod_2_and_dense_oracle_random():
+    # 0/1 matrices up to 150 rows, so columns run past bit 64; empty
+    # matrices, zero columns and zero rows included
+    assert _kernels.rank_gf2([]) == set()
+    assert _kernels.rank_gf2([0, 0]) == set()
+    assert _kernels.rank_gf2([1 << 100, 0, 1 << 100 | 1, 1]) == {100, 0}
+    rng = random.Random(111)
+    for _ in range(150):
+        nr, nc = rng.choice((0, 1, 5, 40, 70, 150)), rng.randint(0, 12)
+        density = rng.choice((0.0, 0.05, 0.3, 0.7))
+        mat = [[int(rng.random() < density) for _ in range(nc)] for _ in range(nr)]
+        for r in rng.sample(range(nr), nr // 4):
+            mat[r] = [0] * nc
+        # repeat some columns, and add the sums of others
+        cols = [[row[c] for row in mat] for c in range(nc)]
+        for _ in range(rng.randint(0, 4)):
+            if cols:
+                a, b = rng.choice(cols), rng.choice(cols)
+                cols.insert(rng.randint(0, len(cols)), [x ^ y for x, y in zip(a, b)])
+        mat = [list(row) for row in zip(*cols)] if cols and nr else [[] for _ in range(nr)]
+        bitsets = [sum(1 << r for r, x in enumerate(col) if x) for col in cols]
+        pivots = _kernels.rank_gf2(bitsets)
+        assert pivots == _kernels.rank_mod_p([dict(bit_rows(b)) for b in bitsets], 2)
+        assert len(pivots) == (rank_mod_p_dense(mat, 2) if cols and nr else 0)
+
+
 def test_backend_reported():
     assert BACKEND == "pure"
-    assert _kernels.__all__ == ["rank_mod_p", "rank_int"]
+    assert _kernels.__all__ == ["rank_gf2", "rank_mod_p", "rank_int"]
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +372,10 @@ def test_cones_enumerate_no_faces(monkeypatch, capsys):
     # the 20-vertex edgeless graph has a 19-simplex of 2^20 faces as Ind(G)
     homology = sys.modules["tfgor.homology"]
 
-    def no_faces(facets):
+    def no_faces(facets, gf2):
         raise AssertionError(f"enumerated the faces of {facets}")
 
-    monkeypatch.setattr(homology, "_faces_by_size", no_faces)
+    monkeypatch.setattr(homology, "_boundaries", no_faces)
     rng = random.Random(707)
     cones = [simplex([0]), simplex(range(5)), simplex(range(30))]
     for _ in range(25):
@@ -344,7 +423,7 @@ def test_rank_field_consistency_via_snf():
     rng = random.Random(606)
     for _ in range(40):
         c = random_complex(rng, 8)
-        for dense in boundaries(c)[1]:
+        for dense in boundaries(c):
             if not dense or not dense[0]:
                 continue
             rank_q = kernel_rank(dense, 0)
@@ -354,6 +433,46 @@ def test_rank_field_consistency_via_snf():
                 rank_p = kernel_rank(dense, p)
                 assert rank_p <= rank_q
                 assert rank_p == sum(1 for d in divisors if d % p)
+
+
+def test_betti_high_labels_not_pure_matches_oracles_random():
+    # facet masks straight from labels above bit 40, facets of mixed sizes
+    rng = random.Random(808)
+    mixed = 0
+    for _ in range(60):
+        c = random_complex(rng, 10)
+        bit = dict(zip(c.vertices, rng.sample(range(40, 130), len(c.vertices))))
+        facets = tuple(sorted(sum(1 << bit[x] for x in f) for f in c.facets))
+        mixed += len({len(f) for f in c.facets}) > 1
+        for char in (0, 2, 3):
+            expected = oracle_betti(c, char)
+            assert reduced_betti(facets, FieldSpec(char)) == expected
+            assert expected == oracle_betti_snf(c, char)
+    assert mixed > 20
+    assert reduced_betti((1 << 50,), GF2) == {-1: 0, 0: 0}
+    assert reduced_betti((1 << 41, 1 << 90), RATIONALS) == {-1: 0, 0: 1}
+
+
+def test_clearing_skips_only_columns_that_reduce_to_zero():
+    # a degree-i column whose index is a pivot row of degree i+1 reduces
+    # to zero: with or without the cleared columns each degree has the
+    # same pivot rows, and the cleared columns alone add none
+    rng = random.Random(909)
+    complexes = [facet_masks(random_complex(rng, 10)) for _ in range(40)]
+    complexes.append(facet_masks(independence_complex(cycle_graph(7))))
+    checked = 0
+    for facets in complexes:
+        for char in (0, 2, 3):
+            cleared = set()
+            for faces, columns in _boundaries(facets, char == 2):
+                kept = [col for j, col in enumerate(columns) if j not in cleared]
+                skipped = [col for j, col in enumerate(columns) if j in cleared]
+                pivots = kernel(columns, char)
+                assert kernel(kept, char) == pivots
+                assert kernel(kept + skipped, char) == pivots
+                checked += len(skipped)
+                cleared = pivots
+    assert checked > 100
 
 
 def test_betti_void_rejected():
