@@ -106,8 +106,9 @@ def _boundaries(facets, gf2: bool):
     by_size: dict[int, list[int]] = {}
     for f in facets:
         by_size.setdefault(f.bit_count(), []).append(f)
-    faces = by_size[max(by_size)]
-    for k in range(max(by_size), 0, -1):
+    top = max(by_size)
+    faces = by_size[top]
+    for k in range(top, 0, -1):
         index: dict[int, int] = {}
         row = index.setdefault
         columns = []
