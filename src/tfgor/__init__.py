@@ -6,12 +6,6 @@ criterion for the edge ideal) coincide.
 """
 
 from ._version import __version__
-from .complexes import (
-    SimplicialComplex,
-    facet_masks,
-    independence_complex,
-    parse_facets,
-)
 from .criteria import (
     TheoremVerdict,
     check_theorem,
@@ -24,7 +18,6 @@ from .criteria import (
 from .graphs import (
     Graph,
     complete_graph,
-    components,
     cycle_graph,
     disjoint_union,
     from_edge_list,
@@ -39,7 +32,6 @@ from .graphs import (
     is_in_w2,
     is_triangle_free,
     is_well_covered,
-    maximal_independent_sets,
     parse_edge_list,
     parse_graph6,
     path_graph,
@@ -52,6 +44,7 @@ from .homology import (
     GF5,
     RATIONALS,
     FieldSpec,
+    parse_facets,
     reduced_betti,
 )
 from .survey import build_record, record_to_json, report_to_csv, report_to_json, survey

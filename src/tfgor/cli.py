@@ -15,16 +15,15 @@ import contextlib
 import sys
 
 from ._version import __version__
-from .complexes import facet_masks, parse_facets
 from .graphs import (
-    _maximal_independent_masks,
+    _ind_facets,
     generate,
     parse_edge_list,
     parse_graph6,
     write_edge_list,
     write_graph6,
 )
-from .homology import FieldSpec, reduced_betti
+from .homology import FieldSpec, parse_facets, reduced_betti
 from .survey import (
     FIELD_CHOICES,
     FILTERS,
@@ -170,9 +169,9 @@ def _cmd_family(args) -> int:
 def _cmd_homology(args) -> int:
     field = FieldSpec.from_label(args.field)
     if args.facets is not None:
-        facets = facet_masks(parse_facets(_read(args.facets)))
+        facets = parse_facets(_read(args.facets))
     else:  # Ind(g) as the masks of its facets, the maximal independent sets
-        facets = tuple(sorted(_maximal_independent_masks(_load_graph(args))))
+        facets = _ind_facets(_load_graph(args))
     print(f"field: {field.label}")
     betti = reduced_betti(facets, field)
     for i in sorted(betti):

@@ -15,10 +15,9 @@ vertex bitmasks; a link or a peel clears bits, which keeps them sorted
 and inclusion-maximal.  One cache keyed by (facet masks, field) holds
 the verdicts, so a link shared by many faces is ranked once, and a miss
 hands its masks to homology.reduced_betti as they are.  A facet file
-enters through complexes.facet_masks, relabeled by rank, a graph as the
-maximal independent sets of a vertex mask, so deciding a graph builds
-no SimplicialComplex.  A complex is Gorenstein iff its core, the peeled
-complex, is Gorenstein*.
+enters as homology.parse_facets gives it, relabeled by rank, a graph as
+the maximal independent sets of a vertex mask (graphs._ind_facets).  A
+complex is Gorenstein iff its core, the peeled complex, is Gorenstein*.
 
 A query over the rationals first asks the walk over GF(2), and returns
 its verdict unless that is 0; only then does it rank over Q, node by
@@ -47,13 +46,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import and_, or_
-from typing import TYPE_CHECKING
 
-from .complexes import facet_masks
 from .graphs import (
     Graph,
     _alpha_and_poly,
-    _maximal_independent_masks,
+    _ind_facets,
     has_isolated_vertices,
     is_alpha_critical,
     is_in_w2,
@@ -61,9 +58,6 @@ from .graphs import (
     is_well_covered,
 )
 from .homology import GF2, FieldSpec, reduced_betti
-
-if TYPE_CHECKING:
-    from .complexes import SimplicialComplex
 
 __all__ = [
     "TheoremVerdict",
@@ -110,34 +104,29 @@ def _cm(facets: tuple[int, ...], field: FieldSpec) -> int:
     return verdict
 
 
-def is_cohen_macaulay(c: SimplicialComplex, field: FieldSpec) -> bool:
-    """Reisner's condition: every link has homology only in its top degree."""
-    return _cm(facet_masks(c), field) > 0
+def is_cohen_macaulay(facets: tuple[int, ...], field: FieldSpec) -> bool:
+    """Reisner's condition on the complex with the given sorted facet
+    masks (as parse_facets gives them): every link has homology only in
+    its top degree."""
+    if not facets:
+        raise ValueError("operation undefined on the void complex")
+    return _cm(facets, field) > 0
 
 
-def is_gorenstein(c: SimplicialComplex, field: FieldSpec) -> bool:
-    """True iff the core of c, c with its cone apexes peeled, is Gorenstein*."""
-    masks = facet_masks(c)
-    apex = reduce(and_, masks)
-    return _cm(tuple(f ^ apex for f in masks), field) == 2
-
-
-def _cm_ind(g: Graph, field: FieldSpec, s: int | None = None) -> int:
-    # _cm of Ind(g[s]), whose facets are the maximal independent sets of g[s].
-    # Their sorted masks need no field and are memoized in g, the whole graph
-    # under its full mask, so that it and a core equal to V share one entry.
-    key = ("facets", (1 << g.n) - 1 if s is None else s)
-    facets = g._verdict_memo.get(key)
-    if facets is None:
-        facets = g._verdict_memo[key] = tuple(sorted(_maximal_independent_masks(g, s)))
-    return _cm(facets, field)
+def is_gorenstein(facets: tuple[int, ...], field: FieldSpec) -> bool:
+    """True iff the core of the complex with the given sorted facet masks,
+    the complex with its cone apexes peeled, is Gorenstein*."""
+    if not facets:
+        raise ValueError("operation undefined on the void complex")
+    apex = reduce(and_, facets)
+    return _cm(tuple(f ^ apex for f in facets), field) == 2
 
 
 def is_cm_graph(g: Graph, field: FieldSpec) -> bool:
     """Cohen-Macaulayness of Ind(g).  Ind(g) is pure iff g is well-covered,
     so a graph that is not well-covered is rejected before any homology,
     by the verdict memoized in g."""
-    return is_well_covered(g) and _cm_ind(g, field) > 0
+    return is_well_covered(g) and _cm(_ind_facets(g), field) > 0
 
 
 def is_gorenstein_graph(g: Graph, field: FieldSpec) -> bool:
@@ -151,7 +140,7 @@ def is_gorenstein_graph(g: Graph, field: FieldSpec) -> bool:
     return (
         -poly == (1 if alpha % 2 else -1)
         and is_well_covered(g)
-        and _cm_ind(g, field, core) == 2
+        and _cm(_ind_facets(g, core), field) == 2
     )
 
 
@@ -172,7 +161,7 @@ def is_second_power_cm(g: Graph, field: FieldSpec) -> bool:
         is_triangle_free(g)
         and is_alpha_critical(g)
         and is_cm_graph(g, field)
-        and all(_cm_ind(g, field, full & ~(nbr[a] | nbr[b])) > 0 for a, b in g.edges())
+        and all(_cm(_ind_facets(g, full & ~(nbr[a] | nbr[b])), field) > 0 for a, b in g.edges())
     )
 
 

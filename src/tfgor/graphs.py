@@ -4,14 +4,15 @@ Vertices are the integer labels 0..n-1.  Graph values are immutable once
 built, so they can be shared freely across worker processes.  An induced
 subgraph, such as the localization at an edge, is a vertex bitmask of the
 graph it lives in, never a new graph, so it shares that graph's memos;
-the criteria hand such masks to the maximal independent set search.  All
-set-valued results come back sorted (lexicographically for lists of sets)
-to keep reports reproducible.
+the criteria hand such masks to _ind_facets, which gives the facets of
+its independence complex as sorted bitmasks.  Neighbor tuples and edge
+lists come back sorted, to keep reports reproducible.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from itertools import combinations
 
 __all__ = [
@@ -29,25 +30,14 @@ __all__ = [
     "disjoint_union",
     "girth",
     "is_triangle_free",
-    "components",
     "has_isolated_vertices",
     "is_connected",
-    "maximal_independent_sets",
     "independence_number",
     "independence_euler_characteristic",
     "is_well_covered",
     "is_in_w2",
     "is_alpha_critical",
 ]
-
-
-def _bits_to_tuple(bits: int) -> tuple[int, ...]:
-    out = []
-    while bits:
-        b = bits & -bits
-        out.append(b.bit_length() - 1)
-        bits ^= b
-    return tuple(out)
 
 
 class Graph:
@@ -61,7 +51,7 @@ class Graph:
     so classifying a graph over several fields decides triangle-freeness,
     well-coveredness, W2 (one scan, see _cover_verdicts) and
     alpha-criticality once, and enumerates the maximal independent sets
-    of each vertex mask the criteria ask for once (see criteria._cm_ind).
+    of each vertex mask the criteria ask for once (see _ind_facets).
     """
 
     __slots__ = ("n", "_nbr_bits", "_indep_memo", "_verdict_memo")
@@ -94,7 +84,8 @@ class Graph:
         self._verdict_memo = {}
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return _bits_to_tuple(self._nbr_bits[v])
+        b = self._nbr_bits[v]
+        return tuple(u for u in range(b.bit_length()) if b >> u & 1)
 
     def degree(self, v: int) -> int:
         return self._nbr_bits[v].bit_count()
@@ -224,12 +215,17 @@ def write_graph6(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 
 
+_INT = re.compile(r"-?[0-9]+")
+
+
 def _int_pair(lineno: int, line: str, what: str) -> tuple[int, int]:
+    toks = line.split()
     try:
-        a, b = map(int, line.split())
-    except ValueError:  # a token that is no integer, or not two tokens
+        if len(toks) != 2 or not all(map(_INT.fullmatch, toks)):
+            raise ValueError
+        return int(toks[0]), int(toks[1])
+    except ValueError:  # not two ASCII integers, or one past int's digit limit
         raise ValueError(f"line {lineno}: expected {what}, got {line!r}") from None
-    return a, b
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -354,7 +350,7 @@ def girth(g: Graph) -> float:
     A forest (n minus its number of components edges) needs no search.
     """
     m = g.edge_count()
-    if m < g.n and m == g.n - len(components(g)):  # m >= n makes a cycle
+    if m < g.n and m == g.n - _component_count(g):  # m >= n makes a cycle
         return math.inf
     floor = 4 if is_triangle_free(g) else 3
     nbr = g._nbr_bits
@@ -407,15 +403,12 @@ def _flood(nbr, seen: int) -> int:
     return seen
 
 
-def components(g: Graph) -> list[tuple[int, ...]]:
-    """Connected components as sorted vertex tuples, sorted lexicographically."""
-    out = []
-    left = (1 << g.n) - 1
-    while left:  # each component is found from its least vertex, in order
-        comp = _flood(g._nbr_bits, left & -left)
-        out.append(_bits_to_tuple(comp))
-        left &= ~comp
-    return out
+def _component_count(g: Graph) -> int:
+    count, left = 0, (1 << g.n) - 1
+    while left:  # flood the component of the least vertex left
+        left &= ~_flood(g._nbr_bits, left & -left)
+        count += 1
+    return count
 
 
 def has_isolated_vertices(g: Graph) -> bool:
@@ -469,9 +462,16 @@ def _maximal_independent_masks(g: Graph, s: int | None = None):
     yield from extend(0, s, 0)
 
 
-def maximal_independent_sets(g: Graph) -> list[tuple[int, ...]]:
-    """All inclusion-maximal independent sets, sorted lexicographically."""
-    return sorted(_bits_to_tuple(m) for m in _maximal_independent_masks(g))
+def _ind_facets(g: Graph, s: int | None = None) -> tuple[int, ...]:
+    """The sorted facet masks of Ind(g[s]), the maximal independent sets
+    of the vertex mask s (default all).  They need no field and are
+    memoized in g, the whole graph under its full mask, so that it and a
+    core equal to V share one entry."""
+    key = ("facets", (1 << g.n) - 1 if s is None else s)
+    facets = g._verdict_memo.get(key)
+    if facets is None:
+        facets = g._verdict_memo[key] = tuple(sorted(_maximal_independent_masks(g, s)))
+    return facets
 
 
 def _alpha_and_poly(g: Graph):

@@ -1,8 +1,8 @@
 """Exact reduced simplicial homology over the rationals and prime fields.
 
 A complex is a tuple of sorted facet bitmasks, bit v for vertex v: the
-form the link walk in criteria holds, and the one complexes.facet_masks
-makes of a facet file.  The reduced chain complex uses the
+form the link walk in criteria holds, and the one parse_facets makes of
+a facet file.  The reduced chain complex uses the
 ascending-vertex wedge basis: the boundary of a face drops its s-th
 lowest bit with sign (-1)^s, every vertex maps to the empty face (mask 0)
 with coefficient +1, and degree -1 is always present (so the complex of
@@ -27,6 +27,7 @@ answered without faces.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_
@@ -39,8 +40,11 @@ __all__ = [
     "GF2",
     "GF3",
     "GF5",
+    "parse_facets",
     "reduced_betti",
 ]
+
+_LABEL = re.compile(r"-?[0-9]+")
 
 
 def _is_prime(p: int) -> bool:
@@ -92,6 +96,39 @@ RATIONALS = FieldSpec(0)
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
 GF5 = FieldSpec(5)
+
+
+def parse_facets(text: str) -> tuple[int, ...]:
+    """Parse the facet-list text format: one face per line, whitespace
+    separated labels of ASCII digits, lines starting with '#' ignored.
+    Returns the sorted, inclusion-maximal facet masks, each label the bit
+    of its rank among all labels, so a large label makes no large mask
+    and the vertex order, hence every boundary sign, stays.  Non-maximal
+    lines are absorbed; no lines at all give (0,), the empty face alone.
+    """
+    faces = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        ln = raw.strip()
+        if not ln or ln.startswith("#"):
+            continue
+        toks = ln.split()
+        try:
+            if not all(map(_LABEL.fullmatch, toks)):
+                raise ValueError
+            face = frozenset(map(int, toks))
+        except ValueError:  # no ASCII integer, or one past int's digit limit
+            raise ValueError(f"line {lineno}: malformed facet line {ln!r}") from None
+        if any(t[0] == "-" for t in toks):
+            raise ValueError(f"line {lineno}: negative label in {ln!r}")
+        if len(face) != len(toks):
+            raise ValueError(f"line {lineno}: duplicate vertex in {ln!r}")
+        faces.add(face)
+    kept: list[frozenset] = []
+    for f in sorted(faces, key=len, reverse=True):
+        if not any(f <= k for k in kept):
+            kept.append(f)
+    bit = {x: 1 << i for i, x in enumerate(sorted(set().union(*kept)))}
+    return tuple(sorted(sum(map(bit.get, f)) for f in kept)) or (0,)
 
 
 def _boundaries(facets, gf2: bool):

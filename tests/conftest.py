@@ -5,7 +5,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from tfgor import parse_facets, parse_graph6  # noqa: E402
+from oracles import read_facets  # noqa: E402
+from tfgor import parse_graph6  # noqa: E402
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -36,4 +37,4 @@ def corpus_girth5_lines():
 def rp2():
     """Minimal 6-vertex triangulation of the real projective plane."""
     with open(FIXTURES / "rp2_minimal.facets") as fh:
-        return parse_facets(fh.read())
+        return read_facets(fh.read())

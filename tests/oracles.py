@@ -4,10 +4,14 @@ Nothing here shares code with the package internals: faces are
 re-enumerated from facets by powerset, boundary matrices are dense lists
 of lists, and ranks come from plain Gaussian elimination over Fraction,
 from dense fraction-free elimination over the integers, or from an
-integer Smith-style diagonalization.  The subcomplexes and subgraphs the
-lemma tests state their facts about (links, deletions, joins,
-localizations) are defined here by set operations on labels, and come
-back as the package's value types, Graph and SimplicialComplex.
+integer Smith-style diagonalization.  A complex is a SimplicialComplex,
+defined here: its facets as sorted label tuples on a ground set.  The
+independence complex of a graph is built from the brute-force maximal
+independent sets, and facet_masks turns a complex into the sorted facet
+bitmasks the package takes.  The subcomplexes and subgraphs the lemma
+tests state their facts about (links, deletions, joins, localizations)
+are defined by set operations on labels, and come back as Graph and
+SimplicialComplex values.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 from types import SimpleNamespace
 
-from tfgor import Graph, SimplicialComplex
+from tfgor import Graph
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +90,7 @@ def brute_girth(n, edges):
             return k
     return math.inf
 
+
 def brute_maximal_independent_sets(n, edges):
     indep = set(brute_independent_sets(n, edges))
     out = []
@@ -94,6 +99,143 @@ def brute_maximal_independent_sets(n, edges):
         if not any(ss < set(t) for t in indep):
             out.append(s)
     return sorted(out)
+
+
+def brute_component_count(n, edges):
+    """Connected components, merging the label sets that an edge joins."""
+    parts = [{v} for v in range(n)]
+    for u, v in edges:
+        pu = next(p for p in parts if u in p)
+        pv = next(p for p in parts if v in p)
+        if pu is not pv:
+            parts.remove(pv)
+            pu |= pv
+    return len(parts)
+
+
+# ---------------------------------------------------------------------------
+# simplicial complexes by their facets, as label tuples
+# ---------------------------------------------------------------------------
+
+
+def _as_face(f) -> tuple[int, ...]:
+    t = tuple(sorted(f))
+    if len(set(t)) != len(t):
+        raise ValueError(f"repeated vertex in face {t}")
+    return t
+
+
+def _maximal_only(cands) -> tuple[tuple[int, ...], ...]:
+    sets = sorted({frozenset(c) for c in cands}, key=len, reverse=True)
+    kept: list[frozenset] = []
+    for s in sets:
+        if not any(s <= k for k in kept):
+            kept.append(s)
+    return tuple(sorted(tuple(sorted(s)) for s in kept))
+
+
+class SimplicialComplex:
+    """Facet-based simplicial complex on a ground set of integer labels,
+    which may strictly contain the union of the facets.  The complex {()}
+    of the empty face alone is the default "empty" value; the void complex
+    (no faces at all) exists as a flagged special case."""
+
+    __slots__ = ("vertices", "facets")
+
+    def __init__(self, vertices, facets, validate: bool = True):
+        vs = tuple(sorted(set(vertices)))
+        fs = tuple(sorted(_as_face(f) for f in facets))
+        if validate:
+            vset = set(vs)
+            sets = [frozenset(f) for f in fs]
+            for i, s in enumerate(sets):
+                if not s <= vset:
+                    raise ValueError(f"facet {fs[i]} not inside the ground set")
+                for j, t in enumerate(sets):
+                    if i != j and s <= t:
+                        raise ValueError(f"facet {fs[i]} contained in {fs[j]}")
+        self.vertices = vs
+        self.facets = fs
+
+    @classmethod
+    def from_faces(cls, generators, vertices=()) -> "SimplicialComplex":
+        """Build from generating faces; non-maximal generators are absorbed.
+
+        With no generators the result is {()}, the complex of the empty
+        face alone.
+        """
+        gens = [_as_face(f) for f in generators]
+        ground = set(vertices)
+        for f in gens:
+            ground.update(f)
+        facets = _maximal_only(gens) if gens else ((),)
+        return cls(tuple(ground), facets, validate=False)
+
+    @classmethod
+    def void(cls, vertices=()) -> "SimplicialComplex":
+        """The void complex: no faces at all, not even the empty one."""
+        return cls(vertices, (), validate=False)
+
+    @property
+    def is_void(self) -> bool:
+        return not self.facets
+
+    @property
+    def dim(self) -> int:
+        if self.is_void:
+            raise ValueError("the void complex has no dimension")
+        return max(len(f) for f in self.facets) - 1
+
+    def __contains__(self, f) -> bool:
+        try:
+            t = _as_face(f)
+        except ValueError:
+            return False
+        return any(set(t) <= set(fac) for fac in self.facets)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, SimplicialComplex)
+            and self.vertices == other.vertices
+            and self.facets == other.facets
+        )
+
+    def __hash__(self):
+        return hash((self.vertices, self.facets))
+
+    def __repr__(self):
+        if self.is_void:
+            return f"SimplicialComplex.void({list(self.vertices)!r})"
+        return (
+            f"SimplicialComplex(vertices={list(self.vertices)!r}, "
+            f"facets={[list(f) for f in self.facets]!r})"
+        )
+
+
+def independence_complex(g):
+    """The complex of independent sets of g, on the ground set 0..n-1; its
+    facets are the brute-force maximal independent sets."""
+    return SimplicialComplex(
+        range(g.n), brute_maximal_independent_sets(g.n, g.edges()), validate=False
+    )
+
+
+def read_facets(text):
+    """The complex of a facet file: every line that is neither blank nor
+    a '#' comment is a face of whitespace-separated labels."""
+    return SimplicialComplex.from_faces(
+        tuple(map(int, ln.split()))
+        for ln in text.splitlines()
+        if ln.strip() and not ln.strip().startswith("#")
+    )
+
+
+def facet_masks(c):
+    """The facets of c as sorted bitmasks, each label the bit of its rank:
+    the form the package's homology and criteria take; () for the void
+    complex."""
+    bit = {x: 1 << i for i, x in enumerate(sorted({x for f in c.facets for x in f}))}
+    return tuple(sorted(sum(bit[x] for x in f) for f in c.facets))
 
 
 # ---------------------------------------------------------------------------

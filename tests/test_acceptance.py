@@ -13,9 +13,12 @@ from itertools import combinations
 import pytest
 
 from oracles import (
+    SimplicialComplex,
     brute_independent_sets,
     delete_set,
     edge_localize,
+    facet_masks,
+    independence_complex,
     is_cone,
     localize,
     oracle_betti,
@@ -23,6 +26,7 @@ from oracles import (
     oracle_doubly_cm,
     oracle_eulerian,
     oracle_faces,
+    read_facets,
     reduced_euler_characteristic,
     restrict,
     simplex,
@@ -31,13 +35,10 @@ from tfgor import (
     GF2,
     GF3,
     RATIONALS,
-    SimplicialComplex,
     complete_graph,
     cycle_graph,
     disjoint_union,
-    facet_masks,
     girth4_planar,
-    independence_complex,
     independence_number,
     is_alpha_critical,
     is_cohen_macaulay,
@@ -46,7 +47,6 @@ from tfgor import (
     is_in_w2,
     is_triangle_free,
     is_well_covered,
-    parse_facets,
     parse_graph6,
     path_graph,
     reduced_betti,
@@ -230,7 +230,7 @@ def test_criterion_5_homology_oracle_equivalence(corpus_tf_lines, rp2):
             assert reduced_betti(facet_masks(c), RATIONALS) == oracle_betti(c, 0), ln
         fixture_set = [
             rp2,
-            parse_facets("0 1\n1 2\n0 2\n"),
+            read_facets("0 1\n1 2\n0 2\n"),
             simplex([0, 1, 2]),
             SimplicialComplex.from_faces([]),
             independence_complex(cycle_graph(5)),
@@ -283,7 +283,7 @@ def test_criterion_6_structural_lemma_suite(tf_report):
                     deleted = facet_masks(delete_set(c, s))
                     assert not any(reduced_betti(deleted, RATIONALS).values())
             for f in oracle_faces(c):
-                assert is_cohen_macaulay(delete_set(c, f), RATIONALS)
+                assert is_cohen_macaulay(facet_masks(delete_set(c, f)), RATIONALS)
 
         # edge-localization biconditional on the whole corpus
         for rec in records:

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import io
 import json
 import random
@@ -8,16 +9,14 @@ from operator import and_
 
 import pytest
 
-from oracles import reduced_euler_characteristic
+from oracles import read_facets, reduced_euler_characteristic
 from tfgor import (
     Graph,
-    SimplicialComplex,
     build_record,
     complete_graph,
     cycle_graph,
     disjoint_union,
     girth4_planar,
-    parse_facets,
     parse_graph6,
     path_graph,
     survey,
@@ -63,7 +62,10 @@ def test_check_records_bare_graph6(capsys):
 
 @pytest.mark.parametrize(
     "text, line",
-    [("3 1\n0 a\n", 2), ("3 1\n\n0 5\n", 3), ("3 -1\n", 1), ("3 2\n0 1\n1 0\n", 3)],
+    [
+        ("3 1\n0 a\n", 2), ("3 1\n\n0 5\n", 3), ("3 -1\n", 1), ("3 2\n0 1\n1 0\n", 3),
+        ("1_0 1\n0 1\n", 1), ("3 1\n+0 1\n", 2),
+    ],
 )
 def test_check_edge_file_error_names_line_exit_2(capsys, tmp_path, text, line):
     p = tmp_path / "bad.txt"
@@ -132,16 +134,12 @@ def test_check_ranks_no_cone(capsys, monkeypatch, g6):
     assert rec["gorenstein"] == rec["second_power_cm"] == {"q": True, "f2": True}
 
 
-def test_graph_path_builds_no_complex(capsys, monkeypatch):
+def test_graph_path_builds_no_complex(capsys):
     # a graph reaches the link walk as vertex masks of itself and the walk
-    # hands masks to reduced_betti, so neither a record nor `tfgor check`
-    # constructs a SimplicialComplex; each starts from a cold walk cache
+    # hands masks to reduced_betti: the package has no complex type, and a
+    # record and `tfgor check` agree, each from a cold walk cache
+    assert importlib.util.find_spec("tfgor.complexes") is None
     criteria = sys.modules["tfgor.criteria"]
-
-    def no_complex(self, *args, **kwargs):
-        raise AssertionError("built a SimplicialComplex")
-
-    monkeypatch.setattr(SimplicialComplex, "__init__", no_complex)
     two_k2 = disjoint_union(complete_graph(2), complete_graph(2))
     k2_isolated = disjoint_union(complete_graph(2), Graph(3))
     fields = ("q", "f2", "f3")
@@ -512,7 +510,7 @@ def test_homology_chi_is_alternating_betti_sum(capsys, tmp_path):
         p.write_text("".join(" ".join(map(str, f)) + "\n" for f in facets))
         paths.append(p)
     for p in paths:
-        chi = reduced_euler_characteristic(parse_facets(p.read_text()))
+        chi = reduced_euler_characteristic(read_facets(p.read_text()))
         for field in ("q", "f2"):
             code, out, _ = run(capsys, ["homology", "--facets", str(p), "--field", field])
             assert code == 0
@@ -526,9 +524,16 @@ def test_homology_graph_uses_independence_complex(capsys):
 
 def test_homology_parse_failure_exit_2(capsys, tmp_path):
     p = tmp_path / "bad.facets"
-    p.write_text("0 0\n")
-    code, _, err = run(capsys, ["homology", "--facets", str(p)])
-    assert code == 2 and "duplicate" in err
+    cases = [
+        ("0 0\n", "line 1: duplicate"),
+        ("# c\n0 1\n1_0 2\n", "line 3: malformed"),
+        ("+1 2\n", "line 1: malformed"),
+        ("0 1\n\n2 -3\n", "line 3: negative"),
+    ]
+    for text, message in cases:
+        p.write_text(text)
+        code, out, err = run(capsys, ["homology", "--facets", str(p)])
+        assert (code, out) == (2, "") and err.startswith(f"tfgor homology: {message}"), text
 
 
 def test_usage_error_exit_2():

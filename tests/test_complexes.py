@@ -6,9 +6,12 @@ from operator import and_
 import pytest
 
 from oracles import (
+    SimplicialComplex,
     core_of,
     delete_set,
     delete_vertex,
+    facet_masks,
+    independence_complex,
     induced_subgraph,
     is_cone,
     is_pure,
@@ -17,19 +20,19 @@ from oracles import (
     localize,
     localized_vertices,
     oracle_faces,
+    read_facets,
     reduced_euler_characteristic,
     restrict,
     simplex,
 )
 from tfgor import (
+    GF2,
     Graph,
-    SimplicialComplex,
     complete_graph,
     cycle_graph,
     disjoint_union,
-    facet_masks,
-    independence_complex,
     parse_facets,
+    reduced_betti,
 )
 from tfgor.homology import _boundaries
 
@@ -95,8 +98,10 @@ def test_faces():
 def test_f_vector():
     assert f_vector(simplex([0, 1, 2])) == (1, 3, 3, 1)
     assert f_vector(SimplicialComplex.from_faces([])) == (1,)
+    # the void complex has no facet masks, and no homology
+    assert facet_masks(SimplicialComplex.void()) == ()
     with pytest.raises(ValueError, match="void"):
-        f_vector(SimplicialComplex.void())
+        reduced_betti((), GF2)
 
 
 def test_link():
@@ -243,28 +248,64 @@ def test_is_pure():
 
 
 def test_parse_facets_hollow_triangle():
-    c = parse_facets("0 1\n1 2\n0 2\n")
-    assert c.facets == ((0, 1), (0, 2), (1, 2))
-    assert c.vertices == (0, 1, 2)
+    assert parse_facets("0 1\n1 2\n0 2\n") == (0b011, 0b101, 0b110)
+    # labels become bits by rank
+    assert parse_facets("5 10\n10 999\n5 999\n") == (0b011, 0b101, 0b110)
 
 
 def test_parse_facets_empty_and_comments():
-    c = parse_facets("")
-    assert c.facets == ((),) and c.vertices == ()
-    c = parse_facets("# comment\n\n0 1 2\n0 1\n")
-    assert c.facets == ((0, 1, 2),)
+    assert parse_facets("") == (0,)
+    assert parse_facets("# comment\n\n# 0 1 2 3\n") == (0,)
+    assert parse_facets("# comment\n\n0 1 2\n0 1\n") == (0b111,)
+    assert parse_facets("# c\n7 1000000\n1000000 3\n7\n") == (0b101, 0b110)
+
+
+def test_parse_facets_matches_read_facets_random():
+    # comments, blank and non-maximal lines, repeated lines, labels up to
+    # 10**6 and files with no faces, against the label-tuple reading
+    rng = random.Random(61)
+    for _ in range(400):
+        labels = rng.sample(range(10**6), rng.randint(1, 9))
+        lines = []
+        for _ in range(rng.randint(0, 8)):
+            kind = rng.random()
+            if kind < 0.15:
+                lines.append("# " + " ".join(map(str, rng.sample(labels, 1))))
+            elif kind < 0.25:
+                lines.append(" " * rng.randint(0, 2))
+            else:
+                face = rng.sample(labels, rng.randint(1, len(labels)))
+                lines.append(" ".join(map(str, face)))
+        text = "\n".join(lines) + rng.choice(["", "\n"])
+        assert parse_facets(text) == facet_masks(read_facets(text)), text
 
 
 def test_parse_facets_errors():
-    with pytest.raises(ValueError, match="duplicate"):
-        parse_facets("0 1 0\n")
-    with pytest.raises(ValueError, match="malformed"):
-        parse_facets("0 x\n")
-    with pytest.raises(ValueError, match="negative"):
-        parse_facets("0 -1\n")
+    # every error names its line; only ASCII digits make a label
+    cases = [
+        ("0 1 0\n", "line 1: duplicate"),
+        ("0 1\n1 01\n", "line 2: duplicate"),
+        ("1_0 10\n", "line 1: malformed"),
+        ("0 x\n", "line 1: malformed"),
+        ("+0 1\n", "line 1: malformed"),
+        ("# c\n\n0 1_0\n", "line 3: malformed"),
+        ("\u0661 2\n", "line 1: malformed"),
+        ("0 1.0\n", "line 1: malformed"),
+        ("0 --1\n", "line 1: malformed"),
+        ("0 x -1\n", "line 1: malformed"),
+        ("9" * 5000 + "\n", "line 1: malformed"),
+        ("0 -1\n", "line 1: negative"),
+        ("0 1\n-0 2\n", "line 2: negative"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}"):
+            parse_facets(text)
 
 
 def test_parse_facets_rp2_fixture(rp2):
+    from conftest import FIXTURES
+
+    assert parse_facets((FIXTURES / "rp2_minimal.facets").read_text()) == facet_masks(rp2)
     assert f_vector(rp2) == (1, 6, 15, 10)
     assert is_pure(rp2) and rp2.dim == 2
     assert reduced_euler_characteristic(rp2) == 0

@@ -5,11 +5,14 @@ from itertools import combinations
 import pytest
 
 from oracles import (
+    SimplicialComplex,
     brute_independent_sets,
     core_of,
     delete_edge,
     delete_set,
     edge_localize,
+    facet_masks,
+    independence_complex,
     join,
     link,
     oracle_cohen_macaulay,
@@ -25,15 +28,12 @@ from tfgor import (
     RATIONALS,
     FieldSpec,
     Graph,
-    SimplicialComplex,
     build_record,
     check_theorem,
     complete_graph,
     cycle_graph,
     disjoint_union,
-    facet_masks,
     girth4_planar,
-    independence_complex,
     is_cm_graph,
     is_cohen_macaulay,
     is_gorenstein,
@@ -66,18 +66,21 @@ def reisner_loop_no_shortcut(c, field):
 
 
 def test_cm_examples():
-    assert is_cohen_macaulay(independence_complex(cycle_graph(5)), RATIONALS)
-    assert not is_cohen_macaulay(independence_complex(cycle_graph(4)), RATIONALS)
+    assert is_cohen_macaulay(facet_masks(independence_complex(cycle_graph(5))), RATIONALS)
+    assert not is_cohen_macaulay(facet_masks(independence_complex(cycle_graph(4))), RATIONALS)
     for field in (RATIONALS, GF2, GF3):
-        assert is_cohen_macaulay(simplex([0, 1, 2]), field)
+        assert is_cohen_macaulay(facet_masks(simplex([0, 1, 2])), field)
     # labels become bit positions by rank, never by value
     assert is_cohen_macaulay(parse_facets("0 7\n7 1000000000000000000\n"), RATIONALS)
     assert not is_cohen_macaulay(parse_facets("0 7\n1000000000000000000\n"), RATIONALS)
 
 
 def test_cm_void_rejected():
-    with pytest.raises(ValueError):
-        is_cohen_macaulay(SimplicialComplex.void(), RATIONALS)
+    # the void complex, no faces at all, has no facet masks
+    with pytest.raises(ValueError, match="void"):
+        is_cohen_macaulay((), RATIONALS)
+    with pytest.raises(ValueError, match="void"):
+        is_gorenstein((), RATIONALS)
 
 
 def reisner_family():
@@ -109,7 +112,7 @@ def reisner_family():
 def test_cm_purity_shortcut_matches_bare_loop():
     for field in (RATIONALS, GF2, GF3):
         for c in reisner_family():
-            assert is_cohen_macaulay(c, field) == reisner_loop_no_shortcut(c, field)
+            assert is_cohen_macaulay(facet_masks(c), field) == reisner_loop_no_shortcut(c, field)
 
 
 def count_ranked(monkeypatch):
@@ -162,11 +165,11 @@ def test_eulerian_examples():
 
 
 def test_gorenstein_complex_examples():
-    assert is_gorenstein(independence_complex(cycle_graph(5)), RATIONALS)
+    assert is_gorenstein(facet_masks(independence_complex(cycle_graph(5))), RATIONALS)
     for field in (RATIONALS, GF2, GF3):
-        assert not is_gorenstein(independence_complex(complete_graph(3)), field)
+        assert not is_gorenstein(facet_masks(independence_complex(complete_graph(3))), field)
     # single point: the core is the empty-face complex
-    assert is_gorenstein(independence_complex(complete_graph(1)), RATIONALS)
+    assert is_gorenstein(facet_masks(independence_complex(complete_graph(1))), RATIONALS)
 
 
 def test_doubly_cm_examples():
@@ -205,8 +208,8 @@ def test_well_covered_shortcut_matches_complex_path(corpus_tf_graphs):
         for g in graphs:
             c = independence_complex(g)
             cm = is_cm_graph(g, field)
-            assert cm == is_cohen_macaulay(c, field), g
-            assert is_gorenstein_graph(g, field) == is_gorenstein(c, field), g
+            assert cm == is_cohen_macaulay(facet_masks(c), field), g
+            assert is_gorenstein_graph(g, field) == is_gorenstein(facet_masks(c), field), g
             positives += cm
     assert positives >= 20
 
@@ -255,10 +258,11 @@ def test_gorenstein_matches_eulerian_cm_core(rp2):
     disk = SimplicialComplex.from_faces([(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5)])
     # Cohen-Macaulay with top Betti number 1, yet not Gorenstein*
     whisker = independence_complex(WHISKERED_C4_COMPLEMENT)
-    assert is_cohen_macaulay(rp2, RATIONALS) and not oracle_eulerian(rp2)
-    assert oracle_eulerian(two_circles) and not is_cohen_macaulay(two_circles, RATIONALS)
-    assert is_cohen_macaulay(disk, RATIONALS) and not oracle_eulerian(disk)
-    assert is_cohen_macaulay(whisker, RATIONALS)
+    assert is_cohen_macaulay(facet_masks(rp2), RATIONALS) and not oracle_eulerian(rp2)
+    assert oracle_eulerian(two_circles)
+    assert not is_cohen_macaulay(facet_masks(two_circles), RATIONALS)
+    assert is_cohen_macaulay(facet_masks(disk), RATIONALS) and not oracle_eulerian(disk)
+    assert is_cohen_macaulay(facet_masks(whisker), RATIONALS)
     assert reduced_betti(facet_masks(whisker), RATIONALS)[1] == 1
     spheres = [sphere(range(k)) for k in (2, 3, 4)]
     complexes += [rp2, two_circles, disk, whisker, SimplicialComplex.from_faces([]), *spheres]
@@ -268,7 +272,7 @@ def test_gorenstein_matches_eulerian_cm_core(rp2):
     for field, char in FIELD_CHARS:
         for c in complexes:
             expected = gorenstein_reference(c, char)
-            assert is_gorenstein(c, field) == expected, (c, field)
+            assert is_gorenstein(facet_masks(c), field) == expected, (c, field)
             positives += expected
     assert positives >= 250
 
@@ -319,8 +323,10 @@ def test_rational_verdicts_match_references_with_the_gf2_lift(lift_cases, order)
     criteria = sys.modules["tfgor.criteria"]
     for c, refs in lift_cases:
         criteria._cm.cache_clear()
+        masks = facet_masks(c)
         for field in map(FieldSpec.from_label, order):
-            assert (is_cohen_macaulay(c, field), is_gorenstein(c, field)) == refs[field], (c, field)
+            got = is_cohen_macaulay(masks, field), is_gorenstein(masks, field)
+            assert got == refs[field], (c, field)
 
 
 def test_verdicts_over_gf_p_are_zero_or_the_rational_one(lift_cases):
@@ -369,15 +375,15 @@ def test_second_power_localizes_every_edge(monkeypatch):
     # each edge ab hands the vertex mask V minus N(a) and N(b) to the
     # maximal independent set search; the verdicts alone cannot tell,
     # since no small graph has a non-Cohen-Macaulay localization
-    criteria = sys.modules["tfgor.criteria"]
-    real = criteria._maximal_independent_masks
+    graphs = sys.modules["tfgor.graphs"]
+    real = graphs._maximal_independent_masks
     searched = set()
 
     def recording(g, s=None):
         searched.add(s)
         return real(g, s)
 
-    monkeypatch.setattr(criteria, "_maximal_independent_masks", recording)
+    monkeypatch.setattr(graphs, "_maximal_independent_masks", recording)
     for field in (RATIONALS, GF2):
         # fresh graphs per field: a graph memoizes the masks it has searched
         for g in (complete_graph(2), cycle_graph(5), girth4_planar(3), girth4_planar(4)):
@@ -393,7 +399,7 @@ def test_records_enumerate_maximal_independent_sets_once(monkeypatch, corpus_tf_
     # three fields of a graph that is not well-covered, which no field's
     # homology can rescue, enumerates the maximal independent sets of the
     # whole graph once
-    graphs, criteria = sys.modules["tfgor.graphs"], sys.modules["tfgor.criteria"]
+    graphs = sys.modules["tfgor.graphs"]
     real = graphs._maximal_independent_masks
     whole = []
 
@@ -403,7 +409,6 @@ def test_records_enumerate_maximal_independent_sets_once(monkeypatch, corpus_tf_
         return real(g, s)
 
     monkeypatch.setattr(graphs, "_maximal_independent_masks", counting)
-    monkeypatch.setattr(criteria, "_maximal_independent_masks", counting)
     checked = 0
     for i, line in enumerate(corpus_tf_lines):
         if is_well_covered(parse_graph6(line)):
@@ -425,7 +430,7 @@ def test_records_enumerate_each_vertex_mask_once(monkeypatch, g, whole, total):
     # well-covered graph enumerates its whole vertex set twice (the cover
     # scan, which may stop early, and the memoized facets) and each edge
     # localization once
-    graphs, criteria = sys.modules["tfgor.graphs"], sys.modules["tfgor.criteria"]
+    graphs = sys.modules["tfgor.graphs"]
     real = graphs._maximal_independent_masks
     searched = []
 
@@ -434,7 +439,6 @@ def test_records_enumerate_each_vertex_mask_once(monkeypatch, g, whole, total):
         return real(g, s)
 
     monkeypatch.setattr(graphs, "_maximal_independent_masks", counting)
-    monkeypatch.setattr(criteria, "_maximal_independent_masks", counting)
     g = Graph(g.n, g.edges())  # a fresh graph, its memo empty
     rec = build_record(0, g, ("q", "f2", "f3"))
     assert rec["well_covered"] and rec["consistent"]
@@ -532,9 +536,9 @@ def test_cm_implies_well_covered_random():
 def test_gorenstein_rp2_complex_depends_on_characteristic(rp2):
     # desk-scale stand-in for characteristic dependence: the projective
     # plane is Cohen-Macaulay except in characteristic 2
-    assert is_cohen_macaulay(rp2, RATIONALS)
-    assert is_cohen_macaulay(rp2, GF3)
-    assert not is_cohen_macaulay(rp2, GF2)
+    assert is_cohen_macaulay(facet_masks(rp2), RATIONALS)
+    assert is_cohen_macaulay(facet_masks(rp2), GF3)
+    assert not is_cohen_macaulay(facet_masks(rp2), GF2)
 
 
 def test_gorenstein_k1_k2_c5_family():
@@ -546,6 +550,6 @@ def test_gorenstein_k1_k2_c5_family():
 def test_face_deletion_stays_cm_for_gorenstein():
     for g in (cycle_graph(5), TWO_K2, girth4_planar(3)):
         c = independence_complex(g)
-        assert is_gorenstein(c, RATIONALS)
+        assert is_gorenstein(facet_masks(c), RATIONALS)
         for f in oracle_faces(c):
-            assert is_cohen_macaulay(delete_set(c, f), RATIONALS)
+            assert is_cohen_macaulay(facet_masks(delete_set(c, f)), RATIONALS)

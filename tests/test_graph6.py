@@ -100,11 +100,17 @@ def test_edge_list_errors():
         ("\n\n", "line 3: expected header"),
         ("3\n0 1\n", "line 1: expected header"),
         ("x 1\n0 1\n", "line 1: expected header"),
+        # only ASCII digits make an integer: no '_', '+' or other scripts
+        ("1_0 1\n0 1\n", "line 1: expected header"),
+        ("9" * 5000 + " 0\n", "line 1: expected header"),
         ("3 2\n0 1\n", "line 1: expected 2 edge lines, got 1"),
         ("3 -1\n", "line 1: negative count"),
         ("-3 0\n", "line 1: negative count"),
         ("3 1\n0 a\n", "line 2: expected edge line"),
         ("3 1\n0 1 2\n", "line 2: expected edge line"),
+        ("3 1\n+0 1\n", "line 2: expected edge line"),
+        ("10 1\n0 1_0\n", "line 2: expected edge line"),
+        ("3 1\n\u0661 2\n", "line 2: expected edge line"),
         ("\n3 1\n\n0 5\n", r"line 4: edge \(0, 5\) out of range for n=3"),
         ("3 2\n0 1\n\n2 2\n", "line 4: loop edge at vertex 2"),
         ("3 2\n0 1\n1 0\n", r"line 3: duplicate edge \(1, 0\)"),

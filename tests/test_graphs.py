@@ -6,6 +6,7 @@ from itertools import combinations, permutations
 import pytest
 
 from oracles import (
+    brute_component_count,
     brute_euler_characteristic,
     brute_girth,
     brute_independent_sets,
@@ -13,6 +14,7 @@ from oracles import (
     delete_edge,
     delete_vertex,
     edge_localize,
+    independence_complex,
     induced_subgraph,
     localize,
     localized_vertices,
@@ -21,7 +23,6 @@ from oracles import (
 from tfgor import (
     Graph,
     complete_graph,
-    components,
     cycle_graph,
     disjoint_union,
     from_edge_list,
@@ -29,7 +30,6 @@ from tfgor import (
     girth,
     girth4_planar,
     has_isolated_vertices,
-    independence_complex,
     independence_euler_characteristic,
     independence_number,
     is_alpha_critical,
@@ -37,14 +37,19 @@ from tfgor import (
     is_in_w2,
     is_triangle_free,
     is_well_covered,
-    maximal_independent_sets,
     parse_graph6,
     path_graph,
 )
+from tfgor.graphs import _component_count, _ind_facets
 
 
 def random_graph(rng, n, p=0.4):
     return Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
+def maximal_independent_sets(g):
+    """The facets of Ind(g) that the criteria walk, as sorted vertex tuples."""
+    return sorted(tuple(v for v in g.vertices() if m >> v & 1) for m in _ind_facets(g))
 
 
 def test_from_edge_list_k2():
@@ -150,19 +155,26 @@ def test_triangle_free_matches_triple_enumeration():
 
 def test_components():
     two_k2 = disjoint_union(complete_graph(2), complete_graph(2))
-    assert components(two_k2) == [(0, 1), (2, 3)]
-    assert components(cycle_graph(5)) == [(0, 1, 2, 3, 4)]
-    assert components(Graph(3)) == [(0,), (1,), (2,)]
+    assert _component_count(two_k2) == 2
+    assert _component_count(cycle_graph(5)) == 1
+    assert _component_count(Graph(3)) == 3
+    assert _component_count(Graph(0)) == 0
     assert has_isolated_vertices(Graph(3))
     assert not has_isolated_vertices(complete_graph(2))
+    rng = random.Random(12)
+    for _ in range(80):
+        g = random_graph(rng, rng.randint(0, 9), rng.choice([0.1, 0.2, 0.4]))
+        assert _component_count(g) == brute_component_count(g.n, g.edges()), g
 
 
 def test_has_isolated_matches_singleton_components():
+    # deleting a vertex that is a component of its own drops the count by
+    # one; deleting any other vertex leaves its component nonempty
     rng = random.Random(11)
     for _ in range(50):
         g = random_graph(rng, rng.randint(1, 8), 0.3)
         assert has_isolated_vertices(g) == any(
-            len(c) == 1 for c in components(g)
+            _component_count(delete_vertex(g, v)) < _component_count(g) for v in g.vertices()
         )
 
 
@@ -447,7 +459,7 @@ def test_graph_memo_does_not_depend_on_call_order():
                 and all(_brute_maximal_sizes(h, x) == {alpha} for x in (None, *range(h.n)))
             ),
             all(_brute_alpha(h.n, [f for f in edges if f != e]) > alpha for e in edges),
-            len(components(h)) <= 1,
+            brute_component_count(h.n, edges) <= 1,
             brute_girth(h.n, edges) >= 4,
         )
         for order in orders:

@@ -5,6 +5,9 @@ from itertools import combinations
 import pytest
 
 from oracles import (
+    SimplicialComplex,
+    facet_masks,
+    independence_complex,
     join,
     oracle_betti,
     oracle_betti_snf,
@@ -12,6 +15,7 @@ from oracles import (
     rank_bareiss_dense,
     rank_fraction,
     rank_mod_p_dense,
+    read_facets,
     reduced_euler_characteristic,
     simplex,
     smith_diagonal,
@@ -23,18 +27,14 @@ from tfgor import (
     RATIONALS,
     FieldSpec,
     Graph,
-    SimplicialComplex,
     cycle_graph,
-    facet_masks,
-    independence_complex,
-    parse_facets,
     reduced_betti,
 )
 from tfgor import BACKEND, _kernels
 from tfgor.cli import main
 from tfgor.homology import _boundaries
 
-HOLLOW_TRIANGLE = parse_facets("0 1\n1 2\n0 2\n")
+HOLLOW_TRIANGLE = read_facets("0 1\n1 2\n0 2\n")
 
 
 def random_complex(rng, max_vertices=12):
@@ -58,7 +58,7 @@ def to_columns(mat):
 
 
 def betti(c, field):
-    """reduced_betti of a parsed or built complex."""
+    """reduced_betti of a complex, through its facet masks."""
     return reduced_betti(facet_masks(c), field)
 
 
@@ -476,7 +476,7 @@ def test_clearing_skips_only_columns_that_reduce_to_zero():
 
 
 def test_betti_void_rejected():
-    with pytest.raises(ValueError):
-        reduced_betti((), RATIONALS)
-    with pytest.raises(ValueError):
-        facet_masks(SimplicialComplex.void())
+    assert facet_masks(SimplicialComplex.void()) == ()
+    for field in (RATIONALS, GF2, GF3):
+        with pytest.raises(ValueError, match="void"):
+            reduced_betti((), field)
