@@ -16,6 +16,7 @@ import sys
 
 from ._version import __version__
 from .graphs import (
+    _components,
     _ind_facets,
     generate,
     parse_edge_list,
@@ -166,14 +167,30 @@ def _cmd_family(args) -> int:
     return 0
 
 
+def _ind_betti(g, field) -> dict[int, int]:
+    """The reduced Betti numbers of Ind(g), the join of its components'
+    complexes, each given by the masks of its facets, the maximal
+    independent sets.  Kunneth for joins over a field: the reduced
+    homology of X * Y in degree k is the sum over i + j = k - 1 of
+    H~_i(X) (x) H~_j(Y).  An isolated vertex is a cone apex, so it makes
+    every Betti number 0."""
+    betti = {-1: 1}  # {()}, the join's unit
+    for c in _components(g, (1 << g.n) - 1):
+        part = reduced_betti(_ind_facets(g, c), field)
+        betti = {
+            k: sum(b * part.get(k - 1 - i, 0) for i, b in betti.items())
+            for k in range(-1, max(betti) + max(part) + 2)
+        }
+    return betti
+
+
 def _cmd_homology(args) -> int:
     field = FieldSpec.from_label(args.field)
     if args.facets is not None:
-        facets = parse_facets(_read(args.facets))
-    else:  # Ind(g) as the masks of its facets, the maximal independent sets
-        facets = _ind_facets(_load_graph(args))
+        betti = reduced_betti(parse_facets(_read(args.facets)), field)
+    else:
+        betti = _ind_betti(_load_graph(args), field)
     print(f"field: {field.label}")
-    betti = reduced_betti(facets, field)
     for i in sorted(betti):
         print(f"H~_{i} = {betti[i]}")
     # Euler-Poincare, over any field: chi~ = sum_i (-1)^i b~_i

@@ -1,8 +1,9 @@
 """Decision procedures for Cohen-Macaulay, Gorenstein and the
 second-power criterion, over a selectable coefficient field.
 
-One walk over vertex links decides both, since lk_F = lk_v(lk_(F-v)).  A
-complex is Cohen-Macaulay iff it is pure, has no reduced homology below
+On a complex given by its facet masks, one walk over vertex links
+decides both, since lk_F = lk_v(lk_(F-v)).  A complex is
+Cohen-Macaulay iff it is pure, has no reduced homology below
 its top degree, and every vertex link is Cohen-Macaulay (Reisner 1976;
 Stanley, Combinatorics and Commutative Algebra, II.4); it is Gorenstein*
 iff moreover its top reduced Betti number is 1 here and at every link
@@ -15,8 +16,9 @@ vertex bitmasks; a link or a peel clears bits, which keeps them sorted
 and inclusion-maximal.  One cache keyed by (facet masks, field) holds
 the verdicts, so a link shared by many faces is ranked once, and a miss
 hands its masks to homology.reduced_betti as they are.  A facet file
-enters as homology.parse_facets gives it, relabeled by rank, a graph as
-the maximal independent sets of a vertex mask (graphs._ind_facets).  A
+enters as homology.parse_facets gives it, relabeled by rank, and a
+vertex mask of a graph as its maximal independent sets
+(graphs._ind_facets), where the graph path below needs a rank.  A
 complex is Gorenstein iff its core, the peeled complex, is Gorenstein*.
 
 A query over the rationals first asks the walk over GF(2), and returns
@@ -32,13 +34,26 @@ with 2-torsion: RP^2 is Cohen-Macaulay over Q, not over GF(2).  So a
 survey over q and f2 walks each link once, over GF(2), and over q alone
 a Cohen-Macaulay link is ranked only with the cheaper mod-2 kernel.
 
-On graphs, everything that needs no homology is computed in graphs:
-alpha, chi~ and alpha-criticality from one memoized recursion over
-vertex masks, girth by breadth-first layers, and well-coveredness from
-the maximal independent sets.  Those verdicts need no field and are
-memoized in the Graph, and so are the facet masks of each vertex mask
-handed to the link walk, so deciding a graph over several fields repeats
-only the homology.
+A graph is decided on vertex masks of itself, memoized in the Graph:
+the field-free parts by mask, the verdicts by mask and field.  The link
+of a vertex v in Ind(g[s]) is Ind(g[s - N[v]]), so every link of every
+edge localization is a mask of the same memo.  At a mask the components
+of g[s] are the factors of a join, and a join is Cohen-Macaulay
+(Gorenstein*) iff each factor is (Kunneth for joins over a field); an
+isolated vertex is a cone apex, which Cohen-Macaulayness ignores.  A
+pure vertex-decomposable complex is shellable, hence Cohen-Macaulay
+over every field (Provan and Billera 1980), and Woodroofe's criterion
+(Proc. AMS 137, 2009), with purity read off alpha, decides that on a
+connected mask with no field, no rank and no facet
+(graphs._vertex_decomposable).  Only where that certificate fails are
+the mask's facet masks handed to the link walk above, which rejects a
+mask that is not pure (not well-covered) before any rank.  Gorenstein* is
+Cohen-Macaulay plus Eulerian (Stanley II.5.1), and the Eulerian walk
+needs no field either: chi~ of every link is -I(-1) of its mask, from
+the same memoized recursion that gives alpha (graphs._alpha_and_poly).
+Alpha-criticality, well-coveredness and W2 are memoized in the Graph as
+well, so deciding a graph over several fields repeats only the
+homology, where any is left.
 """
 
 from __future__ import annotations
@@ -50,7 +65,10 @@ from operator import and_, or_
 from .graphs import (
     Graph,
     _alpha_and_poly,
+    _components,
     _ind_facets,
+    _vertex_decomposable,
+    _vertices_of,
     has_isolated_vertices,
     is_alpha_critical,
     is_in_w2,
@@ -122,25 +140,75 @@ def is_gorenstein(facets: tuple[int, ...], field: FieldSpec) -> bool:
     return _cm(tuple(f ^ apex for f in facets), field) == 2
 
 
+def _cm_graph(g: Graph, s: int, field: FieldSpec) -> bool:
+    """Cohen-Macaulayness of Ind(g[s]) over field, for a vertex mask s,
+    memoized in g by (mask, field).  The components of g[s] are the join
+    factors, and an isolated vertex a cone apex, which changes nothing.  A
+    connected g[s] is Cohen-Macaulay if the field-free certificate, pure
+    and vertex decomposable, holds; only where it fails does the link walk
+    on its facet masks decide, purity first."""
+    key = ("cm", s, field)
+    memo = g._verdict_memo
+    got = memo.get(key)
+    if got is None:
+        parts = [c for c in _components(g, s) if c & (c - 1)]
+        if parts != [s]:
+            got = all(_cm_graph(g, c, field) for c in parts)
+        else:
+            got = _vertex_decomposable(g, s) or _cm(_ind_facets(g, s), field) > 0
+        memo[key] = got
+    return got
+
+
+def _eulerian(g: Graph, s: int) -> bool:
+    """Whether every link of Ind(g[s]), the empty face's included, has
+    reduced Euler characteristic (-1)^(its dimension).  The link of a face
+    F is Ind(g[s - N[F]]), with chi~ = -I(-1) and dimension alpha - 1 from
+    the memoized recursion, and lk_F = lk_v(lk_(F-v)), so vertex links
+    suffice.  The link of a face of a join is the join of the factors'
+    links, chi~ of a join is minus the product, and a factor's own links
+    are links of the join (complete the face by a facet of the other
+    factor), so a join is Eulerian iff its factors are, and the walk runs
+    on components.  An isolated vertex is a cone, chi~ = 0, and fails.
+    Needs no field; memoized in g by mask."""
+    key = ("eulerian", s)
+    memo = g._verdict_memo
+    got = memo.get(key)
+    if got is None:
+        parts = _components(g, s)
+        if parts != [s]:  # s = 0 is {()}, chi~ = -1 in dimension -1
+            got = all(_eulerian(g, c) for c in parts)
+        else:
+            alpha, poly = _alpha_and_poly(g)(s)
+            nbr = g._nbr_bits
+            got = -poly == (1 if alpha % 2 else -1) and all(
+                _eulerian(g, s & ~(1 << v) & ~nbr[v]) for v in _vertices_of(s)
+            )
+        memo[key] = got
+    return got
+
+
 def is_cm_graph(g: Graph, field: FieldSpec) -> bool:
     """Cohen-Macaulayness of Ind(g).  Ind(g) is pure iff g is well-covered,
     so a graph that is not well-covered is rejected before any homology,
     by the verdict memoized in g."""
-    return is_well_covered(g) and _cm(_ind_facets(g), field) > 0
+    return is_well_covered(g) and _cm_graph(g, (1 << g.n) - 1, field)
 
 
 def is_gorenstein_graph(g: Graph, field: FieldSpec) -> bool:
     """Gorensteinness of Ind(g), whose core is Ind(g') for g' the
-    non-isolated vertices.  Two necessary conditions for Ind(g') to be
-    Gorenstein* need no homology and run first: Euler-Poincare for a
-    homology sphere, chi~ = -I(g'; -1) = (-1)^(alpha(g') - 1), and purity,
-    which Ind(g) has iff g is well-covered."""
+    non-isolated vertices: Ind(g') is Cohen-Macaulay and Eulerian
+    (Stanley II.5.1).  Two necessary conditions need no walk and run
+    first: Euler-Poincare for a homology sphere, chi~ = -I(g'; -1) =
+    (-1)^(alpha(g') - 1), and purity, which Ind(g) has iff g is
+    well-covered."""
     core = sum(1 << v for v, b in enumerate(g._nbr_bits) if b)
     alpha, poly = _alpha_and_poly(g)(core)
     return (
         -poly == (1 if alpha % 2 else -1)
         and is_well_covered(g)
-        and _cm(_ind_facets(g, core), field) == 2
+        and _eulerian(g, core)
+        and _cm_graph(g, core, field)
     )
 
 
@@ -161,7 +229,7 @@ def is_second_power_cm(g: Graph, field: FieldSpec) -> bool:
         is_triangle_free(g)
         and is_alpha_critical(g)
         and is_cm_graph(g, field)
-        and all(_cm(_ind_facets(g, full & ~(nbr[a] | nbr[b])), field) > 0 for a, b in g.edges())
+        and all(_cm_graph(g, full & ~(nbr[a] | nbr[b]), field) for a, b in g.edges())
     )
 
 

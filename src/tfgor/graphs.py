@@ -4,8 +4,9 @@ Vertices are the integer labels 0..n-1.  Graph values are immutable once
 built, so they can be shared freely across worker processes.  An induced
 subgraph, such as the localization at an edge, is a vertex bitmask of the
 graph it lives in, never a new graph, so it shares that graph's memos;
-the criteria hand such masks to _ind_facets, which gives the facets of
-its independence complex as sorted bitmasks.  Neighbor tuples and edge
+the criteria certify such masks by _vertex_decomposable, and where that
+fails hand them to _ind_facets, which gives the facets of its
+independence complex as sorted bitmasks.  Neighbor tuples and edge
 lists come back sorted, to keep reports reproducible.
 """
 
@@ -50,8 +51,11 @@ class Graph:
     localizations share their work; and the verdicts that need no field,
     so classifying a graph over several fields decides triangle-freeness,
     well-coveredness, W2 (one scan, see _cover_verdicts) and
-    alpha-criticality once, and enumerates the maximal independent sets
-    of each vertex mask the criteria ask for once (see _ind_facets).
+    alpha-criticality once, enumerates the maximal independent sets of
+    each vertex mask the criteria ask for once (see _ind_facets), and
+    decides vertex decomposability once per mask (see
+    _vertex_decomposable).  The criteria keep their per-mask verdicts in
+    the same memo.
     """
 
     __slots__ = ("n", "_nbr_bits", "_indep_memo", "_verdict_memo")
@@ -350,7 +354,7 @@ def girth(g: Graph) -> float:
     A forest (n minus its number of components edges) needs no search.
     """
     m = g.edge_count()
-    if m < g.n and m == g.n - _component_count(g):  # m >= n makes a cycle
+    if m < g.n and m == g.n - len(_components(g, (1 << g.n) - 1)):  # m >= n makes a cycle
         return math.inf
     floor = 4 if is_triangle_free(g) else 3
     nbr = g._nbr_bits
@@ -390,25 +394,36 @@ def is_triangle_free(g: Graph) -> bool:
     return got
 
 
-def _flood(nbr, seen: int) -> int:
+def _flood(nbr, seen: int, within: int = -1) -> int:
     # the vertex mask of everything connected to the vertices in seen
+    # inside the vertex mask within (default all)
     frontier = seen
     while frontier:
         reach = 0
         while frontier:
             reach |= nbr[(frontier & -frontier).bit_length() - 1]
             frontier &= frontier - 1
-        frontier = reach & ~seen
+        frontier = reach & within & ~seen
         seen |= frontier
     return seen
 
 
-def _component_count(g: Graph) -> int:
-    count, left = 0, (1 << g.n) - 1
-    while left:  # flood the component of the least vertex left
-        left &= ~_flood(g._nbr_bits, left & -left)
-        count += 1
-    return count
+def _vertices_of(s: int):
+    # the vertices of a mask, lowest first
+    while s:
+        b = s & -s
+        s ^= b
+        yield b.bit_length() - 1
+
+
+def _components(g: Graph, s: int) -> list[int]:
+    # the vertex masks of the connected components of g[s], by least vertex
+    out = []
+    while s:
+        c = _flood(g._nbr_bits, s & -s, s)
+        out.append(c)
+        s &= ~c
+    return out
 
 
 def has_isolated_vertices(g: Graph) -> bool:
@@ -472,6 +487,76 @@ def _ind_facets(g: Graph, s: int | None = None) -> tuple[int, ...]:
     if facets is None:
         facets = g._verdict_memo[key] = tuple(sorted(_maximal_independent_masks(g, s)))
     return facets
+
+
+def _vertex_decomposable(g: Graph, s: int) -> bool:
+    """Whether Ind(g[s]) is pure and vertex decomposable (Provan and
+    Billera 1980), for a vertex mask s; such a complex is shellable.
+
+    Woodroofe (Proc. AMS 137, 2009) decides vertex decomposability in the
+    sense of Bjorner and Wachs on graphs: Ind(g[s]) is vertex decomposable
+    iff g[s] has no edges, or some shedding vertex v has g[s - v] and
+    g[s - N[v]] vertex decomposable; those are the deletion and the link
+    of v.  v sheds when no independent set of g[s - N[v]] is maximal in
+    g[s - v], that is, when none has a neighbor of every vertex of N(v).
+    The facets of a complex with a shedding vertex v are those of the
+    deletion and v joined to those of the link, so it is pure iff both
+    are and alpha(g[s - v]) = alpha(g[s - N[v]]) + 1; and a pure complex
+    has only such decompositions.  Ind of a disjoint union is the join of
+    the parts' complexes, and a join is pure and vertex decomposable iff
+    each factor is, so the components are decided apart.  Needs no field
+    and no maximal independent set; memoized in g by mask.
+    """
+    nbr = g._nbr_bits
+    memo = g._verdict_memo
+    alpha = _alpha_and_poly(g)
+
+    def dominated(a, b):
+        # some independent set inside a has a neighbor of every vertex of b:
+        # branch on the neighbors in a of the vertex of b with the fewest
+        if not b:
+            return True
+        opts, fewest, m = 0, a.bit_count() + 1, b
+        while m:
+            w = m & -m
+            m ^= w
+            o = nbr[w.bit_length() - 1] & a
+            if o.bit_count() < fewest:
+                opts, fewest = o, o.bit_count()
+        while opts:
+            bit = opts & -opts
+            opts ^= bit
+            u = nbr[bit.bit_length() - 1]
+            if dominated(a & ~bit & ~u, b & ~u):
+                return True
+            a ^= bit  # a set through u was just ruled out
+        return False
+
+    def decomposable(s):
+        key = ("vd", s)
+        got = memo.get(key)
+        if got is None:
+            parts = _components(g, s)
+            if len(parts) > 1:
+                got = all(map(decomposable, parts))
+            else:  # connected; one vertex is a simplex
+                got = not s & (s - 1) or any(sheds(s, v) for v in _vertices_of(s))
+            memo[key] = got
+        return got
+
+    def sheds(s, v):
+        # v is a shedding vertex of g[s] whose deletion and link are pure
+        # of dimensions one apart and decompose
+        bit = 1 << v
+        rest, link = s & ~bit, s & ~bit & ~nbr[v]
+        return (
+            alpha(rest)[0] == alpha(link)[0] + 1
+            and not dominated(link, s & nbr[v])
+            and decomposable(rest)
+            and decomposable(link)
+        )
+
+    return decomposable(s)
 
 
 def _alpha_and_poly(g: Graph):

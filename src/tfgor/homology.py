@@ -123,11 +123,17 @@ def parse_facets(text: str) -> tuple[int, ...]:
         if len(face) != len(toks):
             raise ValueError(f"line {lineno}: duplicate vertex in {ln!r}")
         faces.add(face)
+    # a face is absorbed by a larger kept one, which holds each of its
+    # vertices: only the kept faces through its rarest vertex are tested
     kept: list[frozenset] = []
+    through: dict[int, list[frozenset]] = {}
     for f in sorted(faces, key=len, reverse=True):
-        if not any(f <= k for k in kept):
+        rarest = min((through.get(x, ()) for x in f), key=len)
+        if not any(f <= k for k in rarest):
             kept.append(f)
-    bit = {x: 1 << i for i, x in enumerate(sorted(set().union(*kept)))}
+            for x in f:
+                through.setdefault(x, []).append(f)
+    bit = {x: 1 << i for i, x in enumerate(sorted(through))}
     return tuple(sorted(sum(map(bit.get, f)) for f in kept)) or (0,)
 
 

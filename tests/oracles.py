@@ -126,6 +126,8 @@ def _as_face(f) -> tuple[int, ...]:
 
 
 def _maximal_only(cands) -> tuple[tuple[int, ...], ...]:
+    # quadratic absorption, each set against every kept one: the reference
+    # for the indexed absorption of homology.parse_facets
     sets = sorted({frozenset(c) for c in cands}, key=len, reverse=True)
     kept: list[frozenset] = []
     for s in sets:
@@ -678,3 +680,32 @@ def oracle_doubly_cm(complex_, char: int) -> bool:
         if not oracle_cohen_macaulay(rest, char):
             return False
     return True
+
+
+def oracle_vertex_decomposable(complex_) -> bool:
+    """Vertex decomposability by its definition on complexes (Provan and
+    Billera 1980; Bjorner and Wachs 1997 when not pure): a simplex,
+    {()} included, is vertex decomposable, and so is a complex with a
+    vertex x whose deletion and link are, and that sheds: no face of the
+    link is a facet of the deletion.  Only complex_.facets is read."""
+    seen = {}
+
+    def vd(facets):
+        # facets: sorted, inclusion-maximal label tuples
+        got = seen.get(facets)
+        if got is None:
+            got = seen[facets] = len(facets) == 1 or any(
+                sheds(facets, x) for x in sorted({x for f in facets for x in f})
+            )
+        return got
+
+    def sheds(facets, x):
+        deletion = _maximal_only(tuple(y for y in f if y != x) for f in facets)
+        lk = _maximal_only(tuple(y for y in f if y != x) for f in facets if x in f)
+        return (
+            not any(any(set(h) <= set(f) for f in lk) for h in deletion)
+            and vd(deletion)
+            and vd(lk)
+        )
+
+    return vd(_maximal_only(complex_.facets))

@@ -5,11 +5,12 @@ import json
 import random
 import sys
 from functools import reduce
+from itertools import combinations
 from operator import and_
 
 import pytest
 
-from oracles import read_facets, reduced_euler_characteristic
+from oracles import independence_complex, oracle_betti, read_facets, reduced_euler_characteristic
 from tfgor import (
     Graph,
     build_record,
@@ -520,6 +521,41 @@ def test_homology_chi_is_alternating_betti_sum(capsys, tmp_path):
 def test_homology_graph_uses_independence_complex(capsys):
     code, out, _ = run(capsys, ["homology", "--g6", "Dhc", "--field", "q"])
     assert code == 0 and "H~_1 = 1" in out
+
+
+def test_homology_graph_joins_its_components(capsys):
+    # Ind of a disjoint union is the join of the parts' complexes, whose
+    # Betti numbers Kunneth gives; an isolated vertex makes a cone
+    rng = random.Random(909)
+    two_k2 = disjoint_union(complete_graph(2), complete_graph(2))
+    graphs = [Graph(0), Graph(1), Graph(3), two_k2, disjoint_union(cycle_graph(4), cycle_graph(5))]
+    for _ in range(30):
+        parts = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+        g = Graph(0)
+        for n in parts:
+            edges = [e for e in combinations(range(n), 2) if rng.random() < 0.6]
+            g = disjoint_union(g, Graph(n, edges))
+        graphs.append(g)
+    for g in graphs:
+        for field, char in (("q", 0), ("f2", 2), ("f3", 3)):
+            betti = oracle_betti(independence_complex(g), char)
+            want = [f"field: {field}"] + [f"H~_{i} = {betti[i]}" for i in sorted(betti)]
+            want.append(f"chi~ = {reduced_euler_characteristic(independence_complex(g))}")
+            code, out, _ = run(capsys, ["homology", "--g6", write_graph6(g), "--field", field])
+            assert code == 0 and out.splitlines() == want, (g, field)
+
+
+def test_homology_disjoint_edges_is_a_sphere(capsys):
+    # 12 disjoint edges: Ind is the boundary of the 12-cross-polytope, an
+    # 11-sphere of 3^12 faces, never enumerated
+    g = Graph(24, [(2 * i, 2 * i + 1) for i in range(12)])
+    code, out, _ = run(capsys, ["homology", "--g6", write_graph6(g), "--field", "f2"])
+    assert code == 0
+    assert out.splitlines() == (
+        ["field: f2"] + [f"H~_{i} = {int(i == 11)}" for i in range(-1, 12)] + ["chi~ = -1"]
+    )
+    rec = build_record(0, g, ("q", "f2"))
+    assert rec["gorenstein"] == rec["second_power_cm"] == {"q": True, "f2": True}
 
 
 def test_homology_parse_failure_exit_2(capsys, tmp_path):

@@ -280,6 +280,20 @@ def test_parse_facets_matches_read_facets_random():
         assert parse_facets(text) == facet_masks(read_facets(text)), text
 
 
+def test_parse_facets_absorbs_a_large_file_as_the_quadratic_reading():
+    # 12,000 lines of 1 to 8 labels from a pool of 20: most lines are
+    # absorbed by a larger one, which the indexed absorption finds through
+    # the line's rarest vertex, and the rest must all be kept
+    rng = random.Random(67)
+    pool = rng.sample(range(10**6), 20)
+    text = "".join(
+        " ".join(map(str, rng.sample(pool, rng.randint(1, 8)))) + "\n" for _ in range(12000)
+    )
+    got = parse_facets(text)
+    assert got == facet_masks(read_facets(text))
+    assert 2000 < len(got) < 6000
+
+
 def test_parse_facets_errors():
     # every error names its line; only ASCII digits make a label
     cases = [

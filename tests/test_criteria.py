@@ -37,6 +37,7 @@ from tfgor import (
     is_cm_graph,
     is_cohen_macaulay,
     is_gorenstein,
+    is_alpha_critical,
     is_gorenstein_graph,
     is_second_power_cm,
     is_triangle_free,
@@ -46,6 +47,7 @@ from tfgor import (
     path_graph,
     reduced_betti,
 )
+from tfgor.graphs import _ind_facets, _vertex_decomposable
 
 TWO_K2 = disjoint_union(complete_graph(2), complete_graph(2))
 
@@ -133,7 +135,8 @@ def count_ranked(monkeypatch):
 
 @pytest.mark.parametrize("n, faces, links", [(4, 139, 59), (5, 495, 174)])
 def test_cm_ranks_each_distinct_link_once(monkeypatch, n, faces, links):
-    # a link of Ind(g) is its sorted facet masks in g's labels
+    # the link walk on facet masks, as a facet file reaches it: Ind(g) spans
+    # every vertex of g, so its masks keep g's labels, and so does a link
     g = girth4_planar(n)
     c = independence_complex(g)
     distinct = {
@@ -142,7 +145,7 @@ def test_cm_ranks_each_distinct_link_once(monkeypatch, n, faces, links):
     }
     assert (len(oracle_faces(c)), len(distinct)) == (faces, links)
     ranked = count_ranked(monkeypatch)
-    assert is_cm_graph(g, RATIONALS)
+    assert is_cohen_macaulay(facet_masks(c), RATIONALS)
     # a rational query walks the links over GF(2), whose verdict is final
     assert {field for _, field in ranked} == {GF2}
     facets = [f for f, _ in ranked]
@@ -150,10 +153,93 @@ def test_cm_ranks_each_distinct_link_once(monkeypatch, n, faces, links):
 
 
 def test_record_over_q_and_f2_ranks_nothing_over_q(monkeypatch):
+    # girth4_planar(5) and its edge localizations are vertex decomposable,
+    # so its record ranks nothing, over q or over f2
     ranked = count_ranked(monkeypatch)
-    rec = build_record(0, girth4_planar(5), ("q", "f2"))
+    g = girth4_planar(5)
+    rec = build_record(0, g, ("q", "f2"))
     assert rec["gorenstein"] == rec["second_power_cm"] == {"q": True, "f2": True}
-    assert ranked and all(field == GF2 for _, field in ranked)
+    assert _vertex_decomposable(g, (1 << g.n) - 1) and ranked == []
+
+
+def walk_verdicts(g, field):
+    # the three graph verdicts from the link walk on facet masks alone, the
+    # edge localizations as vertex masks of g
+    full, nbr = (1 << g.n) - 1, g._nbr_bits
+    cm = is_cohen_macaulay(_ind_facets(g), field)
+    localized = all(
+        is_cohen_macaulay(_ind_facets(g, full & ~(nbr[a] | nbr[b])), field) for a, b in g.edges()
+    )
+    spcm = is_triangle_free(g) and is_alpha_critical(g) and cm and localized
+    return cm, is_gorenstein(_ind_facets(g), field), spcm
+
+
+def mask_walk_graphs():
+    # random graphs, disjoint unions (joins of their complexes) and isolated
+    # vertices (cones)
+    rng = random.Random(61)
+    graphs = [random_graph(rng, rng.randint(0, 9), p) for p in (0.15, 0.3, 0.45) for _ in range(40)]
+    graphs += [
+        disjoint_union(random_graph(rng, rng.randint(1, 5)), random_graph(rng, rng.randint(2, 5)))
+        for _ in range(30)
+    ]
+    graphs += [disjoint_union(g, Graph(rng.randint(1, 2))) for g in graphs[::7]]
+    graphs += [TWO_K2, disjoint_union(cycle_graph(5), TWO_K2)]
+    graphs += [disjoint_union(cycle_graph(4), cycle_graph(5)), WHISKERED_C4_COMPLEMENT]
+    graphs += [girth4_planar(3), disjoint_union(girth4_planar(3), complete_graph(2))]
+    return graphs
+
+
+def graph_verdicts(g, field):
+    return is_cm_graph(g, field), is_gorenstein_graph(g, field), is_second_power_cm(g, field)
+
+
+@pytest.mark.parametrize("field", [RATIONALS, GF2, GF3], ids=str)
+def test_mask_walk_matches_link_walk(field):
+    # components, cone apexes, the certificate and the Eulerian walk give the
+    # verdicts of the link walk on facet masks
+    positives = [0, 0, 0]
+    for g in mask_walk_graphs():
+        got = graph_verdicts(g, field)
+        assert got == walk_verdicts(Graph(g.n, g.edges()), field), g
+        positives = [p + v for p, v in zip(positives, got)]
+    assert positives[0] >= 100 and positives[1] >= 80 and positives[2] >= 80
+
+
+def test_mask_walk_matches_oracles():
+    # the dense face-by-face oracles, on graphs small enough for them; the
+    # Eulerian walk reads no purity, which a Cohen-Macaulay complex has
+    criteria = sys.modules["tfgor.criteria"]
+    graphs = [g for g in mask_walk_graphs() if g.n <= 8][::2]
+    assert len(graphs) >= 70
+    eulerian = 0
+    for g in graphs:
+        c = independence_complex(g)
+        if is_well_covered(g):  # the core: Ind of the non-isolated vertices
+            got = criteria._eulerian(g, sum(1 << v for v, b in enumerate(g._nbr_bits) if b))
+            assert got == oracle_eulerian(core_of(c)), g
+            eulerian += got
+        for field, char in FIELD_CHARS:
+            assert is_cm_graph(g, field) == oracle_cohen_macaulay(c, char), (g, field)
+            want = gorenstein_reference(c, char)
+            assert is_gorenstein_graph(g, field) == want, (g, field)
+    assert eulerian >= 20
+
+
+def test_verdicts_without_the_certificate_come_from_the_link_walk(monkeypatch):
+    # with the vertex-decomposition certificate failing everywhere, every
+    # Cohen-Macaulay verdict falls back to ranking homology, and none changes
+    criteria = sys.modules["tfgor.criteria"]
+    graphs = mask_walk_graphs()
+    fields = (RATIONALS, GF2, GF3)
+    want = {(i, field): graph_verdicts(g, field) for i, g in enumerate(graphs) for field in fields}
+    ranked = count_ranked(monkeypatch)
+    monkeypatch.setattr(criteria, "_vertex_decomposable", lambda g, s: False)
+    for i, h in enumerate(graphs):
+        g = Graph(h.n, h.edges())  # a fresh graph, its memo empty
+        for field in fields:
+            assert graph_verdicts(g, field) == want[i, field], (g, field)
+    assert len(ranked) >= 100
 
 
 def test_eulerian_examples():
@@ -373,25 +459,26 @@ def test_gorenstein_guards_run_before_the_link_walk(monkeypatch, corpus_tf_graph
 
 def test_second_power_localizes_every_edge(monkeypatch):
     # each edge ab hands the vertex mask V minus N(a) and N(b) to the
-    # maximal independent set search; the verdicts alone cannot tell,
+    # Cohen-Macaulay walk on vertex masks; the verdicts alone cannot tell,
     # since no small graph has a non-Cohen-Macaulay localization
-    graphs = sys.modules["tfgor.graphs"]
-    real = graphs._maximal_independent_masks
-    searched = set()
+    criteria = sys.modules["tfgor.criteria"]
+    real = criteria._cm_graph
+    asked = set()
 
-    def recording(g, s=None):
-        searched.add(s)
-        return real(g, s)
+    def recording(g, s, field):
+        asked.add(s)
+        return real(g, s, field)
 
-    monkeypatch.setattr(graphs, "_maximal_independent_masks", recording)
+    monkeypatch.setattr(criteria, "_cm_graph", recording)
     for field in (RATIONALS, GF2):
-        # fresh graphs per field: a graph memoizes the masks it has searched
+        # fresh graphs per field: a graph memoizes the masks it has decided
         for g in (complete_graph(2), cycle_graph(5), girth4_planar(3), girth4_planar(4)):
-            searched.clear()
+            g = Graph(g.n, g.edges())
+            asked.clear()
             assert is_second_power_cm(g, field)
             for a, b in g.edges():
                 closed = {a, b, *g.neighbors(a), *g.neighbors(b)}
-                assert sum(1 << v for v in g.vertices() if v not in closed) in searched, (a, b)
+                assert sum(1 << v for v in g.vertices() if v not in closed) in asked, (a, b)
 
 
 def test_records_enumerate_maximal_independent_sets_once(monkeypatch, corpus_tf_lines):

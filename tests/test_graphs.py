@@ -1,7 +1,9 @@
 import math
 import random
+import sys
 import time
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +19,9 @@ from oracles import (
     independence_complex,
     induced_subgraph,
     localize,
+    is_pure,
     localized_vertices,
+    oracle_vertex_decomposable,
     reduced_euler_characteristic,
 )
 from tfgor import (
@@ -40,11 +44,18 @@ from tfgor import (
     parse_graph6,
     path_graph,
 )
-from tfgor.graphs import _component_count, _ind_facets
+from tfgor.graphs import _components, _ind_facets, _vertex_decomposable
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+from generate_corpora import canonical_chunks, chunks_to_graph  # noqa: E402
 
 
 def random_graph(rng, n, p=0.4):
     return Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
+def component_count(g):
+    return len(_components(g, (1 << g.n) - 1))
 
 
 def maximal_independent_sets(g):
@@ -155,16 +166,81 @@ def test_triangle_free_matches_triple_enumeration():
 
 def test_components():
     two_k2 = disjoint_union(complete_graph(2), complete_graph(2))
-    assert _component_count(two_k2) == 2
-    assert _component_count(cycle_graph(5)) == 1
-    assert _component_count(Graph(3)) == 3
-    assert _component_count(Graph(0)) == 0
+    assert component_count(two_k2) == 2
+    assert component_count(cycle_graph(5)) == 1
+    assert component_count(Graph(3)) == 3
+    assert component_count(Graph(0)) == 0
     assert has_isolated_vertices(Graph(3))
     assert not has_isolated_vertices(complete_graph(2))
     rng = random.Random(12)
     for _ in range(80):
         g = random_graph(rng, rng.randint(0, 9), rng.choice([0.1, 0.2, 0.4]))
-        assert _component_count(g) == brute_component_count(g.n, g.edges()), g
+        assert component_count(g) == brute_component_count(g.n, g.edges()), g
+
+
+def test_component_masks_partition_the_mask():
+    # each component of g[s] is closed under neighbors inside s, connected,
+    # and the components are disjoint and cover s; listed by least vertex
+    rng = random.Random(13)
+    for _ in range(80):
+        g = random_graph(rng, rng.randint(0, 9), rng.choice([0.1, 0.2, 0.4]))
+        s = rng.getrandbits(g.n)
+        parts = _components(g, s)
+        assert sum(parts) == s and [c & -c for c in parts] == sorted(c & -c for c in parts)
+        h = induced_subgraph(g, [v for v in g.vertices() if s >> v & 1])
+        assert len(parts) == brute_component_count(h.n, h.edges()), (g, s)
+        for c in parts:
+            assert all(g._nbr_bits[v] & s & ~c == 0 for v in g.vertices() if c >> v & 1)
+
+
+def all_graphs(max_n):
+    # every graph on 0..max_n vertices up to isomorphism: each graph on n
+    # vertices is one on n - 1 with a vertex attached to some subset
+    level = {(): Graph(0)}
+    out = [Graph(0)]
+    for n in range(1, max_n + 1):
+        nxt = {}
+        for g in level.values():
+            for s in range(1 << (n - 1)):
+                bits = [b | (s >> v & 1) << (n - 1) for v, b in enumerate(g._nbr_bits)]
+                key = canonical_chunks(n, bits + [s])
+                if key not in nxt:
+                    nxt[key] = chunks_to_graph(n, key)
+        level = nxt
+        out += level.values()
+    return out
+
+
+def test_vertex_decomposable_matches_definition_on_all_graphs_up_to_7():
+    # Woodroofe's criterion on vertex masks, split into components, with
+    # purity read off alpha, against the definition on Ind(g) and purity:
+    # 1253 graphs (OEIS A000088 up to n = 7), 1009 vertex decomposable and
+    # 187 of them pure
+    graphs = all_graphs(7)
+    assert len(graphs) == 1 + 1 + 2 + 4 + 11 + 34 + 156 + 1044
+    counts = [0, 0]
+    for g in graphs:
+        c = independence_complex(g)
+        vd = oracle_vertex_decomposable(c)
+        got = _vertex_decomposable(g, (1 << g.n) - 1)
+        assert got == (vd and is_pure(c)), g
+        counts = [counts[0] + vd, counts[1] + got]
+    assert counts == [1009, 187]
+
+
+def test_vertex_decomposable_on_vertex_masks():
+    # a mask of g decides as the induced subgraph does, in g's memo
+    rng = random.Random(17)
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(1, 9), rng.choice([0.2, 0.35, 0.5]))
+        for s in {rng.getrandbits(g.n) for _ in range(4)}:
+            c = independence_complex(induced_subgraph(g, [v for v in g.vertices() if s >> v & 1]))
+            want = oracle_vertex_decomposable(c) and is_pure(c)
+            assert _vertex_decomposable(g, s) == want, (g, s)
+    # C_n is vertex decomposable iff n is 3 or 5 (Woodroofe 2009; it is not
+    # even sequentially Cohen-Macaulay otherwise, Francisco and Van Tuyl 2007)
+    for n in range(3, 14):
+        assert _vertex_decomposable(cycle_graph(n), (1 << n) - 1) == (n in (3, 5)), n
 
 
 def test_has_isolated_matches_singleton_components():
@@ -174,7 +250,7 @@ def test_has_isolated_matches_singleton_components():
     for _ in range(50):
         g = random_graph(rng, rng.randint(1, 8), 0.3)
         assert has_isolated_vertices(g) == any(
-            _component_count(delete_vertex(g, v)) < _component_count(g) for v in g.vertices()
+            component_count(delete_vertex(g, v)) < component_count(g) for v in g.vertices()
         )
 
 
