@@ -147,6 +147,7 @@ def from_edge_list(n: int, edges) -> Graph:
 
 _G6_HEADER = ">>graph6<<"
 _G6_BITS = tuple(format(x, "06b") for x in range(64))
+_G6_CHUNK = 4096
 
 
 def parse_graph6(text: str) -> Graph:
@@ -157,7 +158,7 @@ def parse_graph6(text: str) -> Graph:
     if not s:
         raise ValueError("empty graph6 string")
     data = [ord(ch) - 63 for ch in s]
-    if any(x < 0 or x > 63 for x in data):
+    if min(data) < 0 or max(data) > 63:
         raise ValueError("illegal character in graph6 string")
     if data[0] < 63:
         n, idx = data[0], 1
@@ -180,11 +181,18 @@ def parse_graph6(text: str) -> Graph:
     bits = "".join([_G6_BITS[x] for x in data[idx:]])
     if "1" in bits[npairs:]:
         raise ValueError("nonzero padding bits in graph6 string")
-    # column j holds the pairs (0,j)..(j-1,j); reversed, pair (i,j) is bit i
+    # column j holds the pairs (0,j)..(j-1,j) from string position k on.
+    # The columns are read from integers of about _G6_CHUNK bits, each a
+    # slice of the string reversed, so that position k is bit k - start:
+    # one conversion for a body of up to 91 vertices, and no column read
+    # by shifting an integer much longer than itself
     nbr = [0] * n
-    k = 0
+    k = start = end = 0
     for j in range(1, n):
-        col = int(bits[k:k + j][::-1], 2)
+        if k + j > end:
+            start, end = k, k + max(j, _G6_CHUNK)
+            chunk = int(bits[start:end][::-1], 2)
+        col = chunk >> k - start & ~(-1 << j)
         k += j
         nbr[j] = col
         while col:
@@ -612,28 +620,68 @@ def independence_euler_characteristic(g: Graph) -> int:
     return -_alpha_and_poly(g)((1 << g.n) - 1)[1]
 
 
+def _greedy_maximal_size(g: Graph) -> int:
+    # the size of one maximal independent set: take a vertex of largest
+    # degree in what is left, lowest first, and delete its closed neighborhood
+    nbr = g._nbr_bits
+    left = (1 << g.n) - 1
+    size = 0
+    while left:
+        v, deg = -1, -1
+        m = left
+        while m:
+            bit = m & -m
+            m ^= bit
+            u = bit.bit_length() - 1
+            d = (nbr[u] & left).bit_count()
+            if d > deg:
+                v, deg = u, d
+        if deg == 0:  # what is left is independent
+            return size + left.bit_count()
+        left &= ~nbr[v] & ~(1 << v)
+        size += 1
+    return size
+
+
+def _not_well_covered(g: Graph, alpha: int) -> bool:
+    # a sufficient condition for g, of independence number alpha, not to be
+    # well-covered, by a bound or a witness; see _cover_verdicts
+    return 2 * alpha > g.n + g._nbr_bits.count(0) or _greedy_maximal_size(g) < alpha
+
+
 def _cover_verdicts(g: Graph) -> tuple[bool, bool]:
     """(well-covered, every maximal set passes W2's private-neighbor test;
     see is_in_w2), from one pass over the maximal independent sets that
-    ends at the first one smaller than alpha.  Memoized in g."""
+    ends at the first one smaller than alpha.  Memoized in g.
+
+    Most graphs are rejected before the pass.  A well-covered graph
+    without isolated vertices has alpha <= n/2 (Favaron, Discrete Math.
+    42, 1982); the k isolated vertices of g lie in every maximal set, so a
+    well-covered g has 2 alpha <= n + k.  And one maximal set smaller than
+    alpha, built greedily from vertices of largest degree, is a witness.
+    Either gives (False, False), as the pass would.
+    """
     got = g._verdict_memo.get("cover")
     if got is None:
-        nbr = g._nbr_bits
-        alpha = independence_number(g)
-        covered = private_ok = True
-        for t in _maximal_independent_masks(g):
-            if t.bit_count() != alpha:
-                covered = private_ok = False
-                break
-            if private_ok:
-                private = 0  # the x in t that are the only neighbor in t of some y
-                for b in nbr:
-                    c = b & t
-                    if c & (c - 1) == 0:
-                        private |= c
-                private_ok = private == t
-        got = g._verdict_memo["cover"] = (covered, private_ok)
+        got = g._verdict_memo["cover"] = _cover_scan(g, independence_number(g))
     return got
+
+
+def _cover_scan(g: Graph, alpha: int) -> tuple[bool, bool]:
+    if _not_well_covered(g, alpha):
+        return False, False
+    private_ok = True
+    for t in _maximal_independent_masks(g):
+        if t.bit_count() != alpha:
+            return False, False
+        if private_ok:
+            private = 0  # the x in t that are the only neighbor in t of some y
+            for b in g._nbr_bits:
+                c = b & t
+                if c & (c - 1) == 0:
+                    private |= c
+            private_ok = private == t
+    return True, private_ok
 
 
 def is_well_covered(g: Graph) -> bool:
@@ -668,6 +716,13 @@ def is_in_w2(g: Graph) -> bool:
     return covered and private_ok
 
 
+def _not_alpha_critical(g: Graph, alpha: int) -> bool:
+    # a sufficient condition for g, of independence number alpha, not to be
+    # alpha-critical, by two bounds; see is_alpha_critical
+    slack = g.n + g._nbr_bits.count(0) - 2 * alpha
+    return slack < 0 or max(map(int.bit_count, g._nbr_bits), default=0) > slack + 1
+
+
 def is_alpha_critical(g: Graph) -> bool:
     """True iff deleting any edge increases the independence number.
 
@@ -678,6 +733,14 @@ def is_alpha_critical(g: Graph) -> bool:
     the edge ab is critical iff alpha(g_ab) = alpha(g) - 1.  Every g_ab is
     a vertex mask of one memoized recursion, and the verdict is memoized
     in g.
+
+    Most graphs are rejected before any localization.  An alpha-critical
+    graph without isolated vertices has n >= 2 alpha (Erdos and Gallai
+    1961) and every degree at most n - 2 alpha + 1 (Hajnal, Canad. J.
+    Math. 17, 1965; both in Lovasz and Plummer, Matching Theory, ch. 12).
+    Isolated vertices have no edges to make critical, and each of the k in
+    g adds one to n and to alpha, so with slack = n + k - 2 alpha an
+    alpha-critical g has slack >= 0 and every degree at most slack + 1.
     """
     got = g._verdict_memo.get("alpha_critical")
     if got is None:
@@ -685,7 +748,7 @@ def is_alpha_critical(g: Graph) -> bool:
         nbr = g._nbr_bits
         full = (1 << g.n) - 1
         alpha = solve(full)[0]
-        got = g._verdict_memo["alpha_critical"] = all(
+        got = g._verdict_memo["alpha_critical"] = not _not_alpha_critical(g, alpha) and all(
             solve(full & ~(nbr[a] | nbr[b]))[0] == alpha - 1 for a, b in g.edges()
         )
     return got

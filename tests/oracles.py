@@ -101,6 +101,10 @@ def brute_maximal_independent_sets(n, edges):
     return sorted(out)
 
 
+def brute_alpha(n, edges):
+    return max(len(s) for s in brute_independent_sets(n, edges))
+
+
 def brute_component_count(n, edges):
     """Connected components, merging the label sets that an edge joins."""
     parts = [{v} for v in range(n)]
@@ -296,6 +300,29 @@ def edge_localize(g, a, b):
         raise ValueError(f"{(a, b)} is not an edge")
     removed = set(g.neighbors(a)) | set(g.neighbors(b))
     return induced_subgraph(g, [v for v in range(g.n) if v not in removed])
+
+
+def oracle_well_covered(g):
+    """Every maximal independent set has the same size."""
+    return len({len(s) for s in brute_maximal_independent_sets(g.n, g.edges())}) <= 1
+
+
+def oracle_w2(g):
+    """g is well-covered, and so is every g - x, with the same independence
+    number.  Deleting an isolated vertex lowers it, so no graph with one
+    is in W2; the empty graph is, vacuously."""
+    alpha = brute_alpha(g.n, g.edges())
+    return oracle_well_covered(g) and all(
+        oracle_well_covered(h) and brute_alpha(h.n, h.edges()) == alpha
+        for h in (delete_vertex(g, x) for x in range(g.n))
+    )
+
+
+def oracle_alpha_critical(g):
+    """Deleting any edge raises the independence number."""
+    edges = g.edges()
+    alpha = brute_alpha(g.n, edges)
+    return all(brute_alpha(g.n, [f for f in edges if f != e]) > alpha for e in edges)
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,8 @@ from tfgor import (
 )
 from tfgor.graphs import _ind_facets, _vertex_decomposable
 
+from conftest import load_corpus
+
 TWO_K2 = disjoint_union(complete_graph(2), complete_graph(2))
 
 
@@ -485,7 +487,8 @@ def test_records_enumerate_maximal_independent_sets_once(monkeypatch, corpus_tf_
     # well-coveredness, W2 and alpha-criticality need no field: a record over
     # three fields of a graph that is not well-covered, which no field's
     # homology can rescue, enumerates the maximal independent sets of the
-    # whole graph once
+    # whole graph once, and not at all when 2 alpha > n + k (k isolated
+    # vertices) or a greedy maximal set smaller than alpha rejects it first
     graphs = sys.modules["tfgor.graphs"]
     real = graphs._maximal_independent_masks
     whole = []
@@ -496,17 +499,41 @@ def test_records_enumerate_maximal_independent_sets_once(monkeypatch, corpus_tf_
         return real(g, s)
 
     monkeypatch.setattr(graphs, "_maximal_independent_masks", counting)
-    checked = 0
+    settled = {"bound": 0, "witness": 0, "scan": 0}
     for i, line in enumerate(corpus_tf_lines):
         if is_well_covered(parse_graph6(line)):
             continue
         g = parse_graph6(line)  # a fresh graph, its memo empty
         whole.clear()
         rec = build_record(i, g, ("q", "f2", "f3"))
-        assert len(whole) == 1, line
+        alpha = rec["alpha"]
+        if 2 * alpha > g.n + g._nbr_bits.count(0):
+            by = "bound"
+        elif graphs._greedy_maximal_size(g) < alpha:
+            by = "witness"
+        else:
+            by = "scan"
+        assert len(whole) == (by == "scan"), line
         assert not rec["well_covered"] and not rec["w2"]
-        checked += 1
-    assert checked == 1671
+        settled[by] += 1
+    assert settled == {"bound": 1285, "witness": 280, "scan": 106}
+
+
+@pytest.mark.parametrize(
+    "lines", ["connected_trifree_2to9.g6", "connected_girth5_1to10.g6"], ids=["trifree", "girth5"]
+)
+def test_records_without_the_rejection_bounds_are_the_same(monkeypatch, lines):
+    # with the bounds and the greedy witness never rejecting, every verdict
+    # comes from the maximal independent set scan and the edge
+    # localizations, and no record changes
+    graphs = sys.modules["tfgor.graphs"]
+    lines = load_corpus(lines)
+    fields = ("q", "f2")
+    want = [build_record(i, parse_graph6(ln), fields, ln) for i, ln in enumerate(lines)]
+    monkeypatch.setattr(graphs, "_not_well_covered", lambda g, alpha: False)
+    monkeypatch.setattr(graphs, "_not_alpha_critical", lambda g, alpha: False)
+    got = [build_record(i, parse_graph6(ln), fields, ln) for i, ln in enumerate(lines)]
+    assert got == want
 
 
 @pytest.mark.parametrize(

@@ -65,6 +65,19 @@ def test_roundtrip_random():
         assert write_graph6(g) == s
 
 
+def test_roundtrip_every_n_up_to_70():
+    # every length form up to n = 70 (the 4-byte one from 63), at several
+    # densities, through write_graph6; and past one 4096-bit chunk of the
+    # body (n = 92) and several (n = 200)
+    rng = random.Random(29)
+    for n in list(range(71)) + [91, 92, 93, 200]:
+        for p in (0.1, 0.5, 0.9):
+            g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+            s = write_graph6(g)
+            assert parse_graph6(s) == g, (n, p)
+            assert write_graph6(parse_graph6(s)) == s, (n, p)
+
+
 def test_roundtrip_large_n():
     g = Graph(70, [(0, 1), (68, 69)])
     s = write_graph6(g)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from oracles import (
+    brute_alpha,
     brute_component_count,
     brute_euler_characteristic,
     brute_girth,
@@ -21,7 +22,10 @@ from oracles import (
     localize,
     is_pure,
     localized_vertices,
+    oracle_alpha_critical,
     oracle_vertex_decomposable,
+    oracle_w2,
+    oracle_well_covered,
     reduced_euler_characteristic,
 )
 from tfgor import (
@@ -44,7 +48,14 @@ from tfgor import (
     parse_graph6,
     path_graph,
 )
-from tfgor.graphs import _components, _ind_facets, _vertex_decomposable
+from tfgor.graphs import (
+    _components,
+    _greedy_maximal_size,
+    _ind_facets,
+    _not_alpha_critical,
+    _not_well_covered,
+    _vertex_decomposable,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 from generate_corpora import canonical_chunks, chunks_to_graph  # noqa: E402
@@ -228,6 +239,30 @@ def test_vertex_decomposable_matches_definition_on_all_graphs_up_to_7():
     assert counts == [1009, 187]
 
 
+def test_rejection_bounds_hold_on_all_graphs_up_to_7():
+    # the cited bounds, with k isolated vertices: a well-covered graph has
+    # 2 alpha <= n + k (Favaron 1982) and its greedy maximal set has size
+    # alpha; an alpha-critical one has slack = n + k - 2 alpha >= 0 (Erdos
+    # and Gallai 1961) and every degree at most slack + 1 (Hajnal 1965).
+    # 1253 graphs, 238 well-covered and 55 alpha-critical by the definitions
+    counts = [0, 0]
+    for g in all_graphs(7):
+        alpha = brute_alpha(g.n, g.edges())
+        slack = g.n + sum(g.degree(v) == 0 for v in g.vertices()) - 2 * alpha
+        covered, critical = oracle_well_covered(g), oracle_alpha_critical(g)
+        if covered:
+            assert slack >= 0 and _greedy_maximal_size(g) == alpha, g
+            assert not _not_well_covered(g, alpha), g
+        if critical:
+            assert slack >= 0 and all(g.degree(v) <= slack + 1 for v in g.vertices()), g
+            assert not _not_alpha_critical(g, alpha), g
+        assert is_well_covered(g) == covered, g
+        assert is_in_w2(g) == oracle_w2(g), g
+        assert is_alpha_critical(g) == critical, g
+        counts = [counts[0] + covered, counts[1] + critical]
+    assert counts == [238, 55]
+
+
 def test_vertex_decomposable_on_vertex_masks():
     # a mask of g decides as the induced subgraph does, in g's memo
     rng = random.Random(17)
@@ -370,10 +405,6 @@ def test_is_alpha_critical():
     assert all(is_alpha_critical(girth4_planar(n)) for n in range(3, 7))
 
 
-def _brute_alpha(n, edges):
-    return max(len(s) for s in brute_independent_sets(n, edges))
-
-
 def _alpha_critical_test_graphs():
     rng = random.Random(53)
     graphs = [Graph(n) for n in range(5)] + [complete_graph(n) for n in range(1, 9)]
@@ -386,9 +417,9 @@ def test_is_alpha_critical_matches_edge_deletion_definition():
     found = 0
     for g in _alpha_critical_test_graphs() + _invariant_test_graphs():
         edges = g.edges()
-        alpha = _brute_alpha(g.n, edges)
+        alpha = brute_alpha(g.n, edges)
         want = all(
-            _brute_alpha(g.n, [f for f in edges if f != e]) > alpha for e in edges
+            brute_alpha(g.n, [f for f in edges if f != e]) > alpha for e in edges
         )
         assert is_alpha_critical(g) == want, g
         found += want and bool(edges)
@@ -409,7 +440,7 @@ def test_is_in_w2_matches_definition():
     graphs = _alpha_critical_test_graphs()
     graphs += [g for g in _invariant_test_graphs() if g.n <= 11]
     for g in graphs:
-        alpha = _brute_alpha(g.n, g.edges())
+        alpha = brute_alpha(g.n, g.edges())
         want = g.n == 0 or (
             not has_isolated_vertices(g)
             and all(_brute_maximal_sizes(g, x) == {alpha} for x in (None, *range(g.n)))
@@ -527,14 +558,14 @@ def test_graph_memo_does_not_depend_on_call_order():
     for h in _memo_test_graphs():
         edges = h.edges()
         maximal = brute_maximal_independent_sets(h.n, edges)
-        alpha = _brute_alpha(h.n, edges)
+        alpha = brute_alpha(h.n, edges)
         want = (
             len({len(s) for s in maximal}) == 1,
             h.n == 0 or (
                 not has_isolated_vertices(h)
                 and all(_brute_maximal_sizes(h, x) == {alpha} for x in (None, *range(h.n)))
             ),
-            all(_brute_alpha(h.n, [f for f in edges if f != e]) > alpha for e in edges),
+            all(brute_alpha(h.n, [f for f in edges if f != e]) > alpha for e in edges),
             brute_component_count(h.n, edges) <= 1,
             brute_girth(h.n, edges) >= 4,
         )
