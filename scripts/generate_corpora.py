@@ -141,9 +141,8 @@ def augment_level(parents: dict[str, "Graph"], girth5: bool) -> dict[str, Graph]
             child = bits + [mask]
             for v in mask_vertices(mask):
                 child[v] |= 1 << n
-            key = canonical_g6(n + 1, child)
-            if key not in out:
-                out[key] = chunks_to_graph(n + 1, canonical_chunks(n + 1, child))
+            h = chunks_to_graph(n + 1, canonical_chunks(n + 1, child))
+            out.setdefault(write_graph6(h), h)
     return out
 
 

@@ -16,6 +16,7 @@ import sys
 
 from ._version import __version__
 from .graphs import (
+    _FAMILIES,
     _components,
     _ind_facets,
     generate,
@@ -88,9 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_family = sub.add_parser("family", help="emit a generated family member")
-    p_family.add_argument(
-        "name", choices=("path", "cycle", "complete", "girth4-planar")
-    )
+    p_family.add_argument("name", choices=_FAMILIES)
     p_family.add_argument("n", type=int)
     p_family.add_argument("--format", choices=("graph6", "edges"), default="graph6")
 

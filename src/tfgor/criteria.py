@@ -13,26 +13,15 @@ vertices) and only rejects early; tests compare against the bare
 per-face loop.  A cone is Cohen-Macaulay iff its base is, and acyclic,
 so the vertices in every facet are peeled off first.  Facets are sorted
 vertex bitmasks; a link or a peel clears bits, which keeps them sorted
-and inclusion-maximal.  One cache keyed by (facet masks, field) holds
-the verdicts, so a link shared by many faces is ranked once, and a miss
+and inclusion-maximal.  The verdicts are memoized in a dict the caller
+owns, keyed by (facet masks, field): a graph's own memo for the masks of
+a graph, a fresh one per call on a facet file.  So a link shared by many
+faces is ranked once per memo, over the field asked for alone, and a miss
 hands its masks to homology.reduced_betti as they are.  A facet file
 enters as homology.parse_facets gives it, relabeled by rank, and a
 vertex mask of a graph as its maximal independent sets
 (graphs._ind_facets), where the graph path below needs a rank.  A
 complex is Gorenstein iff its core, the peeled complex, is Gorenstein*.
-
-A query over the rationals first asks the walk over GF(2), and returns
-its verdict unless that is 0; only then does it rank over Q, node by
-node, each link query trying GF(2) again.  The lift is sound: if a
-complex is Cohen-Macaulay over GF(2), by Reisner no link has GF(2)
-homology below its top degree; by the universal coefficient theorem,
-dim H~_i(X; GF(p)) >= dim H~_i(X; Q) in every degree, so no link has
-rational homology there either.  By Euler-Poincare each link's top Betti
-number is then (-1)^dim chi~ over both fields, and chi~ needs no field,
-so the two verdicts agree, Gorenstein* included.  The converse fails
-with 2-torsion: RP^2 is Cohen-Macaulay over Q, not over GF(2).  So a
-survey over q and f2 walks each link once, over GF(2), and over q alone
-a Cohen-Macaulay link is ranked only with the cheaper mod-2 kernel.
 
 A graph is decided on vertex masks of itself, memoized in the Graph:
 the field-free parts by mask, the verdicts by mask and field.  The link
@@ -59,7 +48,7 @@ homology, where any is left.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import and_, or_
 
 from .graphs import (
@@ -75,7 +64,7 @@ from .graphs import (
     is_triangle_free,
     is_well_covered,
 )
-from .homology import GF2, FieldSpec, reduced_betti
+from .homology import FieldSpec, reduced_betti
 
 __all__ = [
     "TheoremVerdict",
@@ -88,37 +77,31 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=8192)
-def _cm(facets: tuple[int, ...], field: FieldSpec) -> int:
+def _cm(facets: tuple[int, ...], field: FieldSpec, memo: dict) -> int:
     # sorted vertex bitmasks; ground vertices in no face change no homology.
-    # 0: not Cohen-Macaulay, 1: Cohen-Macaulay, 2: Gorenstein*.
-    # Over Q a nonzero verdict over GF(2) is final: then no link has GF(2)
-    # homology below its top degree, so by universal coefficients none has
-    # rational homology there, and chi~ gives both fields the same top
-    # Betti numbers (module docstring)
+    # 0: not Cohen-Macaulay, 1: Cohen-Macaulay, 2: Gorenstein*, memoized in
+    # memo by (facets, field)
+    key = (facets, field)
+    verdict = memo.get(key)
+    if verdict is not None:
+        return verdict
     apex = reduce(and_, facets)
-    if apex:  # a cone is Cohen-Macaulay iff its base is, never Gorenstein*
-        return min(_cm(tuple(f ^ apex for f in facets), field), 1)
     size = facets[0].bit_count()
-    if any(f.bit_count() != size for f in facets):
-        return 0
-    if field.is_rationals:
-        verdict = _cm(facets, GF2)
-        if verdict:
-            return verdict
-    betti = reduced_betti(facets, field)
-    if any(betti[i] for i in range(-1, size - 1)):
-        return 0
-    verdict = 2 if betti[size - 1] == 1 else 1
-    # clearing bit b keeps the facets of its link sorted and inclusion-maximal
-    left = reduce(or_, facets)
-    while left:
-        b = left & -left
-        left ^= b
-        lk = tuple(f ^ b for f in facets if f & b)
-        verdict = min(verdict, _cm(lk, field))
-        if not verdict:
-            break
+    if apex:  # a cone is Cohen-Macaulay iff its base is, never Gorenstein*
+        verdict = min(_cm(tuple(f ^ apex for f in facets), field, memo), 1)
+    elif any(f.bit_count() != size for f in facets):
+        verdict = 0
+    else:
+        betti = reduced_betti(facets, field)
+        low = any(betti[i] for i in range(-1, size - 1))
+        verdict = 0 if low else 2 if betti[size - 1] == 1 else 1
+        # clearing bit b keeps the facets of its link sorted and inclusion-maximal
+        left = reduce(or_, facets)
+        while verdict and left:
+            b = left & -left
+            left ^= b
+            verdict = min(verdict, _cm(tuple(f ^ b for f in facets if f & b), field, memo))
+    memo[key] = verdict
     return verdict
 
 
@@ -128,7 +111,7 @@ def is_cohen_macaulay(facets: tuple[int, ...], field: FieldSpec) -> bool:
     its top degree."""
     if not facets:
         raise ValueError("operation undefined on the void complex")
-    return _cm(facets, field) > 0
+    return _cm(facets, field, {}) > 0
 
 
 def is_gorenstein(facets: tuple[int, ...], field: FieldSpec) -> bool:
@@ -137,7 +120,7 @@ def is_gorenstein(facets: tuple[int, ...], field: FieldSpec) -> bool:
     if not facets:
         raise ValueError("operation undefined on the void complex")
     apex = reduce(and_, facets)
-    return _cm(tuple(f ^ apex for f in facets), field) == 2
+    return _cm(tuple(f ^ apex for f in facets), field, {}) == 2
 
 
 def _cm_graph(g: Graph, s: int, field: FieldSpec) -> bool:
@@ -146,7 +129,7 @@ def _cm_graph(g: Graph, s: int, field: FieldSpec) -> bool:
     factors, and an isolated vertex a cone apex, which changes nothing.  A
     connected g[s] is Cohen-Macaulay if the field-free certificate, pure
     and vertex decomposable, holds; only where it fails does the link walk
-    on its facet masks decide, purity first."""
+    on its facet masks decide, purity first, its links memoized in g too."""
     key = ("cm", s, field)
     memo = g._verdict_memo
     got = memo.get(key)
@@ -155,7 +138,7 @@ def _cm_graph(g: Graph, s: int, field: FieldSpec) -> bool:
         if parts != [s]:
             got = all(_cm_graph(g, c, field) for c in parts)
         else:
-            got = _vertex_decomposable(g, s) or _cm(_ind_facets(g, s), field) > 0
+            got = _vertex_decomposable(g, s) or _cm(_ind_facets(g, s), field, memo) > 0
         memo[key] = got
     return got
 
@@ -198,18 +181,12 @@ def is_cm_graph(g: Graph, field: FieldSpec) -> bool:
 def is_gorenstein_graph(g: Graph, field: FieldSpec) -> bool:
     """Gorensteinness of Ind(g), whose core is Ind(g') for g' the
     non-isolated vertices: Ind(g') is Cohen-Macaulay and Eulerian
-    (Stanley II.5.1).  Two necessary conditions need no walk and run
-    first: Euler-Poincare for a homology sphere, chi~ = -I(g'; -1) =
-    (-1)^(alpha(g') - 1), and purity, which Ind(g) has iff g is
-    well-covered."""
+    (Stanley II.5.1).  Purity, which Ind(g) has iff g is well-covered, is
+    memoized in g and runs first; the Eulerian walk, which needs no field,
+    runs before the link walk, and its first test at each connected core
+    factor is Euler-Poincare for a homology sphere, chi~ = (-1)^(alpha - 1)."""
     core = sum(1 << v for v, b in enumerate(g._nbr_bits) if b)
-    alpha, poly = _alpha_and_poly(g)(core)
-    return (
-        -poly == (1 if alpha % 2 else -1)
-        and is_well_covered(g)
-        and _eulerian(g, core)
-        and _cm_graph(g, core, field)
-    )
+    return is_well_covered(g) and _eulerian(g, core) and _cm_graph(g, core, field)
 
 
 def is_second_power_cm(g: Graph, field: FieldSpec) -> bool:

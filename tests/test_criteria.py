@@ -26,7 +26,6 @@ from tfgor import (
     GF3,
     GF5,
     RATIONALS,
-    FieldSpec,
     Graph,
     build_record,
     check_theorem,
@@ -46,6 +45,7 @@ from tfgor import (
     parse_graph6,
     path_graph,
     reduced_betti,
+    survey,
 )
 from tfgor.graphs import _ind_facets, _vertex_decomposable
 
@@ -120,8 +120,8 @@ def test_cm_purity_shortcut_matches_bare_loop():
 
 
 def count_ranked(monkeypatch):
-    # clears the Cohen-Macaulay cache and records the facet masks of every
-    # complex handed to reduced_betti by the link walk, with its field
+    # records the facet masks of every complex handed to reduced_betti by
+    # the link walk, with its field
     criteria = sys.modules["tfgor.criteria"]
     real = criteria.reduced_betti
     ranked = []
@@ -130,7 +130,6 @@ def count_ranked(monkeypatch):
         ranked.append((facets, field))
         return real(facets, field)
 
-    criteria._cm.cache_clear()
     monkeypatch.setattr(criteria, "reduced_betti", counting)
     return ranked
 
@@ -148,8 +147,8 @@ def test_cm_ranks_each_distinct_link_once(monkeypatch, n, faces, links):
     assert (len(oracle_faces(c)), len(distinct)) == (faces, links)
     ranked = count_ranked(monkeypatch)
     assert is_cohen_macaulay(facet_masks(c), RATIONALS)
-    # a rational query walks the links over GF(2), whose verdict is final
-    assert {field for _, field in ranked} == {GF2}
+    # a rational query ranks over Q alone
+    assert {field for _, field in ranked} == {RATIONALS}
     facets = [f for f, _ in ranked]
     assert len(facets) == len(distinct) and set(facets) == distinct
 
@@ -162,6 +161,15 @@ def test_record_over_q_and_f2_ranks_nothing_over_q(monkeypatch):
     rec = build_record(0, g, ("q", "f2"))
     assert rec["gorenstein"] == rec["second_power_cm"] == {"q": True, "f2": True}
     assert _vertex_decomposable(g, (1 << g.n) - 1) and ranked == []
+
+
+def test_survey_over_q_ranks_nothing_over_gf2(monkeypatch, corpus_tf_lines):
+    # the masks of the corpus that reach the link walk over q are ranked
+    # over Q alone
+    ranked = count_ranked(monkeypatch)
+    report, skipped = survey(corpus_tf_lines, fields=("q",))
+    assert skipped == [] and report["counterexamples"] == []
+    assert ranked and {field for _, field in ranked} == {RATIONALS}
 
 
 def walk_verdicts(g, field):
@@ -387,7 +395,7 @@ def rp2_joins(rp2):
 
 
 @pytest.fixture(scope="module")
-def lift_cases(rp2):
+def reference_cases(rp2):
     # each complex with its references over Q and over GF(2): Cohen-Macaulay
     # by the dense oracle (over Q also by the bare loop), and Gorenstein by
     # the definition
@@ -403,33 +411,28 @@ def lift_cases(rp2):
     return cases
 
 
-@pytest.mark.parametrize("order", [("q",), ("q", "f2"), ("f2", "q")], ids="-".join)
-def test_rational_verdicts_match_references_with_the_gf2_lift(lift_cases, order):
-    # a rational query reads a nonzero GF(2) verdict off the cache or walks
-    # for it, and ranks over Q only where GF(2) says no; each complex starts
-    # from a cold cache, so the order decides which walk fills it
-    criteria = sys.modules["tfgor.criteria"]
-    for c, refs in lift_cases:
-        criteria._cm.cache_clear()
+def test_verdicts_match_references_over_q_and_gf2(reference_cases):
+    # each query walks the links over its own field, from a memo of its own
+    for c, refs in reference_cases:
         masks = facet_masks(c)
-        for field in map(FieldSpec.from_label, order):
+        for field in (RATIONALS, GF2):
             got = is_cohen_macaulay(masks, field), is_gorenstein(masks, field)
             assert got == refs[field], (c, field)
 
 
-def test_verdicts_over_gf_p_are_zero_or_the_rational_one(lift_cases):
+def test_verdicts_over_gf_p_are_zero_or_the_rational_one(reference_cases):
     # universal coefficients: dim H~_i(X; GF(p)) >= dim H~_i(X; Q), and chi~
-    # needs no field, so a nonzero verdict over GF(p), which the walk never
-    # lifts, equals the rational one; that one is read off the oracles, as
-    # Gorenstein* is Cohen-Macaulay and Eulerian (Stanley II.5.1)
+    # needs no field, so a nonzero verdict over GF(p) equals the rational
+    # one; that one is read off the oracles, as Gorenstein* is
+    # Cohen-Macaulay and Eulerian (Stanley II.5.1)
     criteria = sys.modules["tfgor.criteria"]
     torsion = agree = 0
-    for c, refs in lift_cases:
+    for c, refs in reference_cases:
         masks = facet_masks(c)
         rational = 1 + oracle_eulerian(c) if refs[RATIONALS][0] else 0
-        assert criteria._cm(masks, RATIONALS) == rational, c
+        assert criteria._cm(masks, RATIONALS, {}) == rational, c
         for field in (GF2, GF3, GF5):
-            verdict = criteria._cm(masks, field)
+            verdict = criteria._cm(masks, field, {})
             assert verdict in (0, rational), (c, field)
             torsion += rational and not verdict
             agree += verdict and verdict == rational
