@@ -26,6 +26,7 @@ from tfgor import (
     GF3,
     GF5,
     RATIONALS,
+    FieldSpec,
     Graph,
     build_record,
     check_theorem,
@@ -411,11 +412,13 @@ def reference_cases(rp2):
     return cases
 
 
-def test_verdicts_match_references_over_q_and_gf2(reference_cases):
-    # each query walks the links over its own field, from a memo of its own
+@pytest.mark.parametrize("order", [("q",), ("q", "f2"), ("f2", "q")], ids="-".join)
+def test_rational_verdicts_match_references_with_the_gf2_lift(reference_cases, order):
+    # each query walks the links over its own field, from a memo of its own,
+    # so no order of the fields asked for lifts a GF(2) verdict to Q
     for c, refs in reference_cases:
         masks = facet_masks(c)
-        for field in (RATIONALS, GF2):
+        for field in map(FieldSpec.from_label, order):
             got = is_cohen_macaulay(masks, field), is_gorenstein(masks, field)
             assert got == refs[field], (c, field)
 
