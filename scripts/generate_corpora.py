@@ -24,7 +24,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from tfgor.graphs import Graph, write_graph6  # noqa: E402
+from tfgor.graphs import (  # noqa: E402
+    Graph,
+    _vertices_of,
+    girth,
+    is_connected,
+    is_triangle_free,
+    write_graph6,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 
@@ -112,22 +119,12 @@ def independent_subsets(bits: list[int], n: int):
     yield from rec(0, 0)
 
 
-def mask_vertices(mask: int):
-    out = []
-    while mask:
-        b = mask & -mask
-        out.append(b.bit_length() - 1)
-        mask ^= b
-    return out
-
-
 def valid_attachment(bits: list[int], mask: int, girth5: bool) -> bool:
     if mask == 0:
         return False
     if not girth5:
         return True
-    vs = mask_vertices(mask)
-    return all(bits[u] & bits[w] == 0 for u, w in combinations(vs, 2))
+    return all(bits[u] & bits[w] == 0 for u, w in combinations(_vertices_of(mask), 2))
 
 
 def augment_level(parents: dict[str, "Graph"], girth5: bool) -> dict[str, Graph]:
@@ -139,51 +136,17 @@ def augment_level(parents: dict[str, "Graph"], girth5: bool) -> dict[str, Graph]
             if not valid_attachment(bits, mask, girth5):
                 continue
             child = bits + [mask]
-            for v in mask_vertices(mask):
+            for v in _vertices_of(mask):
                 child[v] |= 1 << n
             h = chunks_to_graph(n + 1, canonical_chunks(n + 1, child))
             out.setdefault(write_graph6(h), h)
     return out
 
 
-def is_connected_bits(n: int, bits: list[int]) -> bool:
-    if n == 0:
-        return True
-    seen = 1
-    frontier = [0]
-    while frontier:
-        v = frontier.pop()
-        m = bits[v] & ~seen
-        while m:
-            b = m & -m
-            seen |= b
-            frontier.append(b.bit_length() - 1)
-            m ^= b
-    return seen == (1 << n) - 1
-
-
-def triangle_free_bits(n: int, bits: list[int]) -> bool:
-    return all(
-        not (bits[u] >> v & 1 and bits[u] & bits[v])
-        for u in range(n)
-        for v in range(u + 1, n)
-    )
-
-
-def girth5_bits(n: int, bits: list[int]) -> bool:
-    if not triangle_free_bits(n, bits):
-        return False
-    for u in range(n):
-        for v in range(u + 1, n):
-            common = bits[u] & bits[v] & ~(1 << u) & ~(1 << v)
-            if common.bit_count() >= 2:
-                return False
-    return True
-
-
 def brute_count(n: int, accept) -> int:
     """Count isomorphism classes among all connected labeled graphs on n
-    vertices passing the predicate; cross-check for the augmentation."""
+    vertices passing the predicate, a function of a Graph; cross-check
+    for the augmentation."""
     pairs = list(combinations(range(n), 2))
     seen = set()
     for code in range(1 << len(pairs)):
@@ -192,7 +155,8 @@ def brute_count(n: int, accept) -> int:
             if code >> k & 1:
                 bits[u] |= 1 << v
                 bits[v] |= 1 << u
-        if is_connected_bits(n, bits) and accept(n, bits):
+        g = Graph._from_bits(bits)
+        if is_connected(g) and accept(g):
             seen.add(canonical_chunks(n, bits))
     return len(seen)
 
@@ -221,13 +185,13 @@ def main():
 
     print("brute-force cross-check (n <= 6):")
     for n in range(2, 7):
-        expect = brute_count(n, lambda nn, bits: triangle_free_bits(nn, bits))
+        expect = brute_count(n, is_triangle_free)
         got = len(tf_levels[n])
         ok = "ok" if expect == got else "MISMATCH"
         print(f"  triangle-free n={n}: brute={expect} augmented={got} {ok}")
         assert expect == got
     for n in range(1, 7):
-        expect = brute_count(n, lambda nn, bits: girth5_bits(nn, bits))
+        expect = brute_count(n, lambda g: girth(g) >= 5)
         got = len(g5_levels[n])
         ok = "ok" if expect == got else "MISMATCH"
         print(f"  girth>=5 n={n}: brute={expect} augmented={got} {ok}")

@@ -7,8 +7,6 @@ criterion for the edge ideal) coincide.
 
 from ._version import __version__
 from .criteria import (
-    TheoremVerdict,
-    check_theorem,
     is_cm_graph,
     is_cohen_macaulay,
     is_gorenstein,

@@ -127,9 +127,8 @@ def _load_graph(args):
 
 def _cmd_check(args) -> int:
     fields = tuple(args.fields or ["q"])
-    g = _load_graph(args)
-    g6 = args.g6.strip() if args.g6 is not None else write_graph6(g)
-    record = build_record(0, g, fields, graph6=g6)
+    g6 = args.g6.strip() if args.g6 is not None else None
+    record = build_record(0, _load_graph(args), fields, graph6=g6)
     print(record_to_json(record))
     return 0 if record["consistent"] else 1
 

@@ -23,57 +23,51 @@ vertex mask of a graph as its maximal independent sets
 (graphs._ind_facets), where the graph path below needs a rank.  A
 complex is Gorenstein iff its core, the peeled complex, is Gorenstein*.
 
-A graph is decided on vertex masks of itself, memoized in the Graph:
-the field-free parts by mask, the verdicts by mask and field.  The link
-of a vertex v in Ind(g[s]) is Ind(g[s - N[v]]), so every link of every
-edge localization is a mask of the same memo.  At a mask the components
-of g[s] are the factors of a join, and a join is Cohen-Macaulay
-(Gorenstein*) iff each factor is (Kunneth for joins over a field); an
-isolated vertex is a cone apex, which Cohen-Macaulayness ignores.  A
-pure vertex-decomposable complex is shellable, hence Cohen-Macaulay
-over every field (Provan and Billera 1980), and Woodroofe's criterion
-(Proc. AMS 137, 2009), with purity read off alpha, decides that on a
-connected mask with no field, no rank and no facet
-(graphs._vertex_decomposable).  Only where that certificate fails are
-the mask's facet masks handed to the link walk above, which rejects a
-mask that is not pure (not well-covered) before any rank.  Gorenstein* is
-Cohen-Macaulay plus Eulerian (Stanley II.5.1), and the Eulerian walk
-needs no field either: chi~ of every link is -I(-1) of its mask, from
-the same memoized recursion that gives alpha (graphs._alpha_and_poly).
-Alpha-criticality, well-coveredness and W2 are memoized in the Graph as
-well, so deciding a graph over several fields repeats only the
-homology, where any is left.
+A graph is decided on vertex masks of itself, each part memoized in
+the Graph's one memo (see graphs.Graph): vertex decomposability, the
+Eulerian walk and the facets by mask, the link walk above by facets and
+field.  The link of a vertex v in Ind(g[s]) is
+Ind(g[s - N[v]]), so every link of every edge localization is a mask of
+the same memo.  At a mask the components of g[s] are the factors of a
+join, and a join is Cohen-Macaulay (Gorenstein*) iff each factor is
+(Kunneth for joins over a field); an isolated vertex is a cone apex,
+which Cohen-Macaulayness ignores.  A pure vertex-decomposable complex is
+shellable, hence Cohen-Macaulay over every field (Provan and Billera
+1980), and Woodroofe's criterion (Proc. AMS 137, 2009), with purity
+read off alpha, decides that on a connected mask with no field, no rank
+and no facet (graphs._vertex_decomposable).  Only where that
+certificate fails are the mask's facet masks handed to the link walk
+above, which rejects a mask that is not pure (not well-covered) before
+any rank.  Gorenstein* is Cohen-Macaulay plus Eulerian (Stanley
+II.5.1), and the Eulerian walk needs no field either
+(graphs._eulerian).  Alpha-criticality and well-coveredness are
+memoized in the Graph as well, so deciding a graph over several fields
+repeats only the homology, where any is left.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
 
 from .graphs import (
     Graph,
-    _alpha_and_poly,
     _components,
+    _eulerian,
     _ind_facets,
     _vertex_decomposable,
-    _vertices_of,
-    has_isolated_vertices,
     is_alpha_critical,
-    is_in_w2,
     is_triangle_free,
     is_well_covered,
 )
 from .homology import FieldSpec, reduced_betti
 
 __all__ = [
-    "TheoremVerdict",
     "is_cohen_macaulay",
     "is_gorenstein",
     "is_cm_graph",
     "is_gorenstein_graph",
     "is_second_power_cm",
-    "check_theorem",
 ]
 
 
@@ -124,51 +118,18 @@ def is_gorenstein(facets: tuple[int, ...], field: FieldSpec) -> bool:
 
 
 def _cm_graph(g: Graph, s: int, field: FieldSpec) -> bool:
-    """Cohen-Macaulayness of Ind(g[s]) over field, for a vertex mask s,
-    memoized in g by (mask, field).  The components of g[s] are the join
-    factors, and an isolated vertex a cone apex, which changes nothing.  A
-    connected g[s] is Cohen-Macaulay if the field-free certificate, pure
-    and vertex decomposable, holds; only where it fails does the link walk
-    on its facet masks decide, purity first, its links memoized in g too."""
-    key = ("cm", s, field)
-    memo = g._verdict_memo
-    got = memo.get(key)
-    if got is None:
-        parts = [c for c in _components(g, s) if c & (c - 1)]
-        if parts != [s]:
-            got = all(_cm_graph(g, c, field) for c in parts)
-        else:
-            got = _vertex_decomposable(g, s) or _cm(_ind_facets(g, s), field, memo) > 0
-        memo[key] = got
-    return got
-
-
-def _eulerian(g: Graph, s: int) -> bool:
-    """Whether every link of Ind(g[s]), the empty face's included, has
-    reduced Euler characteristic (-1)^(its dimension).  The link of a face
-    F is Ind(g[s - N[F]]), with chi~ = -I(-1) and dimension alpha - 1 from
-    the memoized recursion, and lk_F = lk_v(lk_(F-v)), so vertex links
-    suffice.  The link of a face of a join is the join of the factors'
-    links, chi~ of a join is minus the product, and a factor's own links
-    are links of the join (complete the face by a facet of the other
-    factor), so a join is Eulerian iff its factors are, and the walk runs
-    on components.  An isolated vertex is a cone, chi~ = 0, and fails.
-    Needs no field; memoized in g by mask."""
-    key = ("eulerian", s)
-    memo = g._verdict_memo
-    got = memo.get(key)
-    if got is None:
-        parts = _components(g, s)
-        if parts != [s]:  # s = 0 is {()}, chi~ = -1 in dimension -1
-            got = all(_eulerian(g, c) for c in parts)
-        else:
-            alpha, poly = _alpha_and_poly(g)(s)
-            nbr = g._nbr_bits
-            got = -poly == (1 if alpha % 2 else -1) and all(
-                _eulerian(g, s & ~(1 << v) & ~nbr[v]) for v in _vertices_of(s)
-            )
-        memo[key] = got
-    return got
+    """Cohen-Macaulayness of Ind(g[s]) over field, for a vertex mask s.
+    The components of g[s] are the join factors, and an isolated vertex a
+    cone apex, which changes nothing.  A connected g[s] is Cohen-Macaulay
+    if the field-free certificate, pure and vertex decomposable, holds;
+    only where it fails does the link walk on its facet masks decide,
+    purity first.  Each part is memoized in g on its own, so the verdict
+    needs no key of its own."""
+    return all(
+        _vertex_decomposable(g, c) or _cm(_ind_facets(g, c), field, g._memo) > 0
+        for c in _components(g, s)
+        if c & (c - 1)
+    )
 
 
 def is_cm_graph(g: Graph, field: FieldSpec) -> bool:
@@ -208,32 +169,3 @@ def is_second_power_cm(g: Graph, field: FieldSpec) -> bool:
         and is_cm_graph(g, field)
         and all(_cm_graph(g, full & ~(nbr[a] | nbr[b]), field) for a, b in g.edges())
     )
-
-
-@dataclass(frozen=True)
-class TheoremVerdict:
-    """Per-graph record of the three equivalent conditions.
-
-    The equivalence (W2 membership, Gorensteinness, second-power
-    criterion) is asserted only for triangle-free graphs without isolated
-    vertices; other graphs are out of hypothesis and count as consistent.
-    """
-
-    triangle_free: bool
-    no_isolated: bool
-    is_w2: bool
-    gorenstein: bool
-    second_power_cm: bool
-    in_hypothesis: bool
-    consistent: bool
-
-
-def check_theorem(g: Graph, field: FieldSpec) -> TheoremVerdict:
-    tf = is_triangle_free(g)
-    no_iso = not has_isolated_vertices(g)
-    w2 = is_in_w2(g)
-    gor = is_gorenstein_graph(g, field)
-    spcm = is_second_power_cm(g, field)
-    in_hyp = tf and no_iso
-    consistent = (w2 == gor == spcm) if in_hyp else True
-    return TheoremVerdict(tf, no_iso, w2, gor, spcm, in_hyp, consistent)

@@ -3,11 +3,13 @@
 Vertices are the integer labels 0..n-1.  Graph values are immutable once
 built, so they can be shared freely across worker processes.  An induced
 subgraph, such as the localization at an edge, is a vertex bitmask of the
-graph it lives in, never a new graph, so it shares that graph's memos;
-the criteria certify such masks by _vertex_decomposable, and where that
-fails hand them to _ind_facets, which gives the facets of its
-independence complex as sorted bitmasks.  Neighbor tuples and edge
-lists come back sorted, to keep reports reproducible.
+graph it lives in, never a new graph, so it shares that graph's memo.
+The field-free certificates on such masks live here: vertex
+decomposability (_vertex_decomposable) and the Eulerian walk
+(_eulerian), each decided one component at a time (_joined).  Where the
+certificate fails, the criteria hand a mask to _ind_facets, which gives
+the facets of its independence complex as sorted bitmasks.  Neighbor
+tuples and edge lists come back sorted, to keep reports reproducible.
 """
 
 from __future__ import annotations
@@ -45,20 +47,22 @@ class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
     Adjacency is one bitmask per vertex, and neighbor tuples, degrees and
-    edge lists are read off those masks.  The graph also holds two memos,
-    functions of the adjacency alone: the independence recursion (see
-    _alpha_and_poly), so alpha, the Euler characteristic and edge
-    localizations share their work; and the verdicts that need no field,
-    so classifying a graph over several fields decides triangle-freeness,
-    well-coveredness, W2 (one scan, see _cover_verdicts) and
-    alpha-criticality once, enumerates the maximal independent sets of
-    each vertex mask the criteria ask for once (see _ind_facets), and
-    decides vertex decomposability once per mask (see
-    _vertex_decomposable).  The criteria keep their per-mask verdicts in
-    the same memo.
+    edge lists are read off those masks.  The graph also holds one memo of
+    what its adjacency decides, so classifying a graph over several fields
+    does the field-free work once.  Its keys differ by shape or tag:
+
+    - an int vertex mask S: (alpha(g[S]), I(g[S]; -1)), the independence
+      recursion (see _alpha_and_poly), seeded with the empty mask;
+    - "triangle_free", "cover" (see _cover_verdicts) and "alpha_critical":
+      the whole graph's verdicts;
+    - ("facets", S): the maximal independent sets of S (see _ind_facets);
+    - ("vd", S) and ("eulerian", S): vertex decomposability and the
+      Eulerian walk, each over the components of S (see _joined);
+    - (facets, field): the criteria's link walk on a tuple of facet
+      masks, the one entry that depends on a field.
     """
 
-    __slots__ = ("n", "_nbr_bits", "_indep_memo", "_verdict_memo")
+    __slots__ = ("n", "_nbr_bits", "_memo")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
@@ -84,8 +88,7 @@ class Graph:
     def _set_adjacency(self, bits) -> None:
         self.n = len(bits)
         self._nbr_bits = tuple(bits)
-        self._indep_memo = {0: (0, 1)}
-        self._verdict_memo = {}
+        self._memo = {0: (0, 1)}
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         b = self._nbr_bits[v]
@@ -392,10 +395,10 @@ def girth(g: Graph) -> float:
 
 def is_triangle_free(g: Graph) -> bool:
     """True iff the girth is at least 4 (forests count).  Memoized in g."""
-    got = g._verdict_memo.get("triangle_free")
+    got = g._memo.get("triangle_free")
     if got is None:
         nbr = g._nbr_bits
-        got = g._verdict_memo["triangle_free"] = all(
+        got = g._memo["triangle_free"] = all(
             nbr[u] & nbr[v] == 0 for u, v in g.edges()
         )
     return got
@@ -490,10 +493,28 @@ def _ind_facets(g: Graph, s: int | None = None) -> tuple[int, ...]:
     memoized in g, the whole graph under its full mask, so that it and a
     core equal to V share one entry."""
     key = ("facets", (1 << g.n) - 1 if s is None else s)
-    facets = g._verdict_memo.get(key)
+    facets = g._memo.get(key)
     if facets is None:
-        facets = g._verdict_memo[key] = tuple(sorted(_maximal_independent_masks(g, s)))
+        facets = g._memo[key] = tuple(sorted(_maximal_independent_masks(g, s)))
     return facets
+
+
+def _joined(g: Graph, tag: str, s: int, connected) -> bool:
+    """Whether connected(g, c) holds on every component c of g[s], for a
+    verdict that a join of complexes has iff each factor has it: Ind of a
+    disjoint union is the join of the parts' complexes.  The empty mask
+    gives True, and each mask, connected or not, is memoized in g under
+    (tag, s), so a repeated mask is not split again."""
+    key = (tag, s)
+    got = g._memo.get(key)
+    if got is None:
+        parts = _components(g, s)
+        if len(parts) > 1:
+            got = all(_joined(g, tag, c, connected) for c in parts)
+        else:
+            got = not s or connected(g, s)
+        g._memo[key] = got
+    return got
 
 
 def _vertex_decomposable(g: Graph, s: int) -> bool:
@@ -509,61 +530,77 @@ def _vertex_decomposable(g: Graph, s: int) -> bool:
     The facets of a complex with a shedding vertex v are those of the
     deletion and v joined to those of the link, so it is pure iff both
     are and alpha(g[s - v]) = alpha(g[s - N[v]]) + 1; and a pure complex
-    has only such decompositions.  Ind of a disjoint union is the join of
-    the parts' complexes, and a join is pure and vertex decomposable iff
-    each factor is, so the components are decided apart.  Needs no field
-    and no maximal independent set; memoized in g by mask.
+    has only such decompositions.  A join is pure and vertex decomposable
+    iff each factor is, so the components are decided apart (see
+    _joined).  Needs no field and no maximal independent set.
     """
-    nbr = g._nbr_bits
-    memo = g._verdict_memo
-    alpha = _alpha_and_poly(g)
+    return _joined(g, "vd", s, _vd_connected)
 
-    def dominated(a, b):
-        # some independent set inside a has a neighbor of every vertex of b:
-        # branch on the neighbors in a of the vertex of b with the fewest
-        if not b:
-            return True
-        opts, fewest, m = 0, a.bit_count() + 1, b
-        while m:
-            w = m & -m
-            m ^= w
-            o = nbr[w.bit_length() - 1] & a
-            if o.bit_count() < fewest:
-                opts, fewest = o, o.bit_count()
-        while opts:
-            bit = opts & -opts
-            opts ^= bit
-            u = nbr[bit.bit_length() - 1]
-            if dominated(a & ~bit & ~u, b & ~u):
-                return True
-            a ^= bit  # a set through u was just ruled out
-        return False
 
-    def decomposable(s):
-        key = ("vd", s)
-        got = memo.get(key)
-        if got is None:
-            parts = _components(g, s)
-            if len(parts) > 1:
-                got = all(map(decomposable, parts))
-            else:  # connected; one vertex is a simplex
-                got = not s & (s - 1) or any(sheds(s, v) for v in _vertices_of(s))
-            memo[key] = got
-        return got
-
-    def sheds(s, v):
-        # v is a shedding vertex of g[s] whose deletion and link are pure
-        # of dimensions one apart and decompose
-        bit = 1 << v
-        rest, link = s & ~bit, s & ~bit & ~nbr[v]
-        return (
+def _vd_connected(g: Graph, s: int) -> bool:
+    # some v sheds in the connected g[s], with deletion and link pure of
+    # dimensions one apart and decomposable; one vertex is a simplex
+    if not s & (s - 1):
+        return True
+    nbr, alpha = g._nbr_bits, _alpha_and_poly(g)
+    for v in _vertices_of(s):
+        rest = s & ~(1 << v)
+        link = rest & ~nbr[v]
+        if (
             alpha(rest)[0] == alpha(link)[0] + 1
-            and not dominated(link, s & nbr[v])
-            and decomposable(rest)
-            and decomposable(link)
-        )
+            and not _dominated(nbr, link, s & nbr[v])
+            and _vertex_decomposable(g, rest)
+            and _vertex_decomposable(g, link)
+        ):
+            return True
+    return False
 
-    return decomposable(s)
+
+def _dominated(nbr, a: int, b: int) -> bool:
+    # some independent set inside mask a has a neighbor of every vertex of
+    # mask b: branch on the neighbors in a of the vertex of b with the fewest
+    if not b:
+        return True
+    opts, fewest, m = 0, a.bit_count() + 1, b
+    while m:
+        w = m & -m
+        m ^= w
+        o = nbr[w.bit_length() - 1] & a
+        if o.bit_count() < fewest:
+            opts, fewest = o, o.bit_count()
+    while opts:
+        bit = opts & -opts
+        opts ^= bit
+        u = nbr[bit.bit_length() - 1]
+        if _dominated(nbr, a & ~bit & ~u, b & ~u):
+            return True
+        a ^= bit  # a set through u was just ruled out
+    return False
+
+
+def _eulerian(g: Graph, s: int) -> bool:
+    """Whether every link of Ind(g[s]), the empty face's included, has
+    reduced Euler characteristic (-1)^(its dimension).  The link of a face
+    F is Ind(g[s - N[F]]), with chi~ = -I(-1) and dimension alpha - 1 from
+    the memoized recursion, and lk_F = lk_v(lk_(F-v)), so vertex links
+    suffice.  The link of a face of a join is the join of the factors'
+    links, chi~ of a join is minus the product, and a factor's own links
+    are links of the join (complete the face by a facet of the other
+    factor), so a join is Eulerian iff its factors are, and the walk runs
+    on components (see _joined); s = 0 is {()}, chi~ = -1 in dimension
+    -1.  An isolated vertex is a cone, chi~ = 0, and fails.  Needs no
+    field."""
+    return _joined(g, "eulerian", s, _eulerian_connected)
+
+
+def _eulerian_connected(g: Graph, s: int) -> bool:
+    # chi~ of the connected g[s] is (-1)^(alpha - 1), and so is that of
+    # each vertex link, recursively
+    alpha, poly = _alpha_and_poly(g)(s)
+    nbr = g._nbr_bits
+    return -poly == (1 if alpha % 2 else -1) and all(
+        _eulerian(g, s & ~(1 << v) & ~nbr[v]) for v in _vertices_of(s)
+    )
 
 
 def _alpha_and_poly(g: Graph):
@@ -576,7 +613,7 @@ def _alpha_and_poly(g: Graph):
     independent set either avoids v or contains v and avoids N(v).
     """
     nbr = g._nbr_bits
-    memo = g._indep_memo
+    memo = g._memo
 
     def solve(s):
         got = memo.get(s)
@@ -660,9 +697,9 @@ def _cover_verdicts(g: Graph) -> tuple[bool, bool]:
     alpha, built greedily from vertices of largest degree, is a witness.
     Either gives (False, False), as the pass would.
     """
-    got = g._verdict_memo.get("cover")
+    got = g._memo.get("cover")
     if got is None:
-        got = g._verdict_memo["cover"] = _cover_scan(g, independence_number(g))
+        got = g._memo["cover"] = _cover_scan(g, independence_number(g))
     return got
 
 
@@ -741,13 +778,13 @@ def is_alpha_critical(g: Graph) -> bool:
     g adds one to n and to alpha, so with slack = n + k - 2 alpha an
     alpha-critical g has slack >= 0 and every degree at most slack + 1.
     """
-    got = g._verdict_memo.get("alpha_critical")
+    got = g._memo.get("alpha_critical")
     if got is None:
         solve = _alpha_and_poly(g)
         nbr = g._nbr_bits
         full = (1 << g.n) - 1
         alpha = solve(full)[0]
-        got = g._verdict_memo["alpha_critical"] = not _not_alpha_critical(g, alpha) and all(
+        got = g._memo["alpha_critical"] = not _not_alpha_critical(g, alpha) and all(
             solve(full & ~(nbr[a] | nbr[b]))[0] == alpha - 1 for a, b in g.edges()
         )
     return got

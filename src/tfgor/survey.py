@@ -2,17 +2,20 @@
 
 A survey consumes a stream of graph6 lines.  Each nonblank line is
 classified in one pass, in a worker when there are several: it is parsed
-once, filtered, and every admitted graph becomes a record with
-check_theorem's verdict for each requested field.  Only Gorensteinness and
-the second-power criterion depend on the field; triangle-freeness,
-well-coveredness, W2 and alpha-criticality are memoized in the parsed
-Graph, so the fields after the first find them decided.  A malformed
-line comes back as its line number and message instead.  The parent only
-digests the lines and collects the results in line order, so record
-order equals corpus order regardless of the worker count.  Reports carry no
-timestamps, so identical inputs give byte-identical output.  A report is
-written a record at a time, each record by one template built from the
-record layout, so it is never held as one string.
+once, filtered, and every admitted graph becomes a record.  A record
+reads its field-free columns (girth, triangle-freeness, alpha,
+well-coveredness, W2, alpha-criticality) once, and asks each requested
+field only for Gorensteinness and the second-power criterion; the
+field-free work those two share is memoized in the parsed Graph, so the
+fields after the first find it decided.  A malformed line comes back as
+its line number and message instead, and a graph beyond the exact
+recursion or the available memory is an error naming its line.  The
+parent only digests the lines and collects the results in line order,
+so record order equals corpus order regardless of the worker count.
+Reports carry no timestamps, so identical inputs give byte-identical
+output.  A report is written a record at a time, each record by one
+template built from the record layout, so it is never held as one
+string.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import multiprocessing
 from json.encoder import encode_basestring_ascii
 
 from ._version import __version__
-from .criteria import check_theorem
+from .criteria import is_gorenstein_graph, is_second_power_cm
 from .graphs import (
     _G6_HEADER,
     Graph,
@@ -34,6 +37,7 @@ from .graphs import (
     independence_number,
     is_alpha_critical,
     is_connected,
+    is_in_w2,
     is_triangle_free,
     is_well_covered,
     parse_graph6,
@@ -71,11 +75,20 @@ def build_record(index: int, g: Graph, field_labels, graph6: str | None = None) 
     if not field_labels:
         raise ValueError("at least one field label is required")
     gth = girth(g)
-    verdicts = {
-        label: check_theorem(g, FieldSpec.from_label(label))
-        for label in field_labels
-    }
-    any_verdict = next(iter(verdicts.values()))
+    no_isolated = not has_isolated_vertices(g)
+    w2 = is_in_w2(g)
+    gorenstein, second_power_cm = {}, {}
+    for label in field_labels:
+        field = FieldSpec.from_label(label)
+        gorenstein[label] = is_gorenstein_graph(g, field)
+        second_power_cm[label] = is_second_power_cm(g, field)
+    # the paper's equivalence of W2, Gorensteinness and the second-power
+    # criterion holds for triangle-free graphs without isolated vertices;
+    # any other graph is outside its hypothesis and counts as consistent
+    in_hypothesis = is_triangle_free(g) and no_isolated
+    consistent = not in_hypothesis or all(
+        w2 == gorenstein[lb] == second_power_cm[lb] for lb in field_labels
+    )
     return {
         "index": index,
         "graph6": write_graph6(g) if graph6 is None else graph6.removeprefix(_G6_HEADER),
@@ -83,22 +96,23 @@ def build_record(index: int, g: Graph, field_labels, graph6: str | None = None) 
         "edge_count": g.edge_count(),
         "girth": None if math.isinf(gth) else int(gth),
         "connected": is_connected(g),
-        "no_isolated": any_verdict.no_isolated,
+        "no_isolated": no_isolated,
         "alpha": independence_number(g),
         "well_covered": is_well_covered(g),
-        "w2": any_verdict.is_w2,
+        "w2": w2,
         "alpha_critical": is_alpha_critical(g),
         "euler_char": independence_euler_characteristic(g),
-        "gorenstein": {lb: v.gorenstein for lb, v in verdicts.items()},
-        "second_power_cm": {lb: v.second_power_cm for lb, v in verdicts.items()},
-        "consistent": all(v.consistent for v in verdicts.values()),
+        "gorenstein": gorenstein,
+        "second_power_cm": second_power_cm,
+        "consistent": consistent,
     }
 
 
 def _classify(task):
     """One nonblank corpus line: its record, None when a filter rejects it,
     or (line number, message) when it does not parse.  A graph too deep for
-    the recursion raises ValueError naming the line, in any worker."""
+    the recursion or too large for memory raises ValueError naming the
+    line, in any worker."""
     lineno, index, line, filters, max_n, field_labels = task
     try:
         g = parse_graph6(line)
@@ -114,6 +128,8 @@ def _classify(task):
         raise ValueError(
             f"line {lineno}: graph on {g.n} vertices is beyond the exact recursion"
         ) from None
+    except MemoryError:
+        raise ValueError(f"line {lineno}: out of memory on a graph on {g.n} vertices") from None
 
 
 def survey(

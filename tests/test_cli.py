@@ -167,6 +167,26 @@ def test_out_of_memory_exit_2(capsys, monkeypatch, command, target):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
+def test_survey_out_of_memory_names_line_exit_2(capsys, monkeypatch, jobs):
+    # a worker's MemoryError names its line, as a recursion error does; the
+    # forked workers at --jobs 2 inherit the patched build_record
+    survey_module = sys.modules["tfgor.survey"]
+    real = survey_module.build_record
+
+    def exhausted_on_second(index, g, field_labels, graph6=None):
+        if index == 1:
+            raise MemoryError
+        return real(index, g, field_labels, graph6)
+
+    monkeypatch.setattr(survey_module, "build_record", exhausted_on_second)
+    code, out, err = run(
+        capsys, ["survey", "--jobs", jobs], stdin="A_\nDhc\n", monkeypatch=monkeypatch
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("tfgor survey: line 2: ") and "out of memory" in err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
 def test_survey_beyond_recursion_names_line_exit_2(capsys, monkeypatch, jobs):
     # 600 disjoint edges recurse as deep as a long path; the second line
     # goes to a worker at --jobs 2
@@ -257,12 +277,7 @@ def test_survey_counterexample_exit_1(capsys, monkeypatch):
     # no real graph violates the equivalence, so fake a verdict to pin the
     # CI contract: counterexample present -> exit code 1
     survey_module = sys.modules["tfgor.survey"]
-    from tfgor.criteria import TheoremVerdict
-
-    def fake_check(g, field):
-        return TheoremVerdict(True, True, True, False, False, True, False)
-
-    monkeypatch.setattr(survey_module, "check_theorem", fake_check)
+    monkeypatch.setattr(survey_module, "is_gorenstein_graph", lambda g, field: False)
     code, out, _ = run(capsys, ["survey"], stdin="Dhc\n", monkeypatch=monkeypatch)
     rep = json.loads(out)
     assert code == 1

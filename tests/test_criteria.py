@@ -29,7 +29,6 @@ from tfgor import (
     FieldSpec,
     Graph,
     build_record,
-    check_theorem,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -220,14 +219,14 @@ def test_mask_walk_matches_link_walk(field):
 def test_mask_walk_matches_oracles():
     # the dense face-by-face oracles, on graphs small enough for them; the
     # Eulerian walk reads no purity, which a Cohen-Macaulay complex has
-    criteria = sys.modules["tfgor.criteria"]
+    graphs_module = sys.modules["tfgor.graphs"]
     graphs = [g for g in mask_walk_graphs() if g.n <= 8][::2]
     assert len(graphs) >= 70
     eulerian = 0
     for g in graphs:
         c = independence_complex(g)
         if is_well_covered(g):  # the core: Ind of the non-isolated vertices
-            got = criteria._eulerian(g, sum(1 << v for v, b in enumerate(g._nbr_bits) if b))
+            got = graphs_module._eulerian(g, sum(1 << v for v, b in enumerate(g._nbr_bits) if b))
             assert got == oracle_eulerian(core_of(c)), g
             eulerian += got
         for field, char in FIELD_CHARS:
@@ -610,37 +609,62 @@ def test_second_power_matches_relabeled_localizations():
     assert positives >= 40
 
 
-def test_check_theorem_c5():
-    v = check_theorem(cycle_graph(5), RATIONALS)
-    assert v.triangle_free and v.no_isolated and v.in_hypothesis
-    assert v.is_w2 and v.gorenstein and v.second_power_cm
-    assert v.consistent
+def theorem_record(g):
+    # a record over q, and whether g is triangle-free (girth null, a
+    # forest, or at least 4) and in the equivalence's hypothesis
+    rec = build_record(0, g, ("q",))
+    triangle_free = rec["girth"] is None or rec["girth"] >= 4
+    return rec, triangle_free, triangle_free and rec["no_isolated"]
 
 
-def test_check_theorem_c4():
-    v = check_theorem(cycle_graph(4), RATIONALS)
-    assert v.in_hypothesis
-    assert not v.is_w2 and not v.gorenstein and not v.second_power_cm
-    assert v.consistent
+def test_record_theorem_c5():
+    rec, triangle_free, in_hypothesis = theorem_record(cycle_graph(5))
+    assert triangle_free and rec["no_isolated"] and in_hypothesis
+    assert rec["w2"] and rec["gorenstein"]["q"] and rec["second_power_cm"]["q"]
+    assert rec["consistent"]
 
 
-def test_check_theorem_girth4_planar_4():
-    v = check_theorem(girth4_planar(4), RATIONALS)
-    assert v.in_hypothesis and v.consistent
-    assert v.is_w2 and v.gorenstein and v.second_power_cm
+def test_record_theorem_c4():
+    rec, _, in_hypothesis = theorem_record(cycle_graph(4))
+    assert in_hypothesis
+    assert not rec["w2"] and not rec["gorenstein"]["q"] and not rec["second_power_cm"]["q"]
+    assert rec["consistent"]
 
 
-def test_check_theorem_k3_out_of_hypothesis():
-    v = check_theorem(complete_graph(3), RATIONALS)
-    assert not v.triangle_free and not v.in_hypothesis
-    assert v.is_w2 and not v.gorenstein
-    assert v.consistent
+def test_record_theorem_girth4_planar_4():
+    rec, _, in_hypothesis = theorem_record(girth4_planar(4))
+    assert in_hypothesis and rec["consistent"]
+    assert rec["w2"] and rec["gorenstein"]["q"] and rec["second_power_cm"]["q"]
 
 
-def test_check_theorem_isolated_vertex_out_of_hypothesis():
-    v = check_theorem(disjoint_union(complete_graph(1), complete_graph(2)), RATIONALS)
-    assert not v.no_isolated and not v.in_hypothesis
-    assert v.consistent
+def test_record_theorem_k3_out_of_hypothesis():
+    rec, triangle_free, in_hypothesis = theorem_record(complete_graph(3))
+    assert not triangle_free and not in_hypothesis
+    assert rec["w2"] and not rec["gorenstein"]["q"]
+    assert rec["consistent"]
+
+
+def test_record_theorem_isolated_vertex_out_of_hypothesis():
+    rec, _, in_hypothesis = theorem_record(disjoint_union(complete_graph(1), complete_graph(2)))
+    assert not rec["no_isolated"] and not in_hypothesis
+    assert rec["consistent"]
+
+
+def test_record_decides_w2_once_over_three_fields(monkeypatch):
+    # W2 needs no field: a record over three fields asks for it once,
+    # wherever the package calls it from
+    calls = []
+    real = sys.modules["tfgor.graphs"].is_in_w2
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tfgor.") and getattr(module, "is_in_w2", None) is real:
+            monkeypatch.setattr(module, "is_in_w2", counted)
+    rec = build_record(0, cycle_graph(5), ("q", "f2", "f3"))
+    assert rec["w2"] and rec["consistent"] and len(calls) == 1
 
 
 def test_cm_implies_well_covered_random():
