@@ -146,8 +146,10 @@ def is_gorenstein_graph(g: Graph, field: FieldSpec) -> bool:
     memoized in g and runs first; the Eulerian walk, which needs no field,
     runs before the link walk, and its first test at each connected core
     factor is Euler-Poincare for a homology sphere, chi~ = (-1)^(alpha - 1)."""
+    if not is_well_covered(g):
+        return False
     core = sum(1 << v for v, b in enumerate(g._nbr_bits) if b)
-    return is_well_covered(g) and _eulerian(g, core) and _cm_graph(g, core, field)
+    return _eulerian(g, core) and _cm_graph(g, core, field)
 
 
 def is_second_power_cm(g: Graph, field: FieldSpec) -> bool:

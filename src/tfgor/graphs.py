@@ -51,10 +51,11 @@ class Graph:
     what its adjacency decides, so classifying a graph over several fields
     does the field-free work once.  Its keys differ by shape or tag:
 
-    - an int vertex mask S: (alpha(g[S]), I(g[S]; -1)), the independence
-      recursion (see _alpha_and_poly), seeded with the empty mask;
-    - "triangle_free", "cover" (see _cover_verdicts) and "alpha_critical":
-      the whole graph's verdicts;
+    - an int vertex mask S >= 0: alpha(g[S]), and its complement ~S < 0:
+      I(g[S]; -1), the two independence recursions (see _alpha_of and
+      _poly_of), each seeded with the empty mask;
+    - "short_cycle" (see _short_cycle), "connected", "cover" (see
+      _cover_verdicts) and "alpha_critical": the whole graph's verdicts;
     - ("facets", S): the maximal independent sets of S (see _ind_facets);
     - ("vd", S) and ("eulerian", S): vertex decomposability and the
       Eulerian walk, each over the components of S (see _joined);
@@ -88,7 +89,7 @@ class Graph:
     def _set_adjacency(self, bits) -> None:
         self.n = len(bits)
         self._nbr_bits = tuple(bits)
-        self._memo = {0: (0, 1)}
+        self._memo = {0: 0, ~0: 1}
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         b = self._nbr_bits[v]
@@ -354,23 +355,27 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
 def girth(g: Graph) -> float:
     """Length of a shortest cycle, or math.inf when g is a forest.
 
-    A breadth-first search from each root r, layer by layer on bitmasks:
-    an edge inside layer k closes a walk of length 2k+1 through r, and a
-    vertex with two parents in layer k closes one of length 2k+2.  Either
-    walk contains a cycle no longer than itself, and from a root on a
-    shortest cycle the search finds that cycle's length exactly, so the
-    minimum over roots is the girth.  The search ends early once it finds
-    a cycle as short as any g can have: 3, or 4 when g is triangle-free.
-    A forest (n minus its number of components edges) needs no search.
+    A triangle or a 4-cycle is found by the one neighbor pass of
+    _short_cycle.  Otherwise a forest (n minus its number of components
+    edges) needs no search, and the rest are searched breadth first from
+    each root r, layer by layer on bitmasks: an edge inside layer k closes
+    a walk of length 2k+1 through r, and a vertex with two parents in
+    layer k closes one of length 2k+2.  Either walk contains a cycle no
+    longer than itself, and from a root on a shortest cycle the search
+    finds that cycle's length exactly, so the minimum over roots is the
+    girth.  The search ends early once it finds a 5-cycle, the shortest
+    the pass leaves possible.
     """
+    short = _short_cycle(g)
+    if short:
+        return short
     m = g.edge_count()
     if m < g.n and m == g.n - len(_components(g, (1 << g.n) - 1)):  # m >= n makes a cycle
         return math.inf
-    floor = 4 if is_triangle_free(g) else 3
     nbr = g._nbr_bits
     best = math.inf
     for r in range(g.n):
-        if best == floor:
+        if best == 5:
             break
         seen = frontier = 1 << r
         k = 0
@@ -393,15 +398,40 @@ def girth(g: Graph) -> float:
     return best
 
 
-def is_triangle_free(g: Graph) -> bool:
-    """True iff the girth is at least 4 (forests count).  Memoized in g."""
-    got = g._memo.get("triangle_free")
+def _short_cycle(g: Graph) -> int:
+    """3 when g has a triangle, else 4 when it has a 4-cycle, else 0, from
+    one pass over the neighbors of each vertex u, memoized in g.
+
+    With R the union of N(w) over the neighbors w of u, two adjacent
+    vertices u and x with a common neighbor close a triangle, and those x
+    are R & N(u).  In a triangle-free graph, two vertices u != x with two
+    common neighbors w and w' close the 4-cycle u w x w', and those x are
+    the vertices other than u that N(w) reaches for two w.
+    """
+    got = g._memo.get("short_cycle")
     if got is None:
         nbr = g._nbr_bits
-        got = g._memo["triangle_free"] = all(
-            nbr[u] & nbr[v] == 0 for u, v in g.edges()
-        )
+        got = 0
+        for u, b in enumerate(nbr):
+            reach = twice = 0
+            while b:
+                low = b & -b
+                b ^= low
+                nb = nbr[low.bit_length() - 1]
+                twice |= reach & nb
+                reach |= nb
+            if reach & nbr[u]:
+                got = 3
+                break
+            if twice & ~(1 << u):
+                got = 4
+        g._memo["short_cycle"] = got
     return got
+
+
+def is_triangle_free(g: Graph) -> bool:
+    """True iff the girth is at least 4 (forests count).  Memoized in g."""
+    return _short_cycle(g) != 3
 
 
 def _flood(nbr, seen: int, within: int = -1) -> int:
@@ -441,7 +471,11 @@ def has_isolated_vertices(g: Graph) -> bool:
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n == 0 or _flood(g._nbr_bits, 1) == (1 << g.n) - 1
+    """True iff g has at most one component.  Memoized in g."""
+    got = g._memo.get("connected")
+    if got is None:
+        got = g._memo["connected"] = g.n == 0 or _flood(g._nbr_bits, 1) == (1 << g.n) - 1
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +483,15 @@ def is_connected(g: Graph) -> bool:
 #
 # Maximal independent sets of g are the maximal cliques of the complement,
 # enumerated by Bron-Kerbosch with pivoting on bitmasks; well-coveredness
-# and W2 read their sizes.  alpha and the independence polynomial at -1
-# come from one recursion over vertex masks instead, memoized per graph:
-# alpha(S) = max(alpha(S-v), 1 + alpha(S-N[v])) and I(S) = I(S-v) - I(S-N[v]).
+# and W2 read their sizes, one component at a time.  alpha and the
+# independence polynomial at -1 come from two recursions over vertex masks
+# instead, each memoized per graph (see _alpha_of and _poly_of): branching
+# on a vertex v, alpha(S) = max(alpha(S-v), 1 + alpha(S-N[v])) and
+# I(S) = I(S-v) - I(S-N[v]).  A leaf u of g[S], with one neighbor w, needs
+# no branch: alpha(S) = 1 + alpha(S-N[u]), since a maximum independent set
+# through w stays one with u in place of w; and I(S) = -I(S-N[w]), since
+# u is isolated in S-w, so I(S-w) has the factor 1 + x and vanishes at -1
+# (Engstrom's fold lemma, Europ. J. Combin. 29, 2008, gives the same).
 # Exhaustive enumeration is fine at the target scale (n up to ~20).
 # ---------------------------------------------------------------------------
 
@@ -542,12 +582,12 @@ def _vd_connected(g: Graph, s: int) -> bool:
     # dimensions one apart and decomposable; one vertex is a simplex
     if not s & (s - 1):
         return True
-    nbr, alpha = g._nbr_bits, _alpha_and_poly(g)
+    nbr, alpha = g._nbr_bits, _alpha_of(g)
     for v in _vertices_of(s):
         rest = s & ~(1 << v)
         link = rest & ~nbr[v]
         if (
-            alpha(rest)[0] == alpha(link)[0] + 1
+            alpha(rest) == alpha(link) + 1
             and not _dominated(nbr, link, s & nbr[v])
             and _vertex_decomposable(g, rest)
             and _vertex_decomposable(g, link)
@@ -582,7 +622,7 @@ def _eulerian(g: Graph, s: int) -> bool:
     """Whether every link of Ind(g[s]), the empty face's included, has
     reduced Euler characteristic (-1)^(its dimension).  The link of a face
     F is Ind(g[s - N[F]]), with chi~ = -I(-1) and dimension alpha - 1 from
-    the memoized recursion, and lk_F = lk_v(lk_(F-v)), so vertex links
+    the memoized recursions, and lk_F = lk_v(lk_(F-v)), so vertex links
     suffice.  The link of a face of a join is the join of the factors'
     links, chi~ of a join is minus the product, and a factor's own links
     are links of the join (complete the face by a facet of the other
@@ -596,26 +636,28 @@ def _eulerian(g: Graph, s: int) -> bool:
 def _eulerian_connected(g: Graph, s: int) -> bool:
     # chi~ of the connected g[s] is (-1)^(alpha - 1), and so is that of
     # each vertex link, recursively
-    alpha, poly = _alpha_and_poly(g)(s)
     nbr = g._nbr_bits
-    return -poly == (1 if alpha % 2 else -1) and all(
+    return -_poly_of(g)(s) == (1 if _alpha_of(g)(s) % 2 else -1) and all(
         _eulerian(g, s & ~(1 << v) & ~nbr[v]) for v in _vertices_of(s)
     )
 
 
-def _alpha_and_poly(g: Graph):
-    """A function of a vertex mask S giving the pair (alpha(g[S]),
-    I(g[S]; -1)), where I is the independence polynomial, memoized in g.
+def _alpha_of(g: Graph):
+    """A function of a vertex mask S giving alpha(g[S]), memoized in g
+    under S.
 
-    Isolated vertices of g[S] are in every maximal independent set and
-    each contributes a factor 1 + x to I, so they add to alpha and zero
-    I(-1).  Otherwise branch on a vertex v of largest degree: an
-    independent set either avoids v or contains v and avoids N(v).
+    A leaf u of g[S] lies in a maximum independent set (one through its
+    neighbor w keeps its size with u in place of w), so the scan for a
+    vertex to branch on stops at the first leaf: alpha(S) = 1 +
+    alpha(S - N[u]).  Isolated vertices of g[S] are in every maximal
+    independent set and add one each.  Otherwise branch on a vertex v of
+    largest degree: an independent set either avoids v or contains v and
+    avoids N(v).
     """
     nbr = g._nbr_bits
     memo = g._memo
 
-    def solve(s):
+    def alpha(s):
         got = memo.get(s)
         if got is not None:
             return got
@@ -627,24 +669,71 @@ def _alpha_and_poly(g: Graph):
             m ^= bit
             u = bit.bit_length() - 1
             d = (nbr[u] & s).bit_count()
+            if d == 1:
+                out = 1 + alpha(s & ~bit & ~nbr[u])
+                break
             if d == 0:
                 isolated |= bit
             elif d > deg:
                 v, deg = u, d
-        if isolated:
-            out = (isolated.bit_count() + solve(s & ~isolated)[0], 0)
         else:
-            a_out, p_out = solve(s & ~(1 << v))
-            a_in, p_in = solve(s & ~(1 << v) & ~nbr[v])
-            out = (max(a_out, a_in + 1), p_out - p_in)
+            if isolated:
+                out = isolated.bit_count() + alpha(s & ~isolated)
+            else:
+                rest = s & ~(1 << v)
+                out = max(alpha(rest), 1 + alpha(rest & ~nbr[v]))
         memo[s] = out
         return out
 
-    return solve
+    return alpha
+
+
+def _poly_of(g: Graph):
+    """A function of a vertex mask S giving I(g[S]; -1), where I is the
+    independence polynomial, memoized in g under ~S, which is negative and
+    so never an alpha key.
+
+    An isolated vertex of g[S] contributes a factor 1 + x to I, which
+    vanishes at -1.  At a leaf u with neighbor w, I(S) = I(S - w) -
+    I(S - N[w]), and u is isolated in S - w, so I(S; -1) = -I(S - N[w]; -1)
+    (Engstrom's fold lemma, Europ. J. Combin. 29, 2008, gives the same).
+    The scan stops at the first isolated vertex or leaf; otherwise branch
+    on a vertex v of largest degree, I(S) = I(S - v) - I(S - N[v]).
+    """
+    nbr = g._nbr_bits
+    memo = g._memo
+
+    def poly(s):
+        got = memo.get(~s)
+        if got is not None:
+            return got
+        v, deg = -1, 0
+        m = s
+        while m:
+            bit = m & -m
+            m ^= bit
+            u = bit.bit_length() - 1
+            w = nbr[u] & s
+            d = w.bit_count()
+            if d == 0:
+                out = 0
+                break
+            if d == 1:
+                out = -poly(s & ~w & ~nbr[w.bit_length() - 1])
+                break
+            if d > deg:
+                v, deg = u, d
+        else:
+            rest = s & ~(1 << v)
+            out = poly(rest) - poly(rest & ~nbr[v])
+        memo[~s] = out
+        return out
+
+    return poly
 
 
 def independence_number(g: Graph) -> int:
-    return _alpha_and_poly(g)((1 << g.n) - 1)[0]
+    return _alpha_of(g)((1 << g.n) - 1)
 
 
 def independence_euler_characteristic(g: Graph) -> int:
@@ -653,7 +742,7 @@ def independence_euler_characteristic(g: Graph) -> int:
     The faces of Ind(g) are the independent sets, so with f_(i-1) of them
     of size i, chi~(Ind g) = sum_i (-1)^(i-1) f_(i-1) = -I(g; -1).
     """
-    return -_alpha_and_poly(g)((1 << g.n) - 1)[1]
+    return -_poly_of(g)((1 << g.n) - 1)
 
 
 def _greedy_maximal_size(g: Graph) -> int:
@@ -687,8 +776,16 @@ def _not_well_covered(g: Graph, alpha: int) -> bool:
 
 def _cover_verdicts(g: Graph) -> tuple[bool, bool]:
     """(well-covered, every maximal set passes W2's private-neighbor test;
-    see is_in_w2), from one pass over the maximal independent sets that
-    ends at the first one smaller than alpha.  Memoized in g.
+    see is_in_w2), from one pass over the maximal independent sets of each
+    component that ends at the first one smaller than the component's
+    alpha.  Memoized in g.
+
+    The maximal independent sets of a disjoint union are the unions of one
+    maximal set per component, so g is well-covered iff each component is.
+    A vertex y with N(y) & T = {x} lies in the component of x and meets T
+    only there, so the private-neighbor test reads one component, and every
+    maximal set passes it iff every maximal set of each component does.  A
+    connected g is scanned as itself.
 
     Most graphs are rejected before the pass.  A well-covered graph
     without isolated vertices has alpha <= n/2 (Favaron, Discrete Math.
@@ -699,20 +796,35 @@ def _cover_verdicts(g: Graph) -> tuple[bool, bool]:
     """
     got = g._memo.get("cover")
     if got is None:
-        got = g._memo["cover"] = _cover_scan(g, independence_number(g))
+        alpha = _alpha_of(g)
+        full = (1 << g.n) - 1
+        got = False, False
+        if not _not_well_covered(g, alpha(full)):
+            parts = _components(g, full)
+            private_ok = True
+            for c in parts:
+                covered, ok = _cover_scan(g, None if len(parts) == 1 else c, alpha(c))
+                if not covered:
+                    break
+                private_ok = private_ok and ok
+            else:
+                got = True, private_ok
+        g._memo["cover"] = got
     return got
 
 
-def _cover_scan(g: Graph, alpha: int) -> tuple[bool, bool]:
-    if _not_well_covered(g, alpha):
-        return False, False
+def _cover_scan(g: Graph, s: int | None, alpha: int) -> tuple[bool, bool]:
+    # (well-covered, private-neighbor test) of g[s], for a component s of
+    # independence number alpha, or of the whole graph when s is None; the
+    # private-neighbor test reads the rows of s alone
+    rows = g._nbr_bits if s is None else [g._nbr_bits[v] for v in _vertices_of(s)]
     private_ok = True
-    for t in _maximal_independent_masks(g):
+    for t in _maximal_independent_masks(g, s):
         if t.bit_count() != alpha:
             return False, False
         if private_ok:
             private = 0  # the x in t that are the only neighbor in t of some y
-            for b in g._nbr_bits:
+            for b in rows:
                 c = b & t
                 if c & (c - 1) == 0:
                     private |= c
@@ -767,7 +879,7 @@ def is_alpha_critical(g: Graph) -> bool:
     alpha(g_ab) + 2) where g_ab is g without N(a) and N(b); and adding a to
     an independent set of g_ab shows alpha(g_ab) <= alpha(g) - 1.  Hence
     the edge ab is critical iff alpha(g_ab) = alpha(g) - 1.  Every g_ab is
-    a vertex mask of one memoized recursion, and the verdict is memoized
+    a vertex mask of the memoized alpha recursion, and the verdict is memoized
     in g.
 
     Most graphs are rejected before any localization.  An alpha-critical
@@ -780,11 +892,11 @@ def is_alpha_critical(g: Graph) -> bool:
     """
     got = g._memo.get("alpha_critical")
     if got is None:
-        solve = _alpha_and_poly(g)
+        solve = _alpha_of(g)
         nbr = g._nbr_bits
         full = (1 << g.n) - 1
-        alpha = solve(full)[0]
+        alpha = solve(full)
         got = g._memo["alpha_critical"] = not _not_alpha_critical(g, alpha) and all(
-            solve(full & ~(nbr[a] | nbr[b]))[0] == alpha - 1 for a, b in g.edges()
+            solve(full & ~(nbr[a] | nbr[b])) == alpha - 1 for a, b in g.edges()
         )
     return got

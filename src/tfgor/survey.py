@@ -111,13 +111,15 @@ def build_record(index: int, g: Graph, field_labels, graph6: str | None = None) 
 def _classify(task):
     """One nonblank corpus line: its record, None when a filter rejects it,
     or (line number, message) when it does not parse.  A graph too deep for
-    the recursion or too large for memory raises ValueError naming the
-    line, in any worker."""
+    the recursion or too large for memory, to parse or to classify, raises
+    ValueError naming the line, in any worker."""
     lineno, index, line, filters, max_n, field_labels = task
     try:
         g = parse_graph6(line)
     except ValueError as exc:
         return lineno, str(exc)
+    except MemoryError:
+        raise ValueError(f"line {lineno}: out of memory while parsing the graph") from None
     if max_n is not None and g.n > max_n:
         return None
     try:

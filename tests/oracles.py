@@ -101,6 +101,23 @@ def brute_maximal_independent_sets(n, edges):
     return sorted(out)
 
 
+def chain_independent_set_counts(n, cycle=False):
+    """The independent sets of the path 0-1-...-(n-1), or of the cycle that
+    also joins n-1 to 0, counted by size: entry k is the number of size k.
+    A transfer along the vertices in order, from each choice for vertex 0,
+    keeping apart the sets without and with the last vertex so far."""
+    total = [0] * (n + 1)
+    for first in (0, 1) if n else (0,):
+        without, with_last = [0] * (n + 1), [0] * (n + 1)
+        (with_last if first else without)[first] = 1
+        for _ in range(1, n):
+            without, with_last = [a + b for a, b in zip(without, with_last)], [0] + without[:-1]
+        if cycle and first:  # vertex n-1 is a neighbor of vertex 0
+            with_last = [0] * (n + 1)
+        total = [t + a + b for t, a, b in zip(total, without, with_last)]
+    return total
+
+
 def brute_alpha(n, edges):
     return max(len(s) for s in brute_independent_sets(n, edges))
 

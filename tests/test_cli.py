@@ -107,9 +107,10 @@ def test_check_parse_failure_exit_2(capsys):
 
 
 def test_check_beyond_recursion_exit_2(capsys, tmp_path):
-    # alpha recurses about once per vertex, past Python's recursion limit
-    p = tmp_path / "path1200.edges"
-    p.write_text(write_edge_list(path_graph(1200)))
+    # alpha takes a leaf and its neighbor per step, so a path recurses
+    # about once per two vertices, past Python's recursion limit
+    p = tmp_path / "path2400.edges"
+    p.write_text(write_edge_list(path_graph(2400)))
     code, out, err = run(capsys, ["check", "--edge-file", str(p)])
     assert code == 2 and out == ""
     assert err.startswith("tfgor check: ") and "recursion" in err
@@ -168,29 +169,40 @@ def test_out_of_memory_exit_2(capsys, monkeypatch, command, target):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_survey_out_of_memory_names_line_exit_2(capsys, monkeypatch, jobs):
-    # a worker's MemoryError names its line, as a recursion error does; the
-    # forked workers at --jobs 2 inherit the patched build_record
+    # a worker's MemoryError names its line, as a recursion error does,
+    # whether it is raised while classifying the graph or while parsing it;
+    # the forked workers at --jobs 2 inherit the patched function
     survey_module = sys.modules["tfgor.survey"]
-    real = survey_module.build_record
+    real_record, real_parse = survey_module.build_record, survey_module.parse_graph6
 
-    def exhausted_on_second(index, g, field_labels, graph6=None):
+    def record_exhausted_on_second(index, g, field_labels, graph6=None):
         if index == 1:
             raise MemoryError
-        return real(index, g, field_labels, graph6)
+        return real_record(index, g, field_labels, graph6)
 
-    monkeypatch.setattr(survey_module, "build_record", exhausted_on_second)
-    code, out, err = run(
-        capsys, ["survey", "--jobs", jobs], stdin="A_\nDhc\n", monkeypatch=monkeypatch
-    )
-    assert code == 2 and out == ""
-    assert err.startswith("tfgor survey: line 2: ") and "out of memory" in err
+    def parse_exhausted_on_second(line):
+        if line == "Dhc":
+            raise MemoryError
+        return real_parse(line)
+
+    for target, fake in (
+        ("build_record", record_exhausted_on_second),
+        ("parse_graph6", parse_exhausted_on_second),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(survey_module, target, fake)
+            code, out, err = run(
+                capsys, ["survey", "--jobs", jobs], stdin="A_\nDhc\n", monkeypatch=patch
+            )
+        assert code == 2 and out == "", target
+        assert err.startswith("tfgor survey: line 2: ") and "out of memory" in err, target
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_survey_beyond_recursion_names_line_exit_2(capsys, monkeypatch, jobs):
-    # 600 disjoint edges recurse as deep as a long path; the second line
-    # goes to a worker at --jobs 2
-    matching = Graph(1200, [(2 * i, 2 * i + 1) for i in range(600)])
+    # alpha of 1,200 disjoint edges takes one edge per step, past Python's
+    # recursion limit; the second line goes to a worker at --jobs 2
+    matching = Graph(2400, [(2 * i, 2 * i + 1) for i in range(1200)])
     code, out, err = run(
         capsys, ["survey", "--jobs", jobs],
         stdin=f"A_\n{write_graph6(matching)}\n", monkeypatch=monkeypatch,

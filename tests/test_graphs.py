@@ -14,6 +14,7 @@ from oracles import (
     brute_girth,
     brute_independent_sets,
     brute_maximal_independent_sets,
+    chain_independent_set_counts,
     delete_edge,
     delete_vertex,
     edge_localize,
@@ -49,11 +50,13 @@ from tfgor import (
     path_graph,
 )
 from tfgor.graphs import (
+    _alpha_of,
     _components,
     _greedy_maximal_size,
     _ind_facets,
     _not_alpha_critical,
     _not_well_covered,
+    _poly_of,
     _vertex_decomposable,
 )
 
@@ -585,6 +588,45 @@ def test_alpha_and_euler_characteristic_match_oracles():
         chi = independence_euler_characteristic(g)
         assert chi == brute_euler_characteristic(g.n, g.edges()), g
         assert chi == reduced_euler_characteristic(independence_complex(g)), g
+    # all 1253 graphs with n <= 7, half of them asked for chi~ first
+    for k, g in enumerate(all_graphs(7)):
+        want = brute_alpha(g.n, g.edges()), brute_euler_characteristic(g.n, g.edges())
+        if k % 2:
+            got = independence_number(g), independence_euler_characteristic(g)
+        else:
+            chi = independence_euler_characteristic(g)
+            got = independence_number(g), chi
+        assert got == want, g
+    # paths and cycles up to 30 vertices, chains of leaf steps, against
+    # their independent sets counted by size along the chain
+    for n in range(1, 31):
+        chains = [(path_graph(n), False)] + ([(cycle_graph(n), True)] if n >= 3 else [])
+        for g, cycle in chains:
+            counts = chain_independent_set_counts(n, cycle)
+            assert independence_number(g) == max(k for k, c in enumerate(counts) if c), g
+            chi = sum(c if k % 2 else -c for k, c in enumerate(counts))
+            assert independence_euler_characteristic(g) == chi, g
+    # alpha(g[S]) is memoized under S and I(g[S]; -1) under ~S in one memo:
+    # asked for every vertex mask in either order, each on a fresh graph,
+    # both give the brute-force values of the induced subgraph
+    rng = random.Random(23)
+    graphs = [path_graph(7), cycle_graph(7), disjoint_union(cycle_graph(4), path_graph(3))]
+    graphs += [random_graph(rng, 7, p) for p in (0.25, 0.4, 0.6)]
+    for h in graphs:
+        want = {}
+        for s in range(1 << h.n):
+            sub = induced_subgraph(h, [v for v in h.vertices() if s >> v & 1])
+            want[s] = brute_alpha(sub.n, sub.edges()), -brute_euler_characteristic(sub.n, sub.edges())
+        for alpha_first in (True, False):
+            g = Graph(h.n, h.edges())
+            alpha, poly = _alpha_of(g), _poly_of(g)
+            if alpha_first:
+                got = {s: alpha(s) for s in want}
+                got = {s: (a, poly(s)) for s, a in got.items()}
+            else:
+                got = {s: poly(s) for s in want}
+                got = {s: (alpha(s), p) for s, p in got.items()}
+            assert got == want, (h, alpha_first)
 
 
 def test_edgeless_graphs_need_no_enumeration():
