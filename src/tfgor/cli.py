@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import shutil
 import sys
+import tempfile
 
 from ._version import __version__
 from .graphs import (
@@ -29,11 +31,10 @@ from .homology import FieldSpec, parse_facets, reduced_betti
 from .survey import (
     FIELD_CHOICES,
     FILTERS,
+    REPORT_FORMATS,
+    SurveyRun,
     build_record,
     record_to_json,
-    report_to_csv,
-    report_to_json,
-    survey,
 )
 
 
@@ -82,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_option(p_survey)
     p_survey.add_argument("--jobs", type=int, default=1, metavar="INT")
     p_survey.add_argument("--out", metavar="PATH", help="report path (default stdout)")
-    p_survey.add_argument("--format", choices=("json", "csv"), default="json")
+    p_survey.add_argument("--format", choices=tuple(REPORT_FORMATS), default="json")
     p_survey.add_argument(
         "--strict", action="store_true",
         help="abort on the first malformed corpus line",
@@ -141,7 +142,7 @@ def _cmd_survey(args) -> int:
             stack.enter_context(open(args.out, "w", encoding="ascii"))
             if args.out else sys.stdout
         )
-        report, skipped = survey(
+        run = SurveyRun(
             lines,
             filters=tuple(t for t in args.filter.split(",") if t),
             fields=tuple(args.fields or ["q"]),
@@ -149,11 +150,19 @@ def _cmd_survey(args) -> int:
             jobs=args.jobs,
             strict=args.strict,
         )
-        for lineno, msg in skipped:
+        head, body, tail = REPORT_FORMATS[args.format]
+        # the records go to a spool as they are classified, so none is held;
+        # the head needs the summary, so nothing reaches out before the last
+        spool = stack.enter_context(tempfile.TemporaryFile("w+", encoding="ascii", newline=""))
+        records = stack.enter_context(contextlib.closing(run.records()))
+        spool.writelines(body(records, run.fields))
+        for lineno, msg in run.skipped:
             print(f"tfgor survey: skipped line {lineno}: {msg}", file=sys.stderr)
-        write = report_to_json if args.format == "json" else report_to_csv
-        write(report, out)
-    return 1 if report["counterexamples"] else 0
+        out.write(head(run.head()))
+        spool.seek(0)
+        shutil.copyfileobj(spool, out)
+        out.write(tail(run.admitted))
+    return 1 if run.counterexamples else 0
 
 
 def _cmd_family(args) -> int:

@@ -55,6 +55,7 @@ from .graphs import (
     _components,
     _eulerian,
     _ind_facets,
+    _localizations,
     _vertex_decomposable,
     is_alpha_critical,
     is_triangle_free,
@@ -161,13 +162,16 @@ def is_second_power_cm(g: Graph, field: FieldSpec) -> bool:
     is Cohen-Macaulay with independence number alpha(g) - 1.  The
     independence-number condition on every edge is alpha-criticality (see
     graphs.is_alpha_critical), tested first because it needs no homology.
-    The verdict depends on the field and is labeled with it wherever
-    reported.
+    The localization is C - N(a) - N(b), for C the component of ab, beside
+    the other components of g.  Ind of a disjoint union is the join of the
+    parts' complexes, and a join is Cohen-Macaulay iff each factor is
+    (Kunneth for joins over a field); is_cm_graph has found every component
+    Cohen-Macaulay, so only C - N(a) - N(b) is asked.  The verdict depends
+    on the field and is labeled with it wherever reported.
     """
-    full, nbr = (1 << g.n) - 1, g._nbr_bits
     return (
         is_triangle_free(g)
         and is_alpha_critical(g)
         and is_cm_graph(g, field)
-        and all(_cm_graph(g, full & ~(nbr[a] | nbr[b]), field) for a, b in g.edges())
+        and all(_cm_graph(g, loc, field) for _, loc in _localizations(g))
     )

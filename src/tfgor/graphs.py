@@ -500,7 +500,10 @@ def _maximal_independent_masks(g: Graph, s: int | None = None):
     # the maximal independent sets of g[s], for a vertex mask s (default all)
     if s is None:
         s = (1 << g.n) - 1
-    nonadj = tuple(s & ~b & ~(1 << v) for v, b in enumerate(g._nbr_bits))
+    # the non-neighbors in s of each vertex of s, read at those vertices alone
+    nbr, nonadj = g._nbr_bits, [0] * g.n
+    for v in _vertices_of(s):
+        nonadj[v] = s & ~nbr[v] & ~(1 << v)
 
     def extend(chosen, cand, excl):
         if cand == 0 and excl == 0:
@@ -864,6 +867,17 @@ def is_in_w2(g: Graph) -> bool:
     return covered and private_ok
 
 
+def _localizations(g: Graph):
+    # (C, C - N(a) - N(b)) for each edge ab, C the component of g holding
+    # it: the localization of g at ab is C - N(a) - N(b) beside the other
+    # components, which it leaves whole
+    nbr = g._nbr_bits
+    for c in _components(g, (1 << g.n) - 1):
+        for a in _vertices_of(c):
+            for b in _vertices_of(nbr[a] & -(2 << a)):
+                yield c, c & ~(nbr[a] | nbr[b])
+
+
 def _not_alpha_critical(g: Graph, alpha: int) -> bool:
     # a sufficient condition for g, of independence number alpha, not to be
     # alpha-critical, by two bounds; see is_alpha_critical
@@ -878,9 +892,11 @@ def is_alpha_critical(g: Graph) -> bool:
     than alpha(g) contains both a and b, so alpha(g - ab) = max(alpha(g),
     alpha(g_ab) + 2) where g_ab is g without N(a) and N(b); and adding a to
     an independent set of g_ab shows alpha(g_ab) <= alpha(g) - 1.  Hence
-    the edge ab is critical iff alpha(g_ab) = alpha(g) - 1.  Every g_ab is
-    a vertex mask of the memoized alpha recursion, and the verdict is memoized
-    in g.
+    the edge ab is critical iff alpha(g_ab) = alpha(g) - 1.  alpha is a sum
+    over components, and g_ab leaves every component but the one C of ab
+    whole, so the test reads alpha(C - N(a) - N(b)) = alpha(C) - 1, on
+    vertex masks of the memoized alpha recursion no larger than C.  The
+    verdict is memoized in g.
 
     Most graphs are rejected before any localization.  An alpha-critical
     graph without isolated vertices has n >= 2 alpha (Erdos and Gallai
@@ -893,10 +909,7 @@ def is_alpha_critical(g: Graph) -> bool:
     got = g._memo.get("alpha_critical")
     if got is None:
         solve = _alpha_of(g)
-        nbr = g._nbr_bits
-        full = (1 << g.n) - 1
-        alpha = solve(full)
-        got = g._memo["alpha_critical"] = not _not_alpha_critical(g, alpha) and all(
-            solve(full & ~(nbr[a] | nbr[b])) == alpha - 1 for a, b in g.edges()
-        )
+        got = g._memo["alpha_critical"] = not _not_alpha_critical(
+            g, solve((1 << g.n) - 1)
+        ) and all(solve(loc) == solve(c) - 1 for c, loc in _localizations(g))
     return got

@@ -1,29 +1,35 @@
 """Corpus classification and machine-readable reports.
 
-A survey consumes a stream of graph6 lines.  Each nonblank line is
-classified in one pass, in a worker when there are several: it is parsed
-once, filtered, and every admitted graph becomes a record.  A record
-reads its field-free columns (girth, triangle-freeness, alpha,
+A survey consumes a list of graph6 lines.  One pass over the list counts
+the nonblank lines and digests them; a second draws them lazily, and
+each is classified in one pass, in a worker when there are several: it
+is parsed once, filtered, and every admitted graph becomes a record.  A
+record reads its field-free columns (girth, triangle-freeness, alpha,
 well-coveredness, W2, alpha-criticality) once, and asks each requested
 field only for Gorensteinness and the second-power criterion; the
 field-free work those two share is memoized in the parsed Graph, so the
 fields after the first find it decided.  A malformed line comes back as
 its line number and message instead, and a graph beyond the exact
 recursion or the available memory is an error naming its line.  The
-parent only digests the lines and collects the results in line order,
-so record order equals corpus order regardless of the worker count.
-Reports carry no timestamps, so identical inputs give byte-identical
-output.  A report is written a record at a time, each record by one
-template built from the record layout, so it is never held as one
-string.
+results come back in line order, so record order equals corpus order
+regardless of the worker count, and a SurveyRun yields each admitted
+record as it arrives, keeping only the summary counts and the
+counterexample indices: the CLI renders the records into a spool, and
+survey() collects them into one report.  Reports carry no timestamps, so
+identical inputs give byte-identical output.  A report is a head, its
+records and a tail; the records are rendered a run at a time, each by
+one template built from the record layout, so neither the spooled nor
+the written report is ever held as one string.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
 import multiprocessing
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 
 from ._version import __version__
@@ -48,6 +54,8 @@ from .homology import FieldSpec
 __all__ = [
     "FILTERS",
     "FIELD_CHOICES",
+    "REPORT_FORMATS",
+    "SurveyRun",
     "build_record",
     "survey",
     "record_to_json",
@@ -110,16 +118,17 @@ def build_record(index: int, g: Graph, field_labels, graph6: str | None = None) 
 
 def _classify(task):
     """One nonblank corpus line: its record, None when a filter rejects it,
-    or (line number, message) when it does not parse.  A graph too deep for
-    the recursion or too large for memory, to parse or to classify, raises
-    ValueError naming the line, in any worker."""
+    (line number, message) when it does not parse, or a ValueError naming
+    the line when the graph is too deep for the recursion or too large for
+    memory, to parse or to classify.  The error is returned, not raised,
+    so that the parent raises it in corpus order at any job count."""
     lineno, index, line, filters, max_n, field_labels = task
     try:
         g = parse_graph6(line)
     except ValueError as exc:
         return lineno, str(exc)
     except MemoryError:
-        raise ValueError(f"line {lineno}: out of memory while parsing the graph") from None
+        return ValueError(f"line {lineno}: out of memory while parsing the graph")
     if max_n is not None and g.n > max_n:
         return None
     try:
@@ -127,11 +136,97 @@ def _classify(task):
             return None
         return build_record(index, g, field_labels, graph6=line)
     except RecursionError:
-        raise ValueError(
-            f"line {lineno}: graph on {g.n} vertices is beyond the exact recursion"
-        ) from None
+        return ValueError(f"line {lineno}: graph on {g.n} vertices is beyond the exact recursion")
     except MemoryError:
-        raise ValueError(f"line {lineno}: out of memory on a graph on {g.n} vertices") from None
+        return ValueError(f"line {lineno}: out of memory on a graph on {g.n} vertices")
+
+
+class SurveyRun:
+    """One survey of a list of graph6 lines, classified as a stream.
+
+    The constructor checks the options and reads the nonblank line count
+    and the corpus digest in one pass over the lines.  records(), iterated
+    once, then classifies the nonblank lines, drawn lazily, each in one pass, in a
+    pool of min(jobs, nonblank lines) workers when that is more than one,
+    and yields every admitted record in corpus order.  It keeps only a
+    tally: the admitted count, the counterexample indices and the
+    malformed lines (skipped, as (line number, message) pairs).  With
+    strict=True the first malformed line in corpus order raises
+    ValueError instead, at any job count, and so does a graph beyond the
+    recursion or the memory; leaving records() early, by an error or by
+    closing it, terminates the pool.  Once records() is exhausted, head()
+    is the report without its records.
+    """
+
+    def __init__(self, lines, filters=(), fields=("q",), max_n=None, jobs: int = 1,
+                 strict: bool = False):
+        self.filters = tuple(filters)
+        for name in self.filters:
+            if name not in FILTERS:
+                raise ValueError(f"unknown filter {name!r}")
+        self.fields = tuple(dict.fromkeys(fields))
+        if not self.fields:
+            raise ValueError("at least one field label is required")
+        for lb in self.fields:
+            FieldSpec.from_label(lb)
+        self.lines, self.max_n, self.strict = lines, max_n, strict
+        self.jobs = max(1, int(jobs))
+        digest = hashlib.sha256()
+        self.total = 0
+        for raw in lines:
+            line = raw.strip()
+            if line:
+                digest.update(line.encode("ascii", "replace") + b"\n")
+                self.total += 1
+        self.digest = digest.hexdigest()
+        self.admitted = 0
+        self.counterexamples = []
+        self.skipped = []
+
+    def _tasks(self):
+        index = 0
+        for lineno, raw in enumerate(self.lines, start=1):
+            line = raw.strip()
+            if line:
+                yield lineno, index, line, self.filters, self.max_n, self.fields
+                index += 1
+
+    def records(self):
+        workers = min(self.jobs, self.total)
+        with contextlib.ExitStack() as stack:
+            if workers > 1:
+                chunk = max(1, self.total // (workers * 8))
+                pool = stack.enter_context(multiprocessing.Pool(workers))
+                results = pool.imap(_classify, self._tasks(), chunksize=chunk)
+            else:
+                results = map(_classify, self._tasks())
+            for res in results:
+                if isinstance(res, dict):
+                    self.admitted += 1
+                    if not res["consistent"]:
+                        self.counterexamples.append(res["index"])
+                    yield res
+                elif isinstance(res, ValueError):
+                    raise res
+                elif res is not None:
+                    if self.strict:
+                        raise ValueError(f"line {res[0]}: {res[1]}")
+                    self.skipped.append(res)
+
+    def head(self) -> dict:
+        return {
+            "version": __version__,
+            "corpus_digest": self.digest,
+            "filters": list(self.filters),
+            "fields": list(self.fields),
+            "summary": {
+                "total": self.total,
+                "admitted": self.admitted,
+                "consistent": self.admitted - len(self.counterexamples),
+                "counterexamples": len(self.counterexamples),
+            },
+            "counterexamples": list(self.counterexamples),
+        }
 
 
 def survey(
@@ -144,65 +239,15 @@ def survey(
 ):
     """Classify a graph6 corpus; returns (report, skipped).
 
-    skipped is a list of (line_number, message) pairs for malformed lines;
-    with strict=True the first malformed line raises ValueError instead.
-    With one job, classification stops at that line; with several, every
-    line is classified before the first malformed one is reported.  Line
-    numbers are 1-based, record indices are 0-based positions among the
-    nonblank corpus lines.
+    The report is the head of a SurveyRun of the lines with its records
+    collected last; skipped is a list of (line_number, message) pairs for
+    malformed lines, and with strict=True the first malformed line raises
+    ValueError instead, at any job count.  Line numbers are 1-based,
+    record indices are 0-based positions among the nonblank corpus lines.
     """
-    filters = tuple(filters)
-    for name in filters:
-        if name not in FILTERS:
-            raise ValueError(f"unknown filter {name!r}")
-    jobs = max(1, int(jobs))
-    field_labels = tuple(dict.fromkeys(fields))
-    if not field_labels:
-        raise ValueError("at least one field label is required")
-    for lb in field_labels:
-        FieldSpec.from_label(lb)
-    digest = hashlib.sha256()
-    tasks = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if line:
-            digest.update(line.encode("ascii", "replace") + b"\n")
-            tasks.append((lineno, len(tasks), line, filters, max_n, field_labels))
-
-    workers = min(jobs, len(tasks))
-    if workers > 1:
-        chunk = max(1, len(tasks) // (workers * 8))
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_classify, tasks, chunksize=chunk)
-    else:
-        results = map(_classify, tasks)
-
-    records = []
-    skipped = []
-    for res in results:
-        if isinstance(res, dict):
-            records.append(res)
-        elif res is not None:
-            if strict:
-                raise ValueError(f"line {res[0]}: {res[1]}")
-            skipped.append(res)
-
-    counterexamples = [rec["index"] for rec in records if not rec["consistent"]]
-    report = {
-        "version": __version__,
-        "corpus_digest": digest.hexdigest(),
-        "filters": list(filters),
-        "fields": list(field_labels),
-        "summary": {
-            "total": len(tasks),
-            "admitted": len(records),
-            "consistent": len(records) - len(counterexamples),
-            "counterexamples": len(counterexamples),
-        },
-        "counterexamples": counterexamples,
-        "records": records,
-    }
-    return report, skipped
+    run = SurveyRun(list(lines), filters, fields, max_n, jobs, strict)
+    records = list(run.records())
+    return dict(run.head(), records=records), run.skipped
 
 
 # The record layout: every key of a record, in order.  The JSON template and
@@ -215,6 +260,11 @@ _RECORD_KEYS = (
 )
 _PER_FIELD_KEYS = ("gorenstein", "second_power_cm")
 
+# Records are rendered and written in runs of this many: writing each record
+# as it arrives cost about 2 us more per record (some 13 us against 11 us
+# for runs of 64), and a run holds only 64 records.
+_RUN = 64
+
 
 def _leaves(rec: dict, fields):
     # the record's values in layout order, each per-field map spread over fields
@@ -226,13 +276,11 @@ def _leaves(rec: dict, fields):
             yield value
 
 
-def _emit(chunks, out):
-    # written piece by piece to out when given, else joined and returned
-    if out is None:
-        return "".join(chunks)
-    for chunk in chunks:
-        out.write(chunk)
-    return None
+def _runs(records):
+    # the records in lists of _RUN, the last one shorter
+    it = iter(records)
+    while run := list(islice(it, _RUN)):
+        yield run
 
 
 def _json_leaf(value) -> str:
@@ -271,26 +319,22 @@ def record_to_json(record: dict) -> str:
     return _record_renderer(tuple(record["gorenstein"]), 0)(record)
 
 
-def _json_chunks(report: dict):
-    # the head before the records (survey puts them last) through json,
-    # then each record through the renderer for the report's fields
-    head = json.dumps({k: v for k, v in report.items() if k != "records"}, indent=2)
-    yield head[:-2] + ',\n  "records": ['
-    render = _record_renderer(report["fields"], 2)
+def _json_head(head: dict) -> str:
+    # the report up to its first record, through json: survey puts the
+    # records last, so the head is the report without them
+    return json.dumps(head, indent=2)[:-2] + ',\n  "records": ['
+
+
+def _json_body(records, fields):
+    render = _record_renderer(fields, 2)
     sep = "\n    "
-    for rec in report["records"]:
-        yield sep + render(rec)
+    for run in _runs(records):
+        yield sep + ",\n    ".join(map(render, run))
         sep = ",\n    "
-    yield "\n  ]\n}\n" if report["records"] else "]\n}\n"
 
 
-def report_to_json(report: dict, out=None) -> str | None:
-    """The report as json.dumps(report, indent=2) writes it, plus a newline.
-
-    With out (any object with a write method) the text is written there a
-    record at a time and never held whole; without it, it is returned.
-    """
-    return _emit(_json_chunks(report), out)
+def _json_tail(admitted: int) -> str:
+    return "\n  ]\n}\n" if admitted else "]\n}\n"
 
 
 def _csv_cell(value) -> str:
@@ -301,18 +345,57 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _csv_chunks(report: dict):
-    fields = report["fields"]
+def _csv_head(head: dict) -> str:
     columns = []
     for key in _RECORD_KEYS:
-        columns += [f"{key}_{lb}" for lb in fields] if key in _PER_FIELD_KEYS else [key]
-    yield ",".join(columns) + "\n"
-    for rec in report["records"]:
-        yield ",".join(map(_csv_cell, _leaves(rec, fields))) + "\n"
+        columns += [f"{key}_{lb}" for lb in head["fields"]] if key in _PER_FIELD_KEYS else [key]
+    return ",".join(columns) + "\n"
+
+
+def _csv_body(records, fields):
+    for run in _runs(records):
+        yield "".join(",".join(map(_csv_cell, _leaves(rec, fields))) + "\n" for rec in run)
+
+
+# Each report format as (head, body, tail): head(report without records)
+# and tail(admitted count) are strings, body(records, fields) yields the
+# rendered records a run at a time.  report_to_json and report_to_csv write
+# them in that order; the CLI spools the body as the records arrive and
+# writes the head, which needs the summary, once the last one has.
+REPORT_FORMATS = {
+    "json": (_json_head, _json_body, _json_tail),
+    "csv": (_csv_head, _csv_body, lambda admitted: ""),
+}
+
+
+def _write(fmt: str, report: dict, out):
+    # written piece by piece to out when given, else joined and returned
+    head, body, tail = REPORT_FORMATS[fmt]
+    records = report["records"]
+    chunks = chain(
+        [head({k: v for k, v in report.items() if k != "records"})],
+        body(records, report["fields"]),
+        [tail(len(records))],
+    )
+    if out is None:
+        return "".join(chunks)
+    for chunk in chunks:
+        out.write(chunk)
+    return None
+
+
+def report_to_json(report: dict, out=None) -> str | None:
+    """The report as json.dumps(report, indent=2) writes it, plus a newline.
+
+    With out (any object with a write method) the text is written there a
+    run of records at a time and never held whole; without it, it is
+    returned.
+    """
+    return _write("json", report, out)
 
 
 def report_to_csv(report: dict, out=None) -> str | None:
     """Lossy flat projection of the records: booleans as 0/1, the per-field
-    maps flattened to one column per field.  Written to out a row at a
-    time when given, returned otherwise."""
-    return _emit(_csv_chunks(report), out)
+    maps flattened to one column per field.  Written to out a run of rows
+    at a time when given, returned otherwise."""
+    return _write("csv", report, out)

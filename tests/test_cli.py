@@ -2,8 +2,10 @@ import hashlib
 import importlib.util
 import io
 import json
+import multiprocessing
 import random
 import sys
+import tracemalloc
 from functools import reduce
 from itertools import combinations
 from operator import and_
@@ -20,6 +22,8 @@ from tfgor import (
     girth4_planar,
     parse_graph6,
     path_graph,
+    report_to_csv,
+    report_to_json,
     survey,
     write_edge_list,
     write_graph6,
@@ -153,7 +157,7 @@ def test_graph_path_builds_no_complex(capsys):
 
 
 @pytest.mark.parametrize(
-    "command, target", [("check", "build_record"), ("survey", "survey")]
+    "command, target", [("check", "build_record"), ("survey", "SurveyRun")]
 )
 def test_out_of_memory_exit_2(capsys, monkeypatch, command, target):
     # exit 1 means "counterexample found"; running out of memory is not one
@@ -369,9 +373,10 @@ def serial_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize):
+        def imap(self, fn, tasks, chunksize):
+            # lazy, as Pool.imap is: a task is classified when its result is drawn
             log["chunks"].append(chunksize)
-            return [fn(t) for t in tasks]
+            return map(fn, tasks)
 
     monkeypatch.setattr(sys.modules["tfgor.survey"].multiprocessing, "Pool", SerialPool)
     return log
@@ -436,7 +441,7 @@ def test_survey_skipped_lines_keep_line_order_across_workers():
     assert report == survey(lines, jobs=1)[0]
 
 
-@pytest.mark.parametrize("jobs, parses", [("1", 2), ("2", 6)])
+@pytest.mark.parametrize("jobs, parses", [("1", 2), ("2", 2)])
 def test_survey_strict_names_first_malformed_line(
     capsys, monkeypatch, serial_pool, parsed, jobs, parses
 ):
@@ -446,8 +451,75 @@ def test_survey_strict_names_first_malformed_line(
     )
     assert code == 2 and out == ""
     assert "line 3:" in err and "line 6" not in err
-    # one job stops at the bad line; a pool classifies every line first
+    # one job and a pool alike stop at the bad line: results are drawn in
+    # corpus order and the first malformed one ends the survey
     assert len(parsed) == parses
+
+
+def test_survey_strict_terminates_the_pool(capsys, monkeypatch, corpus_tf_lines):
+    corpus = "Dhc\n##bad##\n" + "\n".join(corpus_tf_lines[:200]) + "\n"
+    code, out, err = run(
+        capsys, ["survey", "--strict", "--jobs", "2"], stdin=corpus, monkeypatch=monkeypatch
+    )
+    assert code == 2 and out == "" and "line 2:" in err
+    assert multiprocessing.active_children() == []
+
+
+# the CLI streams what the report writers write for the collected report:
+# skipped lines, a corpus the filter empties, and a faked counterexample
+STREAM_CASES = {
+    "mixed": (MIXED_CORPUS, ("triangle-free",), False),
+    "filtered-empty": ("Bw\n\nBw\n", ("triangle-free",), False),
+    "counterexample": ("Dhc\nA_\nCs\n", (), True),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("case", list(STREAM_CASES))
+def test_survey_streams_the_bytes_of_the_report_writers(capsys, monkeypatch, case, jobs, fmt):
+    corpus, filters, fake = STREAM_CASES[case]
+    if fake:  # the forked workers at --jobs 2 inherit the patch
+        monkeypatch.setattr(sys.modules["tfgor.survey"], "is_gorenstein_graph", lambda g, f: False)
+    argv = ["survey", "--jobs", jobs, "--format", fmt, "--field", "q", "--field", "f2"]
+    argv += ["--filter", ",".join(filters)] if filters else []
+    code, out, _ = run(capsys, argv, stdin=corpus, monkeypatch=monkeypatch)
+    report, _ = survey(corpus.splitlines(), filters=filters, fields=("q", "f2"))
+    write = report_to_json if fmt == "json" else report_to_csv
+    assert out == write(report)
+    assert code == (1 if fake else 0)
+    assert report["counterexamples"] == ([0, 1] if fake else [])
+    assert report["records"] or case == "filtered-empty"
+
+
+def test_survey_beyond_recursion_writes_no_csv(capsys, monkeypatch):
+    matching = Graph(2400, [(2 * i, 2 * i + 1) for i in range(1200)])
+    code, out, err = run(
+        capsys, ["survey", "--format", "csv"],
+        stdin=f"A_\n{write_graph6(matching)}\n", monkeypatch=monkeypatch,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("tfgor survey: line 2: ") and "recursion" in err
+
+
+def test_survey_memory_does_not_grow_with_the_corpus(tmp_path, corpus_tf_lines):
+    # the parent holds no record: surveying all 1,736 lines of the fixture
+    # peaks within 400 KB of surveying its first 400 (a held record costs
+    # about 1 KB)
+    def peak(lines):
+        corpus = tmp_path / f"corpus{len(lines)}.g6"
+        corpus.write_text("".join(ln + "\n" for ln in lines))
+        tracemalloc.start()
+        try:
+            assert main(["survey", "--corpus", str(corpus), "--out", str(tmp_path / "r.json")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(corpus_tf_lines[:5])  # lazy imports and caches settle first
+    small, large = peak(corpus_tf_lines[:400]), peak(corpus_tf_lines)
+    assert len(corpus_tf_lines) == 1736
+    assert large - small < 400_000, (small, large)
 
 
 def test_survey_non_ascii_corpus_exit_2(capsys, monkeypatch, tmp_path):

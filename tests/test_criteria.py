@@ -1,6 +1,7 @@
 import random
 import sys
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -15,6 +16,7 @@ from oracles import (
     independence_complex,
     join,
     link,
+    oracle_alpha_critical,
     oracle_cohen_macaulay,
     oracle_doubly_cm,
     oracle_eulerian,
@@ -607,6 +609,61 @@ def test_second_power_matches_relabeled_localizations():
             assert is_second_power_cm(g, field) == expected, g
             positives += expected
     assert positives >= 40
+
+
+def test_localizations_on_disjoint_unions_match_oracles():
+    # each edge localization is decided inside its own component C, as
+    # alpha(C - N(a) - N(b)) = alpha(C) - 1 and the Cohen-Macaulayness of
+    # C - N(a) - N(b); on unions of small graphs, isolated vertices and
+    # triangles included, both verdicts agree with the definitions
+    rng = random.Random(41)
+    parts = [Graph(1), complete_graph(2), path_graph(3), complete_graph(3), cycle_graph(4),
+             cycle_graph(5)] + [random_graph(rng, rng.randint(2, 5), 0.5) for _ in range(4)]
+    graphs = [disjoint_union(a, b) for a, b in combinations_with_replacement(parts, 2)]
+    graphs += [reduce(disjoint_union, rng.sample(parts, 3)) for _ in range(12)]
+    positives = [0, 0, 0]
+    for g in graphs:
+        critical = oracle_alpha_critical(g)
+        assert is_alpha_critical(g) == critical, g
+        positives[0] += critical
+        for i, (field, char) in enumerate(((RATIONALS, 0), (GF2, 2)), start=1):
+            expected = (
+                is_triangle_free(g)
+                and critical
+                and oracle_cohen_macaulay(independence_complex(g), char)
+                and all(
+                    oracle_cohen_macaulay(independence_complex(edge_localize(g, a, b)), char)
+                    for a, b in g.edges()
+                )
+            )
+            assert is_second_power_cm(g, field) == expected, (g, field)
+            positives[i] += expected
+    assert positives[0] >= 10 and positives[1] == positives[2] >= 3, positives
+
+
+def test_localizations_grow_linearly_with_the_components(monkeypatch):
+    # alpha-criticality and the second-power criterion on k disjoint
+    # pentagons: each localization is split and solved inside its own
+    # component, so the component floods and the memoized alpha masks
+    # double, not quadruple, when k doubles
+    graphs_module = sys.modules["tfgor.graphs"]
+    real_flood = graphs_module._flood
+
+    def cost(k):
+        g = reduce(disjoint_union, [cycle_graph(5)] * k)
+        floods = []
+
+        def counting(*args):
+            floods.append(1)
+            return real_flood(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(graphs_module, "_flood", counting)
+            assert is_alpha_critical(g) and is_second_power_cm(g, RATIONALS)
+        return len(floods), sum(type(key) is int for key in g._memo)
+
+    (floods, masks), (floods2, masks2) = cost(8), cost(16)
+    assert floods2 <= 2.5 * floods and masks2 <= 2.5 * masks, (floods, floods2, masks, masks2)
 
 
 def theorem_record(g):

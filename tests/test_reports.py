@@ -117,7 +117,7 @@ class _Discard:
 
 
 def test_report_is_streamed_not_held():
-    # the report is written a record at a time, so the writer's own peak
+    # the report is written a run of records at a time, so the writer's own peak
     # is a small fraction of the report's length
     report, _ = survey(WRITER_CORPUS, fields=("q", "f2", "f3"))
     rec = report["records"][2]
