@@ -117,7 +117,36 @@ def _read(path: str) -> str:
         return data.decode("ascii")
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"line {lineno}: byte {data[exc.start]:#04x} is not ASCII") from None
+        raise ValueError(_not_ascii(lineno, data[exc.start])) from None
+
+
+def _not_ascii(lineno: int, byte: int) -> str:
+    return f"line {lineno}: byte {byte:#04x} is not ASCII"
+
+
+class _Lines:
+    """The lines of an open binary file, as str.splitlines() gives them
+    from its whole text, read from the start on each iteration in batches
+    of whole lines of about 4 KB, so the text is never held.  Every batch
+    but the last ends in a newline, and a CR LF pair never straddles two
+    batches, so the batches' lines are the whole text's.  A byte outside
+    ASCII is a ValueError naming its line, as _read words it."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __iter__(self):
+        self.fh.seek(0)
+        lineno = 1
+        while batch := self.fh.readlines(1 << 12):
+            data = b"".join(batch)
+            try:
+                text = data.decode("ascii")
+            except UnicodeDecodeError as exc:
+                lineno += data.count(b"\n", 0, exc.start)
+                raise ValueError(_not_ascii(lineno, data[exc.start])) from None
+            lineno += len(batch)
+            yield from text.splitlines()
 
 
 def _load_graph(args):
@@ -136,19 +165,25 @@ def _cmd_check(args) -> int:
 
 def _cmd_survey(args) -> int:
     with contextlib.ExitStack() as stack:
-        lines = _read(args.corpus).splitlines()
-        # opened before any line is classified, so a bad --out fails fast
-        out = (
-            stack.enter_context(open(args.out, "w", encoding="ascii"))
-            if args.out else sys.stdout
-        )
+        # read twice, to count and digest and then to classify: stdin is
+        # spooled to a file first, and a file is never held whole
+        if args.corpus == "-":
+            corpus = stack.enter_context(tempfile.TemporaryFile())
+            shutil.copyfileobj(sys.stdin.buffer, corpus)
+        else:
+            corpus = stack.enter_context(open(args.corpus, "rb"))
         run = SurveyRun(
-            lines,
+            _Lines(corpus),
             filters=tuple(t for t in args.filter.split(",") if t),
             fields=tuple(args.fields or ["q"]),
             max_n=args.max_n,
             jobs=args.jobs,
             strict=args.strict,
+        )
+        # opened before any line is classified, so a bad --out fails fast
+        out = (
+            stack.enter_context(open(args.out, "w", encoding="ascii"))
+            if args.out else sys.stdout
         )
         head, body, tail = REPORT_FORMATS[args.format]
         # the records go to a spool as they are classified, so none is held;

@@ -61,6 +61,10 @@ class Graph:
       Eulerian walk, each over the components of S (see _joined);
     - (facets, field): the criteria's link walk on a tuple of facet
       masks, the one entry that depends on a field.
+
+    Nothing in the memo, and no function that fills it, refers back to
+    the graph, so a graph and its memo make no reference cycle and are
+    freed by refcount as soon as the last reference to the graph goes.
     """
 
     __slots__ = ("n", "_nbr_bits", "_memo")
@@ -116,7 +120,7 @@ class Graph:
         return out
 
     def edge_count(self) -> int:
-        return sum(b.bit_count() for b in self._nbr_bits) // 2
+        return sum(map(int.bit_count, self._nbr_bits)) // 2
 
     def vertices(self) -> range:
         return range(self.n)
@@ -150,7 +154,10 @@ def from_edge_list(n: int, edges) -> Graph:
 # ---------------------------------------------------------------------------
 
 _G6_HEADER = ">>graph6<<"
-_G6_BITS = tuple(format(x, "06b") for x in range(64))
+# each graph6 character to its six bits, highest first, as a str.translate
+# table: a character outside it stays one character, so the translation of a
+# legal string is exactly six times as long
+_G6_BITS = {63 + x: format(x, "06b") for x in range(64)}
 _G6_CHUNK = 4096
 
 
@@ -161,28 +168,24 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(_G6_HEADER):]
     if not s:
         raise ValueError("empty graph6 string")
-    data = [ord(ch) - 63 for ch in s]
-    if min(data) < 0 or max(data) > 63:
+    bits = s.translate(_G6_BITS)
+    if len(bits) != 6 * len(s):
         raise ValueError("illegal character in graph6 string")
-    if data[0] < 63:
-        n, idx = data[0], 1
-    elif len(data) >= 4 and data[1] < 63:
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
-        idx = 4
-    elif len(data) >= 8 and data[1] == 63:
-        n = 0
-        for x in data[2:8]:
-            n = (n << 6) | x
-        idx = 8
+    if s[0] != "~":
+        n, idx = ord(s[0]) - 63, 1
+    elif len(s) >= 4 and s[1] != "~":
+        n, idx = int(bits[6:24], 2), 4
+    elif len(s) >= 8 and s[1] == "~":
+        n, idx = int(bits[12:48], 2), 8
     else:
         raise ValueError("malformed graph6 length prefix")
     npairs = n * (n - 1) // 2
     nbytes = (npairs + 5) // 6
-    if len(data) - idx != nbytes:
+    if len(s) - idx != nbytes:
         raise ValueError(
-            f"graph6 body has {len(data) - idx} bytes, expected {nbytes} for n={n}"
+            f"graph6 body has {len(s) - idx} bytes, expected {nbytes} for n={n}"
         )
-    bits = "".join([_G6_BITS[x] for x in data[idx:]])
+    bits = bits[6 * idx:]
     if "1" in bits[npairs:]:
         raise ValueError("nonzero padding bits in graph6 string")
     # column j holds the pairs (0,j)..(j-1,j) from string position k on.
@@ -493,6 +496,14 @@ def is_connected(g: Graph) -> bool:
 # u is isolated in S-w, so I(S-w) has the factor 1 + x and vanishes at -1
 # (Engstrom's fold lemma, Europ. J. Combin. 29, 2008, gives the same).
 # Exhaustive enumeration is fine at the target scale (n up to ~20).
+#
+# The recursions, and the enumeration's _extend, are module-level functions
+# that take the neighbor masks (and the memo) as arguments.  A nested
+# function that calls itself holds itself in its own closure cell, a
+# reference cycle that would keep the graph's adjacency and memo alive until
+# the cyclic collector ran; these hold no cycle, so a graph and its memo are
+# freed by refcount once its record is built.  A caller that wants a function
+# of the mask alone binds one with functools.partial.
 # ---------------------------------------------------------------------------
 
 
@@ -504,30 +515,33 @@ def _maximal_independent_masks(g: Graph, s: int | None = None):
     nbr, nonadj = g._nbr_bits, [0] * g.n
     for v in _vertices_of(s):
         nonadj[v] = s & ~nbr[v] & ~(1 << v)
+    return _extend(nonadj, 0, s, 0)
 
-    def extend(chosen, cand, excl):
-        if cand == 0 and excl == 0:
-            yield chosen
-            return
-        pool = cand | excl
-        best_u, best = -1, -1
-        m = pool
-        while m:
-            u = (m & -m).bit_length() - 1
-            score = (cand & nonadj[u]).bit_count()
-            if score > best:
-                best, best_u = score, u
-            m &= m - 1
-        todo = cand & ~nonadj[best_u]
-        while todo:
-            bit = todo & -todo
-            v = bit.bit_length() - 1
-            yield from extend(chosen | bit, cand & nonadj[v], excl & nonadj[v])
-            cand &= ~bit
-            excl |= bit
-            todo ^= bit
 
-    yield from extend(0, s, 0)
+def _extend(nonadj, chosen: int, cand: int, excl: int):
+    # Bron-Kerbosch on the complement: the maximal independent sets through
+    # chosen, drawn from cand, avoiding excl, pivoting on the vertex of
+    # cand | excl with the most non-neighbors in cand
+    if cand == 0 and excl == 0:
+        yield chosen
+        return
+    pool = cand | excl
+    best_u, best = -1, -1
+    m = pool
+    while m:
+        u = (m & -m).bit_length() - 1
+        score = (cand & nonadj[u]).bit_count()
+        if score > best:
+            best, best_u = score, u
+        m &= m - 1
+    todo = cand & ~nonadj[best_u]
+    while todo:
+        bit = todo & -todo
+        v = bit.bit_length() - 1
+        yield from _extend(nonadj, chosen | bit, cand & nonadj[v], excl & nonadj[v])
+        cand &= ~bit
+        excl |= bit
+        todo ^= bit
 
 
 def _ind_facets(g: Graph, s: int | None = None) -> tuple[int, ...]:
@@ -585,12 +599,12 @@ def _vd_connected(g: Graph, s: int) -> bool:
     # dimensions one apart and decomposable; one vertex is a simplex
     if not s & (s - 1):
         return True
-    nbr, alpha = g._nbr_bits, _alpha_of(g)
+    nbr, memo = g._nbr_bits, g._memo
     for v in _vertices_of(s):
         rest = s & ~(1 << v)
         link = rest & ~nbr[v]
         if (
-            alpha(rest) == alpha(link) + 1
+            _alpha_of(nbr, memo, rest) == _alpha_of(nbr, memo, link) + 1
             and not _dominated(nbr, link, s & nbr[v])
             and _vertex_decomposable(g, rest)
             and _vertex_decomposable(g, link)
@@ -639,15 +653,15 @@ def _eulerian(g: Graph, s: int) -> bool:
 def _eulerian_connected(g: Graph, s: int) -> bool:
     # chi~ of the connected g[s] is (-1)^(alpha - 1), and so is that of
     # each vertex link, recursively
-    nbr = g._nbr_bits
-    return -_poly_of(g)(s) == (1 if _alpha_of(g)(s) % 2 else -1) and all(
+    nbr, memo = g._nbr_bits, g._memo
+    return -_poly_of(nbr, memo, s) == (1 if _alpha_of(nbr, memo, s) % 2 else -1) and all(
         _eulerian(g, s & ~(1 << v) & ~nbr[v]) for v in _vertices_of(s)
     )
 
 
-def _alpha_of(g: Graph):
-    """A function of a vertex mask S giving alpha(g[S]), memoized in g
-    under S.
+def _alpha_of(nbr, memo: dict, s: int) -> int:
+    """alpha(g[S]) for the vertex mask S of the graph with neighbor masks
+    nbr, memoized in that graph's memo under S.
 
     A leaf u of g[S] lies in a maximum independent set (one through its
     neighbor w keeps its size with u in place of w), so the scan for a
@@ -657,44 +671,38 @@ def _alpha_of(g: Graph):
     largest degree: an independent set either avoids v or contains v and
     avoids N(v).
     """
-    nbr = g._nbr_bits
-    memo = g._memo
-
-    def alpha(s):
-        got = memo.get(s)
-        if got is not None:
-            return got
-        isolated = 0
-        v, deg = -1, 0
-        m = s
-        while m:
-            bit = m & -m
-            m ^= bit
-            u = bit.bit_length() - 1
-            d = (nbr[u] & s).bit_count()
-            if d == 1:
-                out = 1 + alpha(s & ~bit & ~nbr[u])
-                break
-            if d == 0:
-                isolated |= bit
-            elif d > deg:
-                v, deg = u, d
+    got = memo.get(s)
+    if got is not None:
+        return got
+    isolated = 0
+    v, deg = -1, 0
+    m = s
+    while m:
+        bit = m & -m
+        m ^= bit
+        u = bit.bit_length() - 1
+        d = (nbr[u] & s).bit_count()
+        if d == 1:
+            out = 1 + _alpha_of(nbr, memo, s & ~bit & ~nbr[u])
+            break
+        if d == 0:
+            isolated |= bit
+        elif d > deg:
+            v, deg = u, d
+    else:
+        if isolated:
+            out = isolated.bit_count() + _alpha_of(nbr, memo, s & ~isolated)
         else:
-            if isolated:
-                out = isolated.bit_count() + alpha(s & ~isolated)
-            else:
-                rest = s & ~(1 << v)
-                out = max(alpha(rest), 1 + alpha(rest & ~nbr[v]))
-        memo[s] = out
-        return out
-
-    return alpha
+            rest = s & ~(1 << v)
+            out = max(_alpha_of(nbr, memo, rest), 1 + _alpha_of(nbr, memo, rest & ~nbr[v]))
+    memo[s] = out
+    return out
 
 
-def _poly_of(g: Graph):
-    """A function of a vertex mask S giving I(g[S]; -1), where I is the
-    independence polynomial, memoized in g under ~S, which is negative and
-    so never an alpha key.
+def _poly_of(nbr, memo: dict, s: int) -> int:
+    """I(g[S]; -1) for the vertex mask S of the graph with neighbor masks
+    nbr, where I is the independence polynomial, memoized in that graph's
+    memo under ~S, which is negative and so never an alpha key.
 
     An isolated vertex of g[S] contributes a factor 1 + x to I, which
     vanishes at -1.  At a leaf u with neighbor w, I(S) = I(S - w) -
@@ -703,40 +711,34 @@ def _poly_of(g: Graph):
     The scan stops at the first isolated vertex or leaf; otherwise branch
     on a vertex v of largest degree, I(S) = I(S - v) - I(S - N[v]).
     """
-    nbr = g._nbr_bits
-    memo = g._memo
-
-    def poly(s):
-        got = memo.get(~s)
-        if got is not None:
-            return got
-        v, deg = -1, 0
-        m = s
-        while m:
-            bit = m & -m
-            m ^= bit
-            u = bit.bit_length() - 1
-            w = nbr[u] & s
-            d = w.bit_count()
-            if d == 0:
-                out = 0
-                break
-            if d == 1:
-                out = -poly(s & ~w & ~nbr[w.bit_length() - 1])
-                break
-            if d > deg:
-                v, deg = u, d
-        else:
-            rest = s & ~(1 << v)
-            out = poly(rest) - poly(rest & ~nbr[v])
-        memo[~s] = out
-        return out
-
-    return poly
+    got = memo.get(~s)
+    if got is not None:
+        return got
+    v, deg = -1, 0
+    m = s
+    while m:
+        bit = m & -m
+        m ^= bit
+        u = bit.bit_length() - 1
+        w = nbr[u] & s
+        d = w.bit_count()
+        if d == 0:
+            out = 0
+            break
+        if d == 1:
+            out = -_poly_of(nbr, memo, s & ~w & ~nbr[w.bit_length() - 1])
+            break
+        if d > deg:
+            v, deg = u, d
+    else:
+        rest = s & ~(1 << v)
+        out = _poly_of(nbr, memo, rest) - _poly_of(nbr, memo, rest & ~nbr[v])
+    memo[~s] = out
+    return out
 
 
 def independence_number(g: Graph) -> int:
-    return _alpha_of(g)((1 << g.n) - 1)
+    return _alpha_of(g._nbr_bits, g._memo, (1 << g.n) - 1)
 
 
 def independence_euler_characteristic(g: Graph) -> int:
@@ -745,14 +747,23 @@ def independence_euler_characteristic(g: Graph) -> int:
     The faces of Ind(g) are the independent sets, so with f_(i-1) of them
     of size i, chi~(Ind g) = sum_i (-1)^(i-1) f_(i-1) = -I(g; -1).
     """
-    return -_poly_of(g)((1 << g.n) - 1)
+    return -_poly_of(g._nbr_bits, g._memo, (1 << g.n) - 1)
 
 
 def _greedy_maximal_size(g: Graph) -> int:
     # the size of one maximal independent set: take a vertex of largest
-    # degree in what is left, lowest first, and delete its closed neighborhood
-    nbr = g._nbr_bits
-    left = (1 << g.n) - 1
+    # degree in what is left, lowest first, and delete its closed
+    # neighborhood.  Deleting it leaves the degrees in other components
+    # alone, so each component makes the picks it makes in the whole graph,
+    # and a disconnected g is taken one component at a time
+    full = (1 << g.n) - 1
+    if is_connected(g):
+        return _greedy_size(g._nbr_bits, full)
+    return sum(_greedy_size(g._nbr_bits, c) for c in _components(g, full))
+
+
+def _greedy_size(nbr, left: int) -> int:
+    # the greedy maximal set's size in the vertex mask left
     size = 0
     while left:
         v, deg = -1, -1
@@ -799,14 +810,15 @@ def _cover_verdicts(g: Graph) -> tuple[bool, bool]:
     """
     got = g._memo.get("cover")
     if got is None:
-        alpha = _alpha_of(g)
+        nbr, memo = g._nbr_bits, g._memo
         full = (1 << g.n) - 1
         got = False, False
-        if not _not_well_covered(g, alpha(full)):
+        if not _not_well_covered(g, _alpha_of(nbr, memo, full)):
             parts = _components(g, full)
             private_ok = True
             for c in parts:
-                covered, ok = _cover_scan(g, None if len(parts) == 1 else c, alpha(c))
+                alpha = _alpha_of(nbr, memo, c)
+                covered, ok = _cover_scan(g, None if len(parts) == 1 else c, alpha)
                 if not covered:
                     break
                 private_ok = private_ok and ok
@@ -908,8 +920,11 @@ def is_alpha_critical(g: Graph) -> bool:
     """
     got = g._memo.get("alpha_critical")
     if got is None:
-        solve = _alpha_of(g)
-        got = g._memo["alpha_critical"] = not _not_alpha_critical(
-            g, solve((1 << g.n) - 1)
-        ) and all(solve(loc) == solve(c) - 1 for c, loc in _localizations(g))
+        nbr, memo = g._nbr_bits, g._memo
+        got = memo["alpha_critical"] = not _not_alpha_critical(
+            g, _alpha_of(nbr, memo, (1 << g.n) - 1)
+        ) and all(
+            _alpha_of(nbr, memo, loc) == _alpha_of(nbr, memo, c) - 1
+            for c, loc in _localizations(g)
+        )
     return got

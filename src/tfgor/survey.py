@@ -1,25 +1,30 @@
 """Corpus classification and machine-readable reports.
 
-A survey consumes a list of graph6 lines.  One pass over the list counts
+A survey consumes an iterable of graph6 lines that it can iterate twice,
+such as a list or the CLI's line reader over a file.  One pass counts
 the nonblank lines and digests them; a second draws them lazily, and
 each is classified in one pass, in a worker when there are several: it
 is parsed once, filtered, and every admitted graph becomes a record.  A
-record reads its field-free columns (girth, triangle-freeness, alpha,
-well-coveredness, W2, alpha-criticality) once, and asks each requested
-field only for Gorensteinness and the second-power criterion; the
-field-free work those two share is memoized in the parsed Graph, so the
-fields after the first find it decided.  A malformed line comes back as
-its line number and message instead, and a graph beyond the exact
-recursion or the available memory is an error naming its line.  The
-results come back in line order, so record order equals corpus order
-regardless of the worker count, and a SurveyRun yields each admitted
-record as it arrives, keeping only the summary counts and the
-counterexample indices: the CLI renders the records into a spool, and
-survey() collects them into one report.  Reports carry no timestamps, so
-identical inputs give byte-identical output.  A report is a head, its
-records and a tail; the records are rendered a run at a time, each by
-one template built from the record layout, so neither the spooled nor
-the written report is ever held as one string.
+record reads each field-free column (girth, triangle-freeness, alpha,
+well-coveredness, W2, alpha-criticality) once, from the verdicts
+memoized in the parsed Graph, and asks each requested field only for
+Gorensteinness and the second-power criterion, and only of a
+well-covered graph: Ind(g) of any other graph is not pure, so both are
+False over every field.  The field-free work those two share is
+memoized in the Graph too, so the fields after the first find it
+decided, and the Graph and its memo are freed once the record is built.
+A malformed line comes back as its line number and message instead, and
+a graph beyond the exact recursion or the available memory is an error
+naming its line.  The results come back in line order, so record order
+equals corpus order regardless of the worker count, and a SurveyRun
+yields each admitted record as it arrives, keeping only the summary
+counts and the counterexample indices: the CLI renders the records into
+a spool, and survey() collects them into one report.  Reports carry no
+timestamps, so identical inputs give byte-identical output.  A report is
+a head, its records and a tail; the records are rendered a run at a
+time, each by one %-format of a template built from the record layout,
+its slots filled by the type each column has, so neither the spooled
+nor the written report is ever held as one string.
 """
 
 from __future__ import annotations
@@ -37,15 +42,15 @@ from .criteria import is_gorenstein_graph, is_second_power_cm
 from .graphs import (
     _G6_HEADER,
     Graph,
+    _alpha_of,
+    _cover_verdicts,
+    _poly_of,
     girth,
     has_isolated_vertices,
-    independence_euler_characteristic,
-    independence_number,
     is_alpha_critical,
     is_connected,
     is_in_w2,
     is_triangle_free,
-    is_well_covered,
     parse_graph6,
     write_graph6,
 )
@@ -73,43 +78,55 @@ FILTERS = {
 }
 
 
+# each choice resolved once, at import; another label is resolved per record
+_FIELD_SPECS = {lb: FieldSpec.from_label(lb) for lb in FIELD_CHOICES}
+
+
 def build_record(index: int, g: Graph, field_labels, graph6: str | None = None) -> dict:
     """Classify one graph into the report record shape.
 
     The per-field maps are keyed by the caller's label strings, and a given
     graph6 string is recorded without its header.  alpha, well_covered and
-    euler_char are read off the graph, without building Ind(g).
+    euler_char are read off the graph, without building Ind(g).  A graph
+    that is not well-covered is neither Gorenstein nor second-power
+    Cohen-Macaulay over any field (Ind(g) is not pure), so its per-field
+    verdicts are False without asking the criteria.
     """
     if not field_labels:
         raise ValueError("at least one field label is required")
+    fields = [_FIELD_SPECS.get(lb) or FieldSpec.from_label(lb) for lb in field_labels]
+    nbr, memo, full = g._nbr_bits, g._memo, (1 << g.n) - 1
     gth = girth(g)
-    no_isolated = not has_isolated_vertices(g)
+    no_isolated = 0 not in nbr
+    well_covered = _cover_verdicts(g)[0]
     w2 = is_in_w2(g)
-    gorenstein, second_power_cm = {}, {}
-    for label in field_labels:
-        field = FieldSpec.from_label(label)
-        gorenstein[label] = is_gorenstein_graph(g, field)
-        second_power_cm[label] = is_second_power_cm(g, field)
     # the paper's equivalence of W2, Gorensteinness and the second-power
     # criterion holds for triangle-free graphs without isolated vertices;
     # any other graph is outside its hypothesis and counts as consistent
-    in_hypothesis = is_triangle_free(g) and no_isolated
-    consistent = not in_hypothesis or all(
-        w2 == gorenstein[lb] == second_power_cm[lb] for lb in field_labels
-    )
+    in_hypothesis = gth != 3 and no_isolated  # triangle-free: girth other than 3
+    if well_covered:
+        gorenstein = {lb: is_gorenstein_graph(g, f) for lb, f in zip(field_labels, fields)}
+        second_power_cm = {lb: is_second_power_cm(g, f) for lb, f in zip(field_labels, fields)}
+        consistent = not in_hypothesis or all(
+            w2 == gorenstein[lb] == second_power_cm[lb] for lb in field_labels
+        )
+    else:
+        gorenstein = dict.fromkeys(field_labels, False)
+        second_power_cm = gorenstein.copy()
+        consistent = not in_hypothesis or not w2
     return {
         "index": index,
         "graph6": write_graph6(g) if graph6 is None else graph6.removeprefix(_G6_HEADER),
         "n": g.n,
-        "edge_count": g.edge_count(),
-        "girth": None if math.isinf(gth) else int(gth),
+        "edge_count": sum(map(int.bit_count, nbr)) // 2,
+        "girth": None if gth == math.inf else gth,
         "connected": is_connected(g),
         "no_isolated": no_isolated,
-        "alpha": independence_number(g),
-        "well_covered": is_well_covered(g),
+        "alpha": _alpha_of(nbr, memo, full),
+        "well_covered": well_covered,
         "w2": w2,
         "alpha_critical": is_alpha_critical(g),
-        "euler_char": independence_euler_characteristic(g),
+        "euler_char": -_poly_of(nbr, memo, full),
         "gorenstein": gorenstein,
         "second_power_cm": second_power_cm,
         "consistent": consistent,
@@ -142,11 +159,13 @@ def _classify(task):
 
 
 class SurveyRun:
-    """One survey of a list of graph6 lines, classified as a stream.
+    """One survey of graph6 lines, classified as a stream.
 
-    The constructor checks the options and reads the nonblank line count
-    and the corpus digest in one pass over the lines.  records(), iterated
-    once, then classifies the nonblank lines, drawn lazily, each in one pass, in a
+    lines is any iterable that gives the same lines each time it is
+    iterated, such as a list.  The constructor checks the options and
+    reads the nonblank line count and the corpus digest in one pass over
+    the lines.  records(), iterated once, then iterates the lines again
+    and classifies the nonblank ones, drawn lazily, each in one pass, in a
     pool of min(jobs, nonblank lines) workers when that is more than one,
     and yields every admitted record in corpus order.  It keeps only a
     tally: the admitted count, the counterexample indices and the
@@ -283,23 +302,20 @@ def _runs(records):
         yield run
 
 
-def _json_leaf(value) -> str:
-    # a record's scalar as json.dumps writes it
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if value is None:
-        return "null"
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    return int.__repr__(value)
+# a boolean leaf as json.dumps writes it, indexed by the bool
+_JSON_BOOL = ("false", "true")
 
 
 def _record_renderer(fields, depth: int):
     """A function of a record giving json.dumps(record, indent=2) as it
     appears `depth` levels deep in an indent=2 document: one %-format of a
-    template with a slot per leaf, built once for the fields."""
+    template with a slot per leaf, built once for the fields.
+
+    The record layout fixes each leaf's type, and build_record keeps to it,
+    so each slot is filled by the rule for its type: a bool through
+    _JSON_BOOL, girth None as null, an int as str gives it (which is
+    json.dumps's int.__repr__) and graph6 through json's own string
+    encoder, with no call per leaf."""
     # keys and field labels ("q", "f" and a prime) hold no "%" to escape
     pad = "\n" + "  " * (depth + 1)
     name = encode_basestring_ascii
@@ -310,7 +326,21 @@ def _record_renderer(fields, depth: int):
             value = "{" + ",".join(f"{pad}  {name(lb)}: %s" for lb in fields) + pad + "}"
         items.append(f"{pad}{name(key)}: {value}")
     template = "{" + ",".join(items) + "\n" + "  " * depth + "}"
-    return lambda rec: template % tuple(map(_json_leaf, _leaves(rec, fields)))
+    b = _JSON_BOOL
+
+    def render(rec):
+        girth = rec["girth"]
+        return template % (
+            rec["index"], name(rec["graph6"]), rec["n"], rec["edge_count"],
+            "null" if girth is None else girth,
+            b[rec["connected"]], b[rec["no_isolated"]], rec["alpha"],
+            b[rec["well_covered"]], b[rec["w2"]], b[rec["alpha_critical"]], rec["euler_char"],
+            *map(b.__getitem__, map(rec["gorenstein"].__getitem__, fields)),
+            *map(b.__getitem__, map(rec["second_power_cm"].__getitem__, fields)),
+            b[rec["consistent"]],
+        )
+
+    return render
 
 
 def record_to_json(record: dict) -> str:

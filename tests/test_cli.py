@@ -28,7 +28,7 @@ from tfgor import (
     write_edge_list,
     write_graph6,
 )
-from tfgor.cli import main
+from tfgor.cli import _Lines, main
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -520,6 +520,36 @@ def test_survey_memory_does_not_grow_with_the_corpus(tmp_path, corpus_tf_lines):
     small, large = peak(corpus_tf_lines[:400]), peak(corpus_tf_lines)
     assert len(corpus_tf_lines) == 1736
     assert large - small < 400_000, (small, large)
+
+
+def test_survey_reads_the_corpus_a_line_at_a_time(tmp_path, corpus_tf_lines):
+    # the corpus file is read twice a line at a time, never held: the
+    # fixture concatenated four times peaks within 100 KB of the fixture
+    # alone, reading included (holding its 6,944 lines costs about 600 KB)
+    text = "".join(ln + "\n" for ln in corpus_tf_lines)
+
+    def peak(copies):
+        corpus = tmp_path / f"corpus-x{copies}.g6"
+        corpus.write_text(text * copies)
+        tracemalloc.start()
+        try:
+            assert main(["survey", "--corpus", str(corpus), "--out", str(tmp_path / "r.json")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # lazy imports and caches settle first
+    one, four = peak(1), peak(4)
+    assert four - one < 100_000, (one, four)
+
+
+def test_corpus_lines_are_the_splitlines_of_the_text():
+    # read a newline byte at a time, the lines are those of the whole text
+    # under every line break splitlines() knows in ASCII
+    rng = random.Random(31)
+    for _ in range(3000):
+        text = "".join(rng.choice("ab \r\n\v\f\x1c\x1d\x1e") for _ in range(rng.randint(0, 12)))
+        assert list(_Lines(io.BytesIO(text.encode()))) == text.splitlines(), repr(text)
 
 
 def test_survey_non_ascii_corpus_exit_2(capsys, monkeypatch, tmp_path):

@@ -1,7 +1,9 @@
+import gc
 import math
 import random
 import sys
 import time
+from functools import partial
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -48,6 +50,7 @@ from tfgor import (
     is_well_covered,
     parse_graph6,
     path_graph,
+    survey,
 )
 from tfgor.graphs import (
     _alpha_of,
@@ -264,6 +267,46 @@ def test_rejection_bounds_hold_on_all_graphs_up_to_7():
         assert is_alpha_critical(g) == critical, g
         counts = [counts[0] + covered, counts[1] + critical]
     assert counts == [238, 55]
+
+
+def whole_graph_greedy_size(g):
+    # the greedy maximal set over the whole vertex set at once: a vertex of
+    # largest degree in what is left, lowest first, and its closed
+    # neighborhood deleted
+    left, size = set(g.vertices()), 0
+    while left:
+        v = max(sorted(left), key=lambda u: len(set(g.neighbors(u)) & left))
+        if not set(g.neighbors(v)) & left:
+            return size + len(left)
+        left -= {v, *g.neighbors(v)}
+        size += 1
+    return size
+
+
+def test_greedy_witness_per_component_matches_the_whole_graph():
+    # a disconnected graph takes its greedy set one component at a time,
+    # with the same picks as the whole-graph loop; the components of these
+    # unions interleave their labels, so ties cross components
+    rng = random.Random(29)
+    for _ in range(150):
+        parts = [random_graph(rng, rng.randint(1, 6), rng.choice([0.3, 0.5, 0.8]))
+                 for _ in range(rng.randint(1, 4))]
+        n = sum(h.n for h in parts)
+        label, base, edges = rng.sample(range(n), n), 0, []
+        for h in parts:
+            edges += [(label[base + u], label[base + v]) for u, v in h.edges()]
+            base += h.n
+        g = Graph(n, edges)
+        assert _greedy_maximal_size(g) == whole_graph_greedy_size(g), g
+
+
+def test_greedy_witness_is_linear_in_the_components():
+    # 4,000 disjoint edges: the whole-graph loop rescans every vertex left
+    # at each of its 4,000 picks, some 16 million degree tests
+    g = Graph(8000, [(2 * i, 2 * i + 1) for i in range(4000)])
+    start = time.perf_counter()
+    assert _greedy_maximal_size(g) == 4000
+    assert time.perf_counter() - start < 1.0
 
 
 def test_vertex_decomposable_on_vertex_masks():
@@ -619,7 +662,8 @@ def test_alpha_and_euler_characteristic_match_oracles():
             want[s] = brute_alpha(sub.n, sub.edges()), -brute_euler_characteristic(sub.n, sub.edges())
         for alpha_first in (True, False):
             g = Graph(h.n, h.edges())
-            alpha, poly = _alpha_of(g), _poly_of(g)
+            alpha = partial(_alpha_of, g._nbr_bits, g._memo)
+            poly = partial(_poly_of, g._nbr_bits, g._memo)
             if alpha_first:
                 got = {s: alpha(s) for s in want}
                 got = {s: (a, poly(s)) for s, a in got.items()}
@@ -627,6 +671,21 @@ def test_alpha_and_euler_characteristic_match_oracles():
                 got = {s: poly(s) for s in want}
                 got = {s: (alpha(s), p) for s, p in got.items()}
             assert got == want, (h, alpha_first)
+
+
+def test_classifying_a_corpus_leaves_no_reference_cycle(corpus_tf_lines):
+    # the recursions hold no reference to themselves, so each graph and its
+    # memo are freed by refcount once its record is built, and the cyclic
+    # collector finds nothing to free
+    gc.collect()
+    gc.disable()
+    try:
+        report, _ = survey(corpus_tf_lines, fields=("q", "f2"))
+        assert len(report["records"]) == len(corpus_tf_lines) == 1736
+        del report
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_edgeless_graphs_need_no_enumeration():

@@ -101,6 +101,49 @@ def test_record_to_json_matches_json_dumps(corpus_tf_lines):
         assert record_to_json(rec) == json.dumps(rec, indent=2)
 
 
+# a record's boolean leaves: the scalar columns and the per-field maps
+BOOL_KEYS = ("connected", "no_isolated", "well_covered", "w2", "alpha_critical", "consistent")
+
+
+def _bool_leaves(rec):
+    for key in BOOL_KEYS:
+        yield key, rec[key]
+    for key in survey_module._PER_FIELD_KEYS:
+        for lb, value in rec[key].items():
+            yield f"{key}_{lb}", value
+
+
+# between them: K2 (a tree, girth null), C5 (in W2, Gorenstein), C4
+# (well-covered, not in W2), P3 (not well-covered), K3, 2K2 (disconnected),
+# K2 beside two isolated vertices, a girth-4 graph whose graph6 holds a
+# backslash, and a triangle with two pendant vertices
+TYPED_GRAPHS = ["A_", "Dhc", "Cr", "Bg", "Bw", "CK", "C@", "EC\\o", "D{O"]
+
+
+@pytest.mark.parametrize("fields", [("q",), ("f3", "q"), FIELD_CHOICES], ids=["q", "f3-q", "all"])
+def test_typed_renderer_matches_json_dumps_on_every_leaf_value(monkeypatch, fields):
+    # the renderer fills each slot by its column's type, so the records pin
+    # those types, and between them they put True and False in every
+    # boolean column; a counterexample, faked by a field that finds C5 not
+    # Gorenstein, gives consistent False
+    records = [build_record(i, parse_graph6(g6), fields, g6) for i, g6 in enumerate(TYPED_GRAPHS)]
+    monkeypatch.setattr(survey_module, "is_gorenstein_graph", lambda g, f: False)
+    records.append(build_record(len(records), parse_graph6("Dhc"), fields, "Dhc"))
+    seen = {}
+    for rec in records:
+        assert record_to_json(rec) == json.dumps(rec, indent=2)
+        for key, value in _bool_leaves(rec):
+            assert type(value) is bool, (key, rec)
+            seen.setdefault(key, set()).add(value)
+        assert rec["girth"] is None or type(rec["girth"]) is int, rec
+        for key in ("index", "n", "edge_count", "alpha", "euler_char"):
+            assert type(rec[key]) is int, (key, rec)
+        assert type(rec["graph6"]) is str
+    assert len(seen) == len(BOOL_KEYS) + 2 * len(fields)
+    assert all(values == {False, True} for values in seen.values()), seen
+    assert {rec["girth"] for rec in records} >= {None, 3, 4, 5}
+
+
 def test_record_keys_follow_the_layout():
     rec = build_record(0, parse_graph6("EC\\o"), ("f2", "q", "f5"))
     assert tuple(rec) == survey_module._RECORD_KEYS
