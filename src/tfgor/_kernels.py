@@ -6,39 +6,23 @@ columns are reduced left to right, each against the stored pivot columns
 keyed by their lowest nonzero row, until it vanishes or its lowest row is
 new; then it is stored.  Stored columns have pairwise distinct lowest
 rows, so they are linearly independent and span the reduced columns.
-Each of the three kernels returns the set of those lowest rows, its pivot
+Each of the two kernels returns the set of those lowest rows, its pivot
 rows: the rank is their number, and homology clears the columns they
 index one degree down.
 
-rank_gf2 takes each column as an int with bit r for row r: its lowest
-row is bit_length() - 1, and reducing it by a pivot column is one XOR.
-rank_mod_p and rank_int take each column as a {row: value} dict of
-nonzero integers and may mutate these dicts.  The prime-field kernel
-reduces the entries mod p and scales each pivot column to a unit pivot;
-the integer kernel is fraction-free, cross-multiplying the two columns
-and dividing the result by its content to keep coefficients small.  All
-three are exact for any number of rows and any size of entries.
+Both take each column as a {row: value} dict of nonzero integers and may
+mutate these dicts.  rank_mod_p serves every prime p, 2 included: it
+reduces the entries mod p and scales each pivot column to a unit pivot.
+rank_int serves the rationals: it is fraction-free, cross-multiplying the
+two columns and dividing the result by its content to keep coefficients
+small.  Both are exact for any number of rows and any size of entries.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-__all__ = ["rank_gf2", "rank_mod_p", "rank_int"]
-
-
-def rank_gf2(columns) -> set[int]:
-    """The pivot rows over GF(2) of the 0/1 matrix with these columns."""
-    pivots: dict[int, int] = {}
-    for col in columns:
-        while col:
-            low = col.bit_length() - 1
-            piv = pivots.get(low)
-            if piv is None:
-                pivots[low] = col
-                break
-            col ^= piv
-    return set(pivots)
+__all__ = ["rank_mod_p", "rank_int"]
 
 
 def rank_mod_p(columns, p: int) -> set[int]:

@@ -11,10 +11,10 @@ exact ranks of the boundary maps, in one pass from the top degree down:
 the faces one size down are found as the boundaries of the faces of each
 size, plus the facets of that size, numbered in the order they are found,
 and each column is built in the same loop; only two face sizes are held
-at a time.  Over GF(2) a column is an int with bit r for row r, reduced
-by XOR; otherwise it is a {row: +-1} dict, reduced mod p or fraction-free
-over the integers (see _kernels).  The kernels return their pivot rows,
-and the rank is their number.  With clearing (Chen and Kerber,
+at a time.  A column is a {row: +-1} dict, reduced mod p for every prime
+p, 2 included, or fraction-free over the integers for the rationals (see
+_kernels).  The kernels return their pivot rows, and the rank is their
+number.  With clearing (Chen and Kerber,
 "Persistent homology computation with a twist", 2011; Bauer, Kerber and
 Reininghaus, PHAT, 2014), a column whose index is a pivot row of the map
 one degree up is never reduced: that map's reduced column with this
@@ -137,15 +137,14 @@ def parse_facets(text: str) -> tuple[int, ...]:
     return tuple(sorted(sum(map(bit.get, f)) for f in kept)) or (0,)
 
 
-def _boundaries(facets, gf2: bool):
+def _boundaries(facets):
     """The boundary maps of the complex, top down: for each face size k
     from the largest facet's down to 1, yield the faces of size k and the
     columns of their map to the faces of size k-1.  The faces of size k-1
     are numbered in the order the columns meet them, then the facets of
     that size, and the next map takes them as its columns in that order.
-    A column drops the bits of its face lowest first; over GF(2) it is an
-    int with bit r for row r, otherwise a {row: +-1} dict with signs +1,
-    -1, +1, ..."""
+    A column drops the bits of its face lowest first, as a {row: +-1}
+    dict with signs +1, -1, +1, ..."""
     by_size: dict[int, list[int]] = {}
     for f in facets:
         by_size.setdefault(f.bit_count(), []).append(f)
@@ -156,20 +155,12 @@ def _boundaries(facets, gf2: bool):
         row = index.setdefault
         columns = []
         for f in faces:
-            rest = f
-            if gf2:
-                col = 0
-                while rest:
-                    b = rest & -rest
-                    rest ^= b
-                    col |= 1 << row(f ^ b, len(index))
-            else:
-                col, sign = {}, 1
-                while rest:
-                    b = rest & -rest
-                    rest ^= b
-                    col[row(f ^ b, len(index))] = sign
-                    sign = -sign
+            rest, col, sign = f, {}, 1
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                col[row(f ^ b, len(index))] = sign
+                sign = -sign
             columns.append(col)
         for f in by_size.get(k - 1, ()):
             row(f, len(index))
@@ -188,14 +179,12 @@ def reduced_betti(facets: tuple[int, ...], field: FieldSpec) -> dict[int, int]:
     sizes = [1] * (d + 2)  # sizes[k] = number of faces of size k
     ranks = [0] * (d + 3)  # ranks[k] = rank of the map from the faces of size k
     cleared = set()  # pivot rows of the map above, each a column reducing to zero
-    for faces, columns in _boundaries(facets, field.char == 2):
+    for faces, columns in _boundaries(facets):
         k = faces[0].bit_count()
         sizes[k] = len(faces)
         columns = [col for j, col in enumerate(columns) if j not in cleared]
         if field.is_rationals:
             cleared = _kernels.rank_int(columns)
-        elif field.char == 2:
-            cleared = _kernels.rank_gf2(columns)
         else:
             cleared = _kernels.rank_mod_p(columns, field.char)
         ranks[k] = len(cleared)

@@ -167,14 +167,14 @@ class SurveyRun:
     the lines.  records(), iterated once, then iterates the lines again
     and classifies the nonblank ones, drawn lazily, each in one pass, in a
     pool of min(jobs, nonblank lines) workers when that is more than one,
-    and yields every admitted record in corpus order.  It keeps only a
-    tally: the admitted count, the counterexample indices and the
-    malformed lines (skipped, as (line number, message) pairs).  With
-    strict=True the first malformed line in corpus order raises
-    ValueError instead, at any job count, and so does a graph beyond the
-    recursion or the memory; leaving records() early, by an error or by
-    closing it, terminates the pool.  Once records() is exhausted, head()
-    is the report without its records.
+    in chunks of at most 512 lines, and yields every admitted record in
+    corpus order.  It keeps only a tally: the admitted count, the
+    counterexample indices and the malformed lines (skipped, as (line
+    number, message) pairs).  With strict=True the first malformed line in
+    corpus order raises ValueError instead, at any job count, and so does
+    a graph beyond the recursion or the memory; leaving records() early,
+    by an error or by closing it, terminates the pool.  Once records() is
+    exhausted, head() is the report without its records.
     """
 
     def __init__(self, lines, filters=(), fields=("q",), max_n=None, jobs: int = 1,
@@ -214,7 +214,10 @@ class SurveyRun:
         workers = min(self.jobs, self.total)
         with contextlib.ExitStack() as stack:
             if workers > 1:
-                chunk = max(1, self.total // (workers * 8))
+                # about 8 chunks per worker balances a small corpus; the
+                # cap keeps the records a chunk holds, in a worker and in
+                # the parent, from growing with a large one
+                chunk = max(1, min(512, self.total // (workers * 8)))
                 pool = stack.enter_context(multiprocessing.Pool(workers))
                 results = pool.imap(_classify, self._tasks(), chunksize=chunk)
             else:
@@ -269,8 +272,8 @@ def survey(
     return dict(run.head(), records=records), run.skipped
 
 
-# The record layout: every key of a record, in order.  The JSON template and
-# the CSV columns both read it.  A per-field key maps each of the report's
+# The record layout: every key of a record, in order.  The JSON and CSV
+# templates both read it.  A per-field key maps each of the report's
 # fields to a verdict, and spreads into one CSV column per field.
 _RECORD_KEYS = (
     "index", "graph6", "n", "edge_count", "girth", "connected",
@@ -285,16 +288,6 @@ _PER_FIELD_KEYS = ("gorenstein", "second_power_cm")
 _RUN = 64
 
 
-def _leaves(rec: dict, fields):
-    # the record's values in layout order, each per-field map spread over fields
-    for key in _RECORD_KEYS:
-        value = rec[key]
-        if key in _PER_FIELD_KEYS:
-            yield from map(value.__getitem__, fields)
-        else:
-            yield value
-
-
 def _runs(records):
     # the records in lists of _RUN, the last one shorter
     it = iter(records)
@@ -302,37 +295,22 @@ def _runs(records):
         yield run
 
 
-# a boolean leaf as json.dumps writes it, indexed by the bool
-_JSON_BOOL = ("false", "true")
-
-
-def _record_renderer(fields, depth: int):
-    """A function of a record giving json.dumps(record, indent=2) as it
-    appears `depth` levels deep in an indent=2 document: one %-format of a
-    template with a slot per leaf, built once for the fields.
+def _record_renderer(template: str, fields, bools, none: str, text):
+    """A function of a record giving one %-format of template, whose slots
+    are the record's leaves in layout order, each per-field map spread
+    over fields.
 
     The record layout fixes each leaf's type, and build_record keeps to it,
-    so each slot is filled by the rule for its type: a bool through
-    _JSON_BOOL, girth None as null, an int as str gives it (which is
-    json.dumps's int.__repr__) and graph6 through json's own string
-    encoder, with no call per leaf."""
-    # keys and field labels ("q", "f" and a prime) hold no "%" to escape
-    pad = "\n" + "  " * (depth + 1)
-    name = encode_basestring_ascii
-    items = []
-    for key in _RECORD_KEYS:
-        value = "%s"
-        if key in _PER_FIELD_KEYS:
-            value = "{" + ",".join(f"{pad}  {name(lb)}: %s" for lb in fields) + pad + "}"
-        items.append(f"{pad}{name(key)}: {value}")
-    template = "{" + ",".join(items) + "\n" + "  " * depth + "}"
-    b = _JSON_BOOL
+    so each slot is filled by the rule for its type, with no call per leaf:
+    a bool as bools[False] or bools[True], girth None as none, an int as
+    str gives it and graph6 through text."""
+    b = bools
 
     def render(rec):
         girth = rec["girth"]
         return template % (
-            rec["index"], name(rec["graph6"]), rec["n"], rec["edge_count"],
-            "null" if girth is None else girth,
+            rec["index"], text(rec["graph6"]), rec["n"], rec["edge_count"],
+            none if girth is None else girth,
             b[rec["connected"]], b[rec["no_isolated"]], rec["alpha"],
             b[rec["well_covered"]], b[rec["w2"]], b[rec["alpha_critical"]], rec["euler_char"],
             *map(b.__getitem__, map(rec["gorenstein"].__getitem__, fields)),
@@ -343,10 +321,28 @@ def _record_renderer(fields, depth: int):
     return render
 
 
+def _json_renderer(fields, depth: int):
+    """A function of a record giving json.dumps(record, indent=2) as it
+    appears `depth` levels deep in an indent=2 document: a bool as false or
+    true, girth None as null, an int as str gives it (which is json.dumps's
+    int.__repr__) and graph6 through json's own string encoder."""
+    # keys and field labels ("q", "f" and a prime) hold no "%" to escape
+    pad = "\n" + "  " * (depth + 1)
+    name = encode_basestring_ascii
+    items = []
+    for key in _RECORD_KEYS:
+        value = "%s"
+        if key in _PER_FIELD_KEYS:
+            value = "{" + ",".join(f"{pad}  {name(lb)}: %s" for lb in fields) + pad + "}"
+        items.append(f"{pad}{name(key)}: {value}")
+    template = "{" + ",".join(items) + "\n" + "  " * depth + "}"
+    return _record_renderer(template, fields, ("false", "true"), "null", name)
+
+
 def record_to_json(record: dict) -> str:
     """One record as json.dumps(record, indent=2) writes it, through the
     renderer report_to_json gives every record."""
-    return _record_renderer(tuple(record["gorenstein"]), 0)(record)
+    return _json_renderer(tuple(record["gorenstein"]), 0)(record)
 
 
 def _json_head(head: dict) -> str:
@@ -356,7 +352,7 @@ def _json_head(head: dict) -> str:
 
 
 def _json_body(records, fields):
-    render = _record_renderer(fields, 2)
+    render = _json_renderer(fields, 2)
     sep = "\n    "
     for run in _runs(records):
         yield sep + ",\n    ".join(map(render, run))
@@ -367,14 +363,6 @@ def _json_tail(admitted: int) -> str:
     return "\n  ]\n}\n" if admitted else "]\n}\n"
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return "inf"
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    return str(value)
-
-
 def _csv_head(head: dict) -> str:
     columns = []
     for key in _RECORD_KEYS:
@@ -383,8 +371,11 @@ def _csv_head(head: dict) -> str:
 
 
 def _csv_body(records, fields):
+    # a row per record: a bool as 0 or 1, girth None as inf, the rest as str gives it
+    slots = len(_RECORD_KEYS) + (len(fields) - 1) * len(_PER_FIELD_KEYS)
+    render = _record_renderer(",".join(["%s"] * slots) + "\n", fields, ("0", "1"), "inf", str)
     for run in _runs(records):
-        yield "".join(",".join(map(_csv_cell, _leaves(rec, fields))) + "\n" for rec in run)
+        yield "".join(map(render, run))
 
 
 # Each report format as (head, body, tail): head(report without records)

@@ -395,6 +395,17 @@ def test_survey_pool_never_exceeds_tasks(capsys, monkeypatch, serial_pool):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def test_survey_pool_chunk_is_capped(capsys, monkeypatch, serial_pool):
+    # 20,000 lines on two workers would be chunks of 1,250; a chunk is at
+    # most 512 records, so what a chunk holds does not grow with the corpus
+    code, _, _ = run(
+        capsys, ["survey", "--jobs", "2", "--max-n", "1"], stdin="A_\n" * 20000,
+        monkeypatch=monkeypatch,
+    )
+    assert code == 0
+    assert serial_pool["sizes"] == [2] and serial_pool["chunks"] == [512]
+
+
 # C5, a blank line, a bad line, K3, K2, another bad line, the claw
 MIXED_CORPUS = "Dhc\n\n##bad##\nBw\nA_\n#bad\nCs\n"
 MIXED_NONBLANK = ["Dhc", "##bad##", "Bw", "A_", "#bad", "Cs"]

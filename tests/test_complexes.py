@@ -44,7 +44,7 @@ def random_graph(rng, n, p=0.4):
 def faces_by_size(facets):
     """The face masks that reduced_betti ranks, one sorted list per size
     0..dim+1, from the boundary maps it walks top down."""
-    return [[0]] + [sorted(faces) for faces, _ in reversed(list(_boundaries(facets, True)))]
+    return [[0]] + [sorted(faces) for faces, _ in reversed(list(_boundaries(facets)))]
 
 
 def f_vector(c):

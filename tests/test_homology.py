@@ -72,19 +72,14 @@ def sparse(c, rng):
     )
 
 
-def chain(facets, gf2=False):
+def chain(facets):
     """The maps of _boundaries bottom up: for each degree i in 0..dim, the
     row faces (size i), the column faces (size i+1) and the columns."""
     steps, rows = [], [0]
-    for faces, columns in reversed(list(_boundaries(facets, gf2))):
+    for faces, columns in reversed(list(_boundaries(facets))):
         steps.append((rows, faces, columns))
         rows = faces
     return steps
-
-
-def bit_rows(col):
-    """The rows of a GF(2) column, as a {row: 1} dict."""
-    return {r: 1 for r in range(col.bit_length()) if col >> r & 1}
 
 
 def boundaries(c):
@@ -115,12 +110,9 @@ def kernel_rank(mat, char):
 
 
 def kernel(columns, char):
-    """The pivot rows of fresh copies of these columns, over GF(2) as
-    int bitsets."""
+    """The pivot rows of fresh copies of these columns."""
     if char == 0:
         return _kernels.rank_int([dict(col) for col in columns])
-    if char == 2:
-        return _kernels.rank_gf2(list(columns))
     return _kernels.rank_mod_p([dict(col) for col in columns], char)
 
 
@@ -150,29 +142,27 @@ def test_field_spec():
 def test_boundary_single_edge():
     # dropping the lower bit finds 0b10 first (row 0, sign +1), dropping
     # the higher finds 0b01 (row 1, sign -1); the vertices then map to ()
-    assert list(_boundaries((0b11,), False)) == [
+    assert list(_boundaries((0b11,))) == [
         ([0b11], [{0: 1, 1: -1}]),
         ([0b10, 0b01], [{0: 1}, {0: 1}]),
     ]
-    assert list(_boundaries((0b11,), True)) == [([0b11], [0b11]), ([0b10, 0b01], [1, 1])]
     # bits far apart: rows in the order found, signs alternate from the lowest bit
     top = 1 << 40 | 1 << 7 | 1
-    faces, columns = next(_boundaries((top,), False))
+    faces, columns = next(_boundaries((top,)))
     assert (faces, columns) == ([top], [{0: 1, 1: -1, 2: 1}])
-    faces, _ = list(_boundaries((top,), False))[1]
+    faces, _ = list(_boundaries((top,)))[1]
     assert faces == [1 << 40 | 1 << 7, 1 << 40 | 1, 1 << 7 | 1]
 
 
 def test_boundary_vertices_map_to_empty_face():
-    assert list(_boundaries((1, 2, 4), False)) == [([1, 2, 4], [{0: 1}] * 3)]
-    assert list(_boundaries((1, 2, 4), True)) == [([1, 2, 4], [1] * 3)]
-    assert list(_boundaries((0,), False)) == []
+    assert list(_boundaries((1, 2, 4))) == [([1, 2, 4], [{0: 1}] * 3)]
+    assert list(_boundaries((0,))) == []
 
 
 def test_boundary_numbers_smaller_facets_last():
     # the vertex 0b100 is a facet: it is in no boundary, so it is
     # numbered after the faces the edge's column meets
-    steps = list(_boundaries((0b011, 0b100), False))
+    steps = list(_boundaries((0b011, 0b100)))
     assert steps == [([0b011], [{0: 1, 1: -1}]), ([0b010, 0b001, 0b100], [{0: 1}] * 3)]
     # the row order of a map is the column order of the next one down
     rng = random.Random(66)
@@ -197,8 +187,7 @@ def test_boundary_composition_is_zero():
 
 def test_boundary_matches_oracle_random():
     # every degree 0..dim, including the map of the vertices to (); each
-    # degree meets the oracle's faces, and the GF(2) columns are the
-    # supports of the signed ones
+    # degree meets the oracle's faces
     rng = random.Random(88)
     for _ in range(60):
         c = random_complex(rng, 9)
@@ -208,9 +197,6 @@ def test_boundary_matches_oracle_random():
         bit = {x: 1 << i for i, x in enumerate(c.vertices)}
         for i, (rows, faces, columns) in enumerate(chain(facets)):
             assert sorted(faces) == sorted(sum(bit[x] for x in f) for f in oracle_by_size[i + 1])
-        for signed, bits in zip(chain(facets), chain(facets, gf2=True)):
-            assert signed[:2] == bits[:2]
-            assert [dict.fromkeys(col, 1) for col in signed[2]] == list(map(bit_rows, bits[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +273,12 @@ def test_rank_matches_dense_oracles_random():
             assert kernel_rank(mat, p) == rank_mod_p_dense(mat, p)
 
 
-def test_rank_gf2_matches_mod_2_and_dense_oracle_random():
-    # 0/1 matrices up to 150 rows, so columns run past bit 64; empty
-    # matrices, zero columns and zero rows included
-    assert _kernels.rank_gf2([]) == set()
-    assert _kernels.rank_gf2([0, 0]) == set()
-    assert _kernels.rank_gf2([1 << 100, 0, 1 << 100 | 1, 1]) == {100, 0}
+def test_rank_mod_2_matches_dense_oracle_random():
+    # 0/1 matrices up to 150 rows; empty matrices, zero columns and zero
+    # rows included
+    assert _kernels.rank_mod_p([], 2) == set()
+    assert _kernels.rank_mod_p([{}, {}], 2) == set()
+    assert _kernels.rank_mod_p([{100: 1}, {}, {100: 1, 0: 1}, {0: 1}], 2) == {100, 0}
     rng = random.Random(111)
     for _ in range(150):
         nr, nc = rng.choice((0, 1, 5, 40, 70, 150)), rng.randint(0, 12)
@@ -307,15 +293,13 @@ def test_rank_gf2_matches_mod_2_and_dense_oracle_random():
                 a, b = rng.choice(cols), rng.choice(cols)
                 cols.insert(rng.randint(0, len(cols)), [x ^ y for x, y in zip(a, b)])
         mat = [list(row) for row in zip(*cols)] if cols and nr else [[] for _ in range(nr)]
-        bitsets = [sum(1 << r for r, x in enumerate(col) if x) for col in cols]
-        pivots = _kernels.rank_gf2(bitsets)
-        assert pivots == _kernels.rank_mod_p([dict(bit_rows(b)) for b in bitsets], 2)
+        pivots = _kernels.rank_mod_p([{r: 1 for r, x in enumerate(col) if x} for col in cols], 2)
         assert len(pivots) == (rank_mod_p_dense(mat, 2) if cols and nr else 0)
 
 
 def test_backend_reported():
     assert BACKEND == "pure"
-    assert _kernels.__all__ == ["rank_gf2", "rank_mod_p", "rank_int"]
+    assert _kernels.__all__ == ["rank_mod_p", "rank_int"]
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +356,7 @@ def test_cones_enumerate_no_faces(monkeypatch, capsys):
     # the 20-vertex edgeless graph has a 19-simplex of 2^20 faces as Ind(G)
     homology = sys.modules["tfgor.homology"]
 
-    def no_faces(facets, gf2):
+    def no_faces(facets):
         raise AssertionError(f"enumerated the faces of {facets}")
 
     monkeypatch.setattr(homology, "_boundaries", no_faces)
@@ -464,7 +448,7 @@ def test_clearing_skips_only_columns_that_reduce_to_zero():
     for facets in complexes:
         for char in (0, 2, 3):
             cleared = set()
-            for faces, columns in _boundaries(facets, char == 2):
+            for faces, columns in _boundaries(facets):
                 kept = [col for j, col in enumerate(columns) if j not in cleared]
                 skipped = [col for j, col in enumerate(columns) if j in cleared]
                 pivots = kernel(columns, char)

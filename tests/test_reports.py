@@ -120,12 +120,26 @@ def _bool_leaves(rec):
 TYPED_GRAPHS = ["A_", "Dhc", "Cr", "Bg", "Bw", "CK", "C@", "EC\\o", "D{O"]
 
 
+def _csv_row(rec, fields):
+    # the record's CSV row read leaf by leaf: a bool as 0 or 1, girth None
+    # as inf, anything else as str gives it
+    cells = []
+    for value in rec.values():
+        for leaf in [value[lb] for lb in fields] if isinstance(value, dict) else [value]:
+            if type(leaf) is bool:
+                cells.append("1" if leaf else "0")
+            else:
+                cells.append("inf" if leaf is None else str(leaf))
+    return ",".join(cells)
+
+
 @pytest.mark.parametrize("fields", [("q",), ("f3", "q"), FIELD_CHOICES], ids=["q", "f3-q", "all"])
 def test_typed_renderer_matches_json_dumps_on_every_leaf_value(monkeypatch, fields):
     # the renderer fills each slot by its column's type, so the records pin
     # those types, and between them they put True and False in every
     # boolean column; a counterexample, faked by a field that finds C5 not
-    # Gorenstein, gives consistent False
+    # Gorenstein, gives consistent False.  Each CSV row matches a reading
+    # of its record leaf by leaf
     records = [build_record(i, parse_graph6(g6), fields, g6) for i, g6 in enumerate(TYPED_GRAPHS)]
     monkeypatch.setattr(survey_module, "is_gorenstein_graph", lambda g, f: False)
     records.append(build_record(len(records), parse_graph6("Dhc"), fields, "Dhc"))
@@ -142,6 +156,8 @@ def test_typed_renderer_matches_json_dumps_on_every_leaf_value(monkeypatch, fiel
     assert len(seen) == len(BOOL_KEYS) + 2 * len(fields)
     assert all(values == {False, True} for values in seen.values()), seen
     assert {rec["girth"] for rec in records} >= {None, 3, 4, 5}
+    rows = report_to_csv({"fields": list(fields), "records": records}).splitlines()
+    assert rows[1:] == [_csv_row(rec, fields) for rec in records]
 
 
 def test_record_keys_follow_the_layout():
