@@ -119,12 +119,15 @@ def _read(path: str) -> str:
     try:
         return data.decode("ascii")
     except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise ValueError(_not_ascii(lineno, data[exc.start])) from None
+        raise ValueError(_not_ascii(1, data, exc.start)) from None
 
 
-def _not_ascii(lineno: int, byte: int) -> str:
-    return f"line {lineno}: byte {byte:#04x} is not ASCII"
+def _not_ascii(first: int, data: bytes, pos: int) -> str:
+    # the bad byte at pos of data, whose line is numbered first, on the
+    # line str.splitlines() puts it: the ASCII before it, with one more
+    # character, has as many lines as the breaks before it plus one
+    lineno = first - 1 + len((data[:pos].decode("ascii") + ".").splitlines())
+    return f"line {lineno}: byte {data[pos]:#04x} is not ASCII"
 
 
 class _Lines:
@@ -144,12 +147,11 @@ class _Lines:
         while batch := self.fh.readlines(1 << 12):
             data = b"".join(batch)
             try:
-                text = data.decode("ascii")
+                lines = data.decode("ascii").splitlines()
             except UnicodeDecodeError as exc:
-                lineno += data.count(b"\n", 0, exc.start)
-                raise ValueError(_not_ascii(lineno, data[exc.start])) from None
-            lineno += len(batch)
-            yield from text.splitlines()
+                raise ValueError(_not_ascii(lineno, data, exc.start)) from None
+            lineno += len(lines)
+            yield from lines
 
 
 def _load_graph(args):

@@ -6,7 +6,10 @@ subgraph, such as the localization at an edge, is a vertex bitmask of the
 graph it lives in, never a new graph, so it shares that graph's memo.
 The field-free certificates on such masks live here: vertex
 decomposability (_vertex_decomposable) and the Eulerian walk
-(_eulerian), each decided one component at a time (_joined).  Where the
+(_eulerian), each decided one component at a time (_joined).  Vertex
+decomposability and W2 share one test of a shedding vertex (_sheds), and
+well-coveredness only compares the sizes of the maximal independent
+sets, one component at a time.  Where the
 certificate fails, the criteria hand a mask to _ind_facets, which gives
 the facets of its independence complex as sorted bitmasks.  Neighbor
 tuples and edge lists come back sorted, to keep reports reproducible.
@@ -54,8 +57,8 @@ class Graph:
     - an int vertex mask S >= 0: alpha(g[S]), and its complement ~S < 0:
       I(g[S]; -1), the two independence recursions (see _alpha_of and
       _poly_of), each seeded with the empty mask;
-    - "short_cycle" (see _short_cycle), "connected", "cover" (see
-      _cover_verdicts) and "alpha_critical": the whole graph's verdicts;
+    - "short_cycle" (see _short_cycle), "connected", "well_covered",
+      "w2" and "alpha_critical": the whole graph's verdicts;
     - ("facets", S): the maximal independent sets of S (see _ind_facets);
     - ("vd", S) and ("eulerian", S): vertex decomposability and the
       Eulerian walk, each over the components of S (see _joined);
@@ -486,7 +489,8 @@ def is_connected(g: Graph) -> bool:
 #
 # Maximal independent sets of g are the maximal cliques of the complement,
 # enumerated by Bron-Kerbosch with pivoting on bitmasks; well-coveredness
-# and W2 read their sizes, one component at a time.  alpha and the
+# compares their sizes, one component at a time, and W2 asks in addition
+# that every vertex shed (see is_in_w2).  alpha and the
 # independence polynomial at -1 come from two recursions over vertex masks
 # instead, each memoized per graph (see _alpha_of and _poly_of): branching
 # on a vertex v, alpha(S) = max(alpha(S-v), 1 + alpha(S-N[v])) and
@@ -605,12 +609,19 @@ def _vd_connected(g: Graph, s: int) -> bool:
         link = rest & ~nbr[v]
         if (
             _alpha_of(nbr, memo, rest) == _alpha_of(nbr, memo, link) + 1
-            and not _dominated(nbr, link, s & nbr[v])
+            and _sheds(nbr, s, v)
             and _vertex_decomposable(g, rest)
             and _vertex_decomposable(g, link)
         ):
             return True
     return False
+
+
+def _sheds(nbr, s: int, v: int) -> bool:
+    # v is a shedding vertex of Ind(g[s]) for the graph with neighbor masks
+    # nbr: no independent set of g[s - N[v]] has a neighbor of every vertex
+    # of N(v) in s, so none is a facet of the deletion g[s - v]
+    return not _dominated(nbr, s & ~(1 << v) & ~nbr[v], s & nbr[v])
 
 
 def _dominated(nbr, a: int, b: int) -> bool:
@@ -784,99 +795,67 @@ def _greedy_size(nbr, left: int) -> int:
 
 def _not_well_covered(g: Graph, alpha: int) -> bool:
     # a sufficient condition for g, of independence number alpha, not to be
-    # well-covered, by a bound or a witness; see _cover_verdicts
+    # well-covered, by a bound or a witness; see is_well_covered
     return 2 * alpha > g.n + g._nbr_bits.count(0) or _greedy_maximal_size(g) < alpha
 
 
-def _cover_verdicts(g: Graph) -> tuple[bool, bool]:
-    """(well-covered, every maximal set passes W2's private-neighbor test;
-    see is_in_w2), from one pass over the maximal independent sets of each
-    component that ends at the first one smaller than the component's
-    alpha.  Memoized in g.
+def is_well_covered(g: Graph) -> bool:
+    """True iff every maximal independent set has the same size, from one
+    pass over the maximal independent sets of each component that ends at
+    the first one of another size than the component's alpha.  Memoized
+    in g.
 
     The maximal independent sets of a disjoint union are the unions of one
     maximal set per component, so g is well-covered iff each component is.
-    A vertex y with N(y) & T = {x} lies in the component of x and meets T
-    only there, so the private-neighbor test reads one component, and every
-    maximal set passes it iff every maximal set of each component does.  A
-    connected g is scanned as itself.
 
     Most graphs are rejected before the pass.  A well-covered graph
     without isolated vertices has alpha <= n/2 (Favaron, Discrete Math.
     42, 1982); the k isolated vertices of g lie in every maximal set, so a
     well-covered g has 2 alpha <= n + k.  And one maximal set smaller than
     alpha, built greedily from vertices of largest degree, is a witness.
-    Either gives (False, False), as the pass would.
     """
-    got = g._memo.get("cover")
+    got = g._memo.get("well_covered")
     if got is None:
         nbr, memo = g._nbr_bits, g._memo
         full = (1 << g.n) - 1
-        got = False, False
-        if not _not_well_covered(g, _alpha_of(nbr, memo, full)):
-            parts = _components(g, full)
-            private_ok = True
-            for c in parts:
-                alpha = _alpha_of(nbr, memo, c)
-                covered, ok = _cover_scan(g, None if len(parts) == 1 else c, alpha)
-                if not covered:
-                    break
-                private_ok = private_ok and ok
-            else:
-                got = True, private_ok
-        g._memo["cover"] = got
+        got = not _not_well_covered(g, _alpha_of(nbr, memo, full)) and all(
+            _sizes_are(g, c, _alpha_of(nbr, memo, c)) for c in _components(g, full)
+        )
+        memo["well_covered"] = got
     return got
 
 
-def _cover_scan(g: Graph, s: int | None, alpha: int) -> tuple[bool, bool]:
-    # (well-covered, private-neighbor test) of g[s], for a component s of
-    # independence number alpha, or of the whole graph when s is None; the
-    # private-neighbor test reads the rows of s alone
-    rows = g._nbr_bits if s is None else [g._nbr_bits[v] for v in _vertices_of(s)]
-    private_ok = True
-    for t in _maximal_independent_masks(g, s):
-        if t.bit_count() != alpha:
-            return False, False
-        if private_ok:
-            private = 0  # the x in t that are the only neighbor in t of some y
-            for b in rows:
-                c = b & t
-                if c & (c - 1) == 0:
-                    private |= c
-            private_ok = private == t
-    return True, private_ok
-
-
-def is_well_covered(g: Graph) -> bool:
-    """True iff every maximal independent set has the same size."""
-    return _cover_verdicts(g)[0]
+def _sizes_are(g: Graph, s: int, alpha: int) -> bool:
+    # every maximal independent set of g[s] has size alpha
+    return all(t.bit_count() == alpha for t in _maximal_independent_masks(g, s))
 
 
 def is_in_w2(g: Graph) -> bool:
     """True iff g is well-covered and stays well-covered with the same
-    independence number after deleting any single vertex.
+    independence number after deleting any single vertex: iff g is
+    well-covered and every vertex sheds (see _sheds).  Memoized in g.
 
-    Graphs with isolated vertices (K1 included) are not in W2; the empty
-    graph is, vacuously.
+    Let g be well-covered with independence number alpha and x a vertex.
+    A maximal independent set S of g - x is maximal in g when x has a
+    neighbor in S, so it has size alpha; otherwise S + x is maximal in g,
+    and S has size alpha - 1.  Such an S is an independent set of
+    g - N[x] with a neighbor of every vertex of N(x).  Conversely, any
+    such set extends, inside g - N[x], to a maximal independent set of
+    g - N[x]; it still has a neighbor of every vertex of N(x), so it is
+    maximal in g - x, with no neighbor of x.  So g - x is well-covered
+    with independence number alpha iff no independent set of g - N[x]
+    dominates N(x), which is that x sheds.
 
-    Decided in one enumeration.  Let g be well-covered with independence
-    number alpha and x a vertex.  A maximal independent set S of g - x is
-    maximal in g when x has a neighbor in S; otherwise S + x is maximal in
-    g.  Conversely every maximal set T of g without x stays maximal in
-    g - x, and for a maximal set T containing x, T - x is maximal in g - x
-    iff no vertex y has N(y) & T = {x} (such a y is outside T, is not x,
-    and its only neighbor in T is x).  So the maximal sets of g - x have
-    size alpha, or alpha - 1 exactly when some T - x is maximal, and g is
-    in W2 iff for every maximal T and every x in T some y has
-    N(y) & T = {x}.  The enumeration is the one that decides
-    well-coveredness, memoized in g (see _cover_verdicts).
+    An isolated vertex never sheds, since the empty set dominates its
+    empty neighborhood, so no graph with one is in W2 (K1 included); the
+    empty graph is, vacuously.
     """
-    if g.n == 0:
-        return True
-    if has_isolated_vertices(g):
-        return False
-    covered, private_ok = _cover_verdicts(g)
-    return covered and private_ok
+    got = g._memo.get("w2")
+    if got is None:
+        nbr, full = g._nbr_bits, (1 << g.n) - 1
+        got = is_well_covered(g) and all(_sheds(nbr, full, x) for x in range(g.n))
+        g._memo["w2"] = got
+    return got
 
 
 def _localizations(g: Graph):

@@ -43,7 +43,6 @@ from .graphs import (
     _G6_HEADER,
     Graph,
     _alpha_of,
-    _cover_verdicts,
     _poly_of,
     girth,
     has_isolated_vertices,
@@ -51,6 +50,7 @@ from .graphs import (
     is_connected,
     is_in_w2,
     is_triangle_free,
+    is_well_covered,
     parse_graph6,
     write_graph6,
 )
@@ -98,7 +98,7 @@ def build_record(index: int, g: Graph, field_labels, graph6: str | None = None) 
     nbr, memo, full = g._nbr_bits, g._memo, (1 << g.n) - 1
     gth = girth(g)
     no_isolated = 0 not in nbr
-    well_covered = _cover_verdicts(g)[0]
+    well_covered = is_well_covered(g)
     w2 = is_in_w2(g)
     # the paper's equivalence of W2, Gorensteinness and the second-power
     # criterion holds for triangle-free graphs without isolated vertices;

@@ -11,17 +11,23 @@ independent sets, and facet_masks turns a complex into the sorted facet
 bitmasks the package takes.  The subcomplexes and subgraphs the lemma
 tests state their facts about (links, deletions, joins, localizations)
 are defined by set operations on labels, and come back as Graph and
-SimplicialComplex values.
+SimplicialComplex values.  all_graphs lists every small graph up to
+isomorphism by the corpus generator's canonical form.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 from types import SimpleNamespace
 
 from tfgor import Graph
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+from generate_corpora import canonical_chunks, chunks_to_graph  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -29,11 +35,19 @@ from tfgor import Graph
 # ---------------------------------------------------------------------------
 
 
+def _adjacency(n, edges):
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
 def brute_independent_sets(n, edges):
     """Every independent set of the labeled graph, as sorted tuples, by
     size and then lexicographically.  Each set of size k + 1 is a set of
     size k with a larger vertex appended that has no edge to any member."""
-    edge_set = {frozenset(e) for e in edges}
+    adj = _adjacency(n, edges)
     level = [()]
     out = []
     while level:
@@ -42,7 +56,7 @@ def brute_independent_sets(n, edges):
             sub + (v,)
             for sub in level
             for v in range(sub[-1] + 1 if sub else 0, n)
-            if all(frozenset((u, v)) not in edge_set for u in sub)
+            if adj[v].isdisjoint(sub)
         ]
     return out
 
@@ -92,11 +106,13 @@ def brute_girth(n, edges):
 
 
 def brute_maximal_independent_sets(n, edges):
-    indep = set(brute_independent_sets(n, edges))
+    """The independent sets that no vertex extends, as sorted tuples in
+    sorted order: every vertex outside one has an edge to a member."""
+    adj = _adjacency(n, edges)
     out = []
-    for s in indep:
-        ss = set(s)
-        if not any(ss < set(t) for t in indep):
+    for s in brute_independent_sets(n, edges):
+        members = set(s)
+        if all(v in members or adj[v] & members for v in range(n)):
             out.append(s)
     return sorted(out)
 
@@ -328,10 +344,25 @@ def oracle_w2(g):
     """g is well-covered, and so is every g - x, with the same independence
     number.  Deleting an isolated vertex lowers it, so no graph with one
     is in W2; the empty graph is, vacuously."""
-    alpha = brute_alpha(g.n, g.edges())
-    return oracle_well_covered(g) and all(
-        oracle_well_covered(h) and brute_alpha(h.n, h.edges()) == alpha
-        for h in (delete_vertex(g, x) for x in range(g.n))
+    def sizes(h):
+        return {len(t) for t in brute_maximal_independent_sets(h.n, h.edges())}
+
+    alpha = sizes(g)
+    return len(alpha) == 1 and all(sizes(delete_vertex(g, x)) == alpha for x in range(g.n))
+
+
+def oracle_w2_private_neighbors(g):
+    """W2 by private neighbors: g is well-covered, and for every maximal
+    independent set T and every x in T some vertex y has N(y) & T = {x}.
+
+    For g well-covered and a maximal set T through x, T - x is maximal in
+    g - x iff no such y exists, and then g - x has a maximal set of size
+    alpha - 1; every other maximal set of g - x is one of g.  An isolated
+    x has no such y, and the empty graph's one maximal set is empty."""
+    maximal = brute_maximal_independent_sets(g.n, g.edges())
+    nbrs = [set(g.neighbors(y)) for y in range(g.n)]
+    return len({len(t) for t in maximal}) == 1 and all(
+        any(nb & set(t) == {x} for nb in nbrs) for t in maximal for x in t
     )
 
 
@@ -340,6 +371,25 @@ def oracle_alpha_critical(g):
     edges = g.edges()
     alpha = brute_alpha(g.n, edges)
     return all(brute_alpha(g.n, [f for f in edges if f != e]) > alpha for e in edges)
+
+
+def all_graphs(max_n):
+    """Every graph on 0..max_n vertices up to isomorphism, by the corpus
+    generator's canonical form, each built fresh: each graph on n vertices
+    is one on n - 1 with a vertex attached to some subset."""
+    level = {(): Graph(0)}
+    out = [Graph(0)]
+    for n in range(1, max_n + 1):
+        nxt = {}
+        for g in level.values():
+            for s in range(1 << (n - 1)):
+                bits = [b | (s >> v & 1) << (n - 1) for v, b in enumerate(g._nbr_bits)]
+                key = canonical_chunks(n, bits + [s])
+                if key not in nxt:
+                    nxt[key] = chunks_to_graph(n, key)
+        level = nxt
+        out += level.values()
+    return out
 
 
 # ---------------------------------------------------------------------------

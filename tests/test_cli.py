@@ -573,6 +573,31 @@ def test_survey_non_ascii_corpus_exit_2(capsys, monkeypatch, tmp_path):
     assert from_file == from_stdin == (2, "", "tfgor survey: line 2: byte 0xc3 is not ASCII\n")
 
 
+@pytest.mark.parametrize(
+    "head",
+    ["Dhc\rDhc\n", "Dhc\vDhc\n", "Dhc\fDhc\n", "Dhc\x1cDhc\n", "Dhc\x1dDhc\n", "Dhc\x1eDhc\n",
+     "Dhc\fDhc\r\n" * 500],
+    ids=["cr", "vt", "ff", "fs", "gs", "rs", "crlf-past-a-batch"],
+)
+def test_non_ascii_byte_is_on_the_line_splitlines_gives_it(capsys, monkeypatch, tmp_path, head):
+    # every reader, from a file and from stdin, numbers the line of a byte
+    # outside ASCII as the survey numbers the line it skips: as
+    # str.splitlines() splits the text, CR LF one break.  500 lines of 10
+    # bytes span two batches of _Lines, the first ending in a CR LF
+    lineno = len(head.splitlines()) + 1
+    path = tmp_path / "skip.g6"
+    path.write_bytes(head.encode() + b"##bad\n")
+    _, _, err = run(capsys, ["survey", "--corpus", str(path)])
+    assert err.startswith(f"tfgor survey: skipped line {lineno}: "), err
+    data = head.encode() + b"\xff\n"
+    path = tmp_path / "bad"
+    path.write_bytes(data)
+    for argv in (["survey", "--corpus"], ["check", "--edge-file"], ["homology", "--facets"]):
+        want = (2, "", f"tfgor {argv[0]}: line {lineno}: byte 0xff is not ASCII\n")
+        assert run(capsys, argv + [str(path)]) == want, argv
+        assert run(capsys, argv + ["-"], stdin=data, monkeypatch=monkeypatch) == want, argv
+
+
 def test_survey_summary_self_consistent(capsys, monkeypatch, corpus_tf_lines):
     corpus = "\n".join(corpus_tf_lines[:60]) + "\n"
     _, out, _ = run(capsys, ["survey"], stdin=corpus, monkeypatch=monkeypatch)

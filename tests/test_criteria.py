@@ -501,7 +501,7 @@ def test_records_enumerate_maximal_independent_sets_once(monkeypatch, corpus_tf_
     whole = []
 
     def counting(g, s=None):
-        if s is None:
+        if s is None or s == (1 << g.n) - 1:  # the whole graph, by default or by mask
             whole.append(g)
         return real(g, s)
 
@@ -548,9 +548,9 @@ def test_records_without_the_rejection_bounds_are_the_same(monkeypatch, lines):
 )
 def test_records_enumerate_each_vertex_mask_once(monkeypatch, g, whole, total):
     # the facet masks of a vertex mask need no field: over three fields a
-    # well-covered graph enumerates its whole vertex set twice (the cover
-    # scan, which may stop early, and the memoized facets) and each edge
-    # localization once
+    # well-covered graph enumerates its whole vertex set twice (the size
+    # comparison of is_well_covered, which may stop early, and the memoized
+    # facets) and each edge localization once
     graphs = sys.modules["tfgor.graphs"]
     real = graphs._maximal_independent_masks
     searched = []

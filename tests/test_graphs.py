@@ -1,15 +1,14 @@
 import gc
 import math
 import random
-import sys
 import time
 from functools import partial
 from itertools import combinations, permutations
-from pathlib import Path
 
 import pytest
 
 from oracles import (
+    all_graphs,
     brute_alpha,
     brute_component_count,
     brute_euler_characteristic,
@@ -28,6 +27,7 @@ from oracles import (
     oracle_alpha_critical,
     oracle_vertex_decomposable,
     oracle_w2,
+    oracle_w2_private_neighbors,
     oracle_well_covered,
     reduced_euler_characteristic,
 )
@@ -62,9 +62,6 @@ from tfgor.graphs import (
     _poly_of,
     _vertex_decomposable,
 )
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
-from generate_corpora import canonical_chunks, chunks_to_graph  # noqa: E402
 
 
 def random_graph(rng, n, p=0.4):
@@ -208,24 +205,6 @@ def test_component_masks_partition_the_mask():
         assert len(parts) == brute_component_count(h.n, h.edges()), (g, s)
         for c in parts:
             assert all(g._nbr_bits[v] & s & ~c == 0 for v in g.vertices() if c >> v & 1)
-
-
-def all_graphs(max_n):
-    # every graph on 0..max_n vertices up to isomorphism: each graph on n
-    # vertices is one on n - 1 with a vertex attached to some subset
-    level = {(): Graph(0)}
-    out = [Graph(0)]
-    for n in range(1, max_n + 1):
-        nxt = {}
-        for g in level.values():
-            for s in range(1 << (n - 1)):
-                bits = [b | (s >> v & 1) << (n - 1) for v, b in enumerate(g._nbr_bits)]
-                key = canonical_chunks(n, bits + [s])
-                if key not in nxt:
-                    nxt[key] = chunks_to_graph(n, key)
-        level = nxt
-        out += level.values()
-    return out
 
 
 def test_vertex_decomposable_matches_definition_on_all_graphs_up_to_7():
@@ -492,6 +471,23 @@ def test_is_in_w2_matches_definition():
             and all(_brute_maximal_sizes(g, x) == {alpha} for x in (None, *range(g.n)))
         )
         assert is_in_w2(g) == want, g
+
+
+def test_is_in_w2_by_shedding_matches_both_oracles(corpus_tf_lines, corpus_girth5_lines):
+    # every vertex sheds, against the private-neighbor scan it replaced and
+    # against vertex deletion; isolated vertices and the empty graph take
+    # no special case
+    graphs = [parse_graph6(ln) for ln in corpus_tf_lines + corpus_girth5_lines]
+    graphs += [girth4_planar(n) for n in range(3, 9)]
+    graphs += [disjoint_union(complete_graph(1), h) for h in (complete_graph(2), cycle_graph(5))]
+    graphs.append(Graph(0))
+    members = 0
+    for g in graphs:
+        got = is_in_w2(g)
+        assert got == oracle_w2_private_neighbors(g) == oracle_w2(g), g
+        members += got
+    # K2, C5 and girth4_planar(3); K2 and C5 again; the family; the empty graph
+    assert members == 3 + 2 + 6 + 1
 
 
 def test_localization_alpha_inequality():

@@ -5,6 +5,7 @@ in test_acceptance."""
 import random
 
 from oracles import (
+    all_graphs,
     brute_independent_sets,
     delete_set,
     edge_localize,
@@ -18,6 +19,7 @@ from oracles import (
     restrict,
 )
 from tfgor import (
+    GF2,
     RATIONALS,
     complete_graph,
     cycle_graph,
@@ -155,3 +157,39 @@ def test_triangle_free_w2_members_are_alpha_critical(corpus_tf_lines):
     for g in sample(corpus_tf_lines, 250, seed=13):
         if is_in_w2(g):
             assert is_alpha_critical(g)
+
+
+def _closure_graphs():
+    # every graph with n <= 7 without isolated vertices, and the family
+    graphs = [g for g in all_graphs(7) if not has_isolated_vertices(g)]
+    return graphs + [girth4_planar(n) for n in range(3, 9)]
+
+
+def test_w2_is_closed_under_vertex_links():
+    # for g in W2 and any vertex v, g - N[v] is in W2 without isolated
+    # vertices: a maximal set S of (g - N[v]) - x gives the maximal set
+    # S + v of g - x, so |S| = alpha - 1; an isolated y of g - N[v] would
+    # lie in every maximal set, against this at x = y
+    members = 0
+    for g in _closure_graphs():
+        if not is_in_w2(g):
+            continue
+        members += 1
+        for v in range(g.n):
+            h = localize(g, [v])
+            assert is_in_w2(h) and not has_isolated_vertices(h), (g, v)
+    assert members == 1 + 35 + 6  # the empty graph, 35 with 1 <= n <= 7, the family
+
+
+def test_gorenstein_is_closed_under_vertex_links():
+    # the link of v in Ind(g) is Ind(g - N[v]), and the links of a
+    # Gorenstein* complex are Gorenstein*
+    members = 0
+    for g in _closure_graphs():
+        for field in (RATIONALS, GF2):
+            if not is_gorenstein_graph(g, field):
+                continue
+            members += 1
+            for v in range(g.n):
+                assert is_gorenstein_graph(localize(g, [v]), field), (g, v, field)
+    assert members == 2 * (1 + 7 + 6)  # per field, as for W2
