@@ -132,17 +132,18 @@ def _not_ascii(first: int, data: bytes, pos: int) -> str:
 
 class _Lines:
     """The lines of an open binary file, as str.splitlines() gives them
-    from its whole text, read from the start on each iteration in batches
-    of whole lines of about 4 KB, so the text is never held.  Every batch
-    but the last ends in a newline, and a CR LF pair never straddles two
-    batches, so the batches' lines are the whole text's.  A byte outside
-    ASCII is a ValueError naming its line, as _read words it."""
+    from its whole text, read on each iteration from where the file stood
+    when it was wrapped, in batches of whole lines of about 4 KB, so the
+    text is never held.  Every batch but the last ends in a newline, and
+    a CR LF pair never straddles two batches, so the batches' lines are
+    the whole text's.  A byte outside ASCII is a ValueError naming its
+    line, as _read words it."""
 
     def __init__(self, fh):
-        self.fh = fh
+        self.fh, self.start = fh, fh.tell()
 
     def __iter__(self):
-        self.fh.seek(0)
+        self.fh.seek(self.start)
         lineno = 1
         while batch := self.fh.readlines(1 << 12):
             data = b"".join(batch)
@@ -170,13 +171,18 @@ def _cmd_check(args) -> int:
 
 def _cmd_survey(args) -> int:
     with contextlib.ExitStack() as stack:
-        # read twice, to count and digest and then to classify: stdin is
+        # read twice, to count and then to digest and classify: a corpus
+        # that cannot seek, such as a pipe, stdin's or a named one, is
         # spooled to a file first, and a file is never held whole
         if args.corpus == "-":
-            corpus = stack.enter_context(tempfile.TemporaryFile())
-            shutil.copyfileobj(sys.stdin.buffer, corpus)
+            corpus = sys.stdin.buffer
         else:
             corpus = stack.enter_context(open(args.corpus, "rb"))
+        if not corpus.seekable():
+            spooled = stack.enter_context(tempfile.TemporaryFile())
+            shutil.copyfileobj(corpus, spooled)
+            spooled.seek(0)
+            corpus = spooled
         run = SurveyRun(
             _Lines(corpus),
             filters=tuple(t for t in args.filter.split(",") if t),

@@ -8,18 +8,19 @@ The field-free certificates on such masks live here: vertex
 decomposability (_vertex_decomposable) and the Eulerian walk
 (_eulerian), each decided one component at a time (_joined).  Vertex
 decomposability and W2 share one test of a shedding vertex (_sheds), and
-well-coveredness only compares the sizes of the maximal independent
-sets, one component at a time.  Where the
-certificate fails, the criteria hand a mask to _ind_facets, which gives
-the facets of its independence complex as sorted bitmasks.  Neighbor
-tuples and edge lists come back sorted, to keep reports reproducible.
+well-coveredness is a walk over the same masks (_pure), one component at
+a time.  Where the certificate fails, the criteria hand a mask to
+_ind_facets, the one enumeration of maximal independent sets, which
+gives the facets of its independence complex as sorted bitmasks.
+Neighbor tuples and edge lists come back sorted, to keep reports
+reproducible.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from itertools import combinations
+from itertools import chain, combinations
 
 __all__ = [
     "Graph",
@@ -57,6 +58,8 @@ class Graph:
     - an int vertex mask S >= 0: alpha(g[S]), and its complement ~S < 0:
       I(g[S]; -1), the two independence recursions (see _alpha_of and
       _poly_of), each seeded with the empty mask;
+    - "pure": the set of the vertex masks S found to have Ind(g[S]) pure
+      (see _pure);
     - "short_cycle" (see _short_cycle), "connected", "well_covered",
       "w2" and "alpha_critical": the whole graph's verdicts;
     - ("facets", S): the maximal independent sets of S (see _ind_facets);
@@ -96,7 +99,7 @@ class Graph:
     def _set_adjacency(self, bits) -> None:
         self.n = len(bits)
         self._nbr_bits = tuple(bits)
-        self._memo = {0: 0, ~0: 1}
+        self._memo = {0: 0, ~0: 1, "pure": set()}
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         b = self._nbr_bits[v]
@@ -488,38 +491,29 @@ def is_connected(g: Graph) -> bool:
 # Independence combinatorics
 #
 # Maximal independent sets of g are the maximal cliques of the complement,
-# enumerated by Bron-Kerbosch with pivoting on bitmasks; well-coveredness
-# compares their sizes, one component at a time, and W2 asks in addition
-# that every vertex shed (see is_in_w2).  alpha and the
-# independence polynomial at -1 come from two recursions over vertex masks
-# instead, each memoized per graph (see _alpha_of and _poly_of): branching
-# on a vertex v, alpha(S) = max(alpha(S-v), 1 + alpha(S-N[v])) and
-# I(S) = I(S-v) - I(S-N[v]).  A leaf u of g[S], with one neighbor w, needs
-# no branch: alpha(S) = 1 + alpha(S-N[u]), since a maximum independent set
-# through w stays one with u in place of w; and I(S) = -I(S-N[w]), since
-# u is isolated in S-w, so I(S-w) has the factor 1 + x and vanishes at -1
-# (Engstrom's fold lemma, Europ. J. Combin. 29, 2008, gives the same).
-# Exhaustive enumeration is fine at the target scale (n up to ~20).
+# enumerated by Bron-Kerbosch with pivoting on bitmasks, but only for the
+# facets the criteria rank (see _ind_facets).  Well-coveredness walks the
+# vertex masks S - N[u] instead, one component at a time, reading alpha at
+# each (see _pure), and W2 asks in addition that every vertex shed (see
+# is_in_w2).  alpha and the independence polynomial at -1 come from two
+# recursions over vertex masks, each memoized per graph (see _alpha_of and
+# _poly_of): branching on a vertex v, alpha(S) = max(alpha(S-v),
+# 1 + alpha(S-N[v])) and I(S) = I(S-v) - I(S-N[v]).  A leaf u of g[S], with
+# one neighbor w, needs no branch: alpha(S) = 1 + alpha(S-N[u]), since a
+# maximum independent set through w stays one with u in place of w; and
+# I(S) = -I(S-N[w]), since u is isolated in S-w, so I(S-w) has the factor
+# 1 + x and vanishes at -1 (Engstrom's fold lemma, Europ. J. Combin. 29,
+# 2008, gives the same).  Exhaustive enumeration is fine at the target
+# scale (n up to ~20).
 #
-# The recursions, and the enumeration's _extend, are module-level functions
-# that take the neighbor masks (and the memo) as arguments.  A nested
-# function that calls itself holds itself in its own closure cell, a
+# The recursions, the walk and the enumeration's _extend are module-level
+# functions that take the neighbor masks (and the memo) as arguments.  A
+# nested function that calls itself holds itself in its own closure cell, a
 # reference cycle that would keep the graph's adjacency and memo alive until
 # the cyclic collector ran; these hold no cycle, so a graph and its memo are
-# freed by refcount once its record is built.  A caller that wants a function
-# of the mask alone binds one with functools.partial.
+# freed by refcount once its record is built.  A caller that wants a
+# function of the mask alone binds one with functools.partial.
 # ---------------------------------------------------------------------------
-
-
-def _maximal_independent_masks(g: Graph, s: int | None = None):
-    # the maximal independent sets of g[s], for a vertex mask s (default all)
-    if s is None:
-        s = (1 << g.n) - 1
-    # the non-neighbors in s of each vertex of s, read at those vertices alone
-    nbr, nonadj = g._nbr_bits, [0] * g.n
-    for v in _vertices_of(s):
-        nonadj[v] = s & ~nbr[v] & ~(1 << v)
-    return _extend(nonadj, 0, s, 0)
 
 
 def _extend(nonadj, chosen: int, cand: int, excl: int):
@@ -550,13 +544,19 @@ def _extend(nonadj, chosen: int, cand: int, excl: int):
 
 def _ind_facets(g: Graph, s: int | None = None) -> tuple[int, ...]:
     """The sorted facet masks of Ind(g[s]), the maximal independent sets
-    of the vertex mask s (default all).  They need no field and are
-    memoized in g, the whole graph under its full mask, so that it and a
-    core equal to V share one entry."""
-    key = ("facets", (1 << g.n) - 1 if s is None else s)
+    of the vertex mask s (default all), by Bron-Kerbosch (_extend).  They
+    need no field and are memoized in g, the whole graph under its full
+    mask, so that it and a core equal to V share one entry."""
+    if s is None:
+        s = (1 << g.n) - 1
+    key = ("facets", s)
     facets = g._memo.get(key)
     if facets is None:
-        facets = g._memo[key] = tuple(sorted(_maximal_independent_masks(g, s)))
+        # the non-neighbors in s of each vertex of s, read at those vertices alone
+        nbr, nonadj = g._nbr_bits, [0] * g.n
+        for v in _vertices_of(s):
+            nonadj[v] = s & ~nbr[v] & ~(1 << v)
+        facets = g._memo[key] = tuple(sorted(_extend(nonadj, 0, s, 0)))
     return facets
 
 
@@ -761,73 +761,79 @@ def independence_euler_characteristic(g: Graph) -> int:
     return -_poly_of(g._nbr_bits, g._memo, (1 << g.n) - 1)
 
 
-def _greedy_maximal_size(g: Graph) -> int:
-    # the size of one maximal independent set: take a vertex of largest
-    # degree in what is left, lowest first, and delete its closed
-    # neighborhood.  Deleting it leaves the degrees in other components
-    # alone, so each component makes the picks it makes in the whole graph,
-    # and a disconnected g is taken one component at a time
-    full = (1 << g.n) - 1
-    if is_connected(g):
-        return _greedy_size(g._nbr_bits, full)
-    return sum(_greedy_size(g._nbr_bits, c) for c in _components(g, full))
-
-
-def _greedy_size(nbr, left: int) -> int:
-    # the greedy maximal set's size in the vertex mask left
-    size = 0
-    while left:
-        v, deg = -1, -1
-        m = left
-        while m:
-            bit = m & -m
-            m ^= bit
-            u = bit.bit_length() - 1
-            d = (nbr[u] & left).bit_count()
-            if d > deg:
-                v, deg = u, d
-        if deg == 0:  # what is left is independent
-            return size + left.bit_count()
-        left &= ~nbr[v] & ~(1 << v)
-        size += 1
-    return size
-
-
 def _not_well_covered(g: Graph, alpha: int) -> bool:
     # a sufficient condition for g, of independence number alpha, not to be
-    # well-covered, by a bound or a witness; see is_well_covered
-    return 2 * alpha > g.n + g._nbr_bits.count(0) or _greedy_maximal_size(g) < alpha
+    # well-covered, by Favaron's bound; see is_well_covered
+    return 2 * alpha > g.n + g._nbr_bits.count(0)
 
 
 def is_well_covered(g: Graph) -> bool:
-    """True iff every maximal independent set has the same size, from one
-    pass over the maximal independent sets of each component that ends at
-    the first one of another size than the component's alpha.  Memoized
-    in g.
+    """True iff every maximal independent set has the same size, from the
+    purity walk over each component (see _pure).  Memoized in g.
 
     The maximal independent sets of a disjoint union are the unions of one
     maximal set per component, so g is well-covered iff each component is.
+    Only the whole graph is split, and only when the memoized is_connected
+    says it has more than one component.
 
-    Most graphs are rejected before the pass.  A well-covered graph
+    Most graphs are rejected before the walk.  A well-covered graph
     without isolated vertices has alpha <= n/2 (Favaron, Discrete Math.
     42, 1982); the k isolated vertices of g lie in every maximal set, so a
-    well-covered g has 2 alpha <= n + k.  And one maximal set smaller than
-    alpha, built greedily from vertices of largest degree, is a witness.
+    well-covered g has 2 alpha <= n + k.
     """
     got = g._memo.get("well_covered")
     if got is None:
         nbr, memo = g._nbr_bits, g._memo
         full = (1 << g.n) - 1
         got = not _not_well_covered(g, _alpha_of(nbr, memo, full)) and all(
-            _sizes_are(g, c, _alpha_of(nbr, memo, c)) for c in _components(g, full)
+            _pure(nbr, memo, c) for c in ([full] if is_connected(g) else _components(g, full))
         )
         memo["well_covered"] = got
     return got
 
 
-def _sizes_are(g: Graph, s: int, alpha: int) -> bool:
-    # every maximal independent set of g[s] has size alpha
-    return all(t.bit_count() == alpha for t in _maximal_independent_masks(g, s))
+def _pure(nbr, memo: dict, s: int) -> bool:
+    """Whether every maximal independent set of g[S] has size alpha(S),
+    for the vertex mask S of the graph with neighbor masks nbr.  The masks
+    found pure are memoized in the set memo["pure"] of that graph's memo.
+
+    Take any vertex v of S.  Every maximal independent set of g[S] meets
+    N[v], for one that missed it would take v in.  The maximal sets of
+    g[S] through a vertex u are u plus the maximal independent sets of
+    g[S - N[u]]: a vertex of S outside N[u] that such a set misses has a
+    neighbor in it other than u, and conversely.  So g[S] is pure iff, for
+    every u in N[v], alpha(S - N[u]) = alpha(S) - 1 and g[S - N[u]] is
+    pure.  An independent S is its own one maximal set.
+
+    v is the first vertex of largest degree, tried before its neighbors,
+    so the walk first descends along the greedy maximal set that takes a
+    vertex of largest degree, lowest first, and deletes its closed
+    neighborhood.  Each step of that descent lowers alpha by at least one
+    and it ends at an independent mask, so the greedy set is smaller than
+    alpha iff some step lowers alpha by more, and the first descent
+    rejects such a graph.  The walk stops at the first failure, so a mask
+    found not pure is never asked again and is not memoized.
+    """
+    pure = memo["pure"]
+    if s in pure:
+        return True
+    v, deg = -1, 0
+    m = s
+    while m:
+        bit = m & -m
+        m ^= bit
+        u = bit.bit_length() - 1
+        d = (nbr[u] & s).bit_count()
+        if d > deg:
+            v, deg = u, d
+    if deg:
+        below = _alpha_of(nbr, memo, s) - 1
+        for u in chain((v,), _vertices_of(nbr[v] & s)):
+            rest = s & ~nbr[u] & ~(1 << u)
+            if _alpha_of(nbr, memo, rest) != below or not _pure(nbr, memo, rest):
+                return False
+    pure.add(s)
+    return True
 
 
 def is_in_w2(g: Graph) -> bool:

@@ -2,7 +2,7 @@
 
 A survey consumes an iterable of graph6 lines that it can iterate twice,
 such as a list or the CLI's line reader over a file.  One pass counts
-the nonblank lines and digests them; a second draws them lazily, and
+the nonblank lines; a second draws them lazily and digests them, and
 each is classified in one pass, in a worker when there are several: it
 is parsed once, filtered, and every admitted graph becomes a record.  A
 record reads each field-free column (girth, triangle-freeness, alpha,
@@ -163,12 +163,15 @@ class SurveyRun:
 
     lines is any iterable that gives the same lines each time it is
     iterated, such as a list.  The constructor checks the options and
-    reads the nonblank line count and the corpus digest in one pass over
-    the lines.  records(), iterated once, then iterates the lines again
-    and classifies the nonblank ones, drawn lazily, each in one pass, in a
-    pool of min(jobs, nonblank lines) workers when that is more than one,
-    in chunks of at most 512 lines, and yields every admitted record in
-    corpus order.  It keeps only a tally: the admitted count, the
+    counts the nonblank lines in one pass over the lines.  records(),
+    iterated once, then iterates the lines again, digests the nonblank
+    ones and classifies them, drawn lazily, each in one pass, in a pool of
+    min(jobs, nonblank lines) workers when that is more than one, in
+    chunks of at most 512 lines, and yields every admitted record in
+    corpus order.  Once the lines are exhausted it raises ValueError if
+    this read found another number of nonblank lines than the first, as
+    an iterator that gives its lines once does, or a file that changed
+    between the two reads.  It keeps only a tally: the admitted count, the
     counterexample indices and the malformed lines (skipped, as (line
     number, message) pairs).  With strict=True the first malformed line in
     corpus order raises ValueError instead, at any job count, and so does
@@ -190,25 +193,23 @@ class SurveyRun:
             FieldSpec.from_label(lb)
         self.lines, self.max_n, self.strict = lines, max_n, strict
         self.jobs = max(1, int(jobs))
-        digest = hashlib.sha256()
-        self.total = 0
-        for raw in lines:
-            line = raw.strip()
-            if line:
-                digest.update(line.encode("ascii", "replace") + b"\n")
-                self.total += 1
-        self.digest = digest.hexdigest()
+        self.total = sum(1 for raw in lines if raw.strip())
+        self._digest = hashlib.sha256()
+        self._read = 0
         self.admitted = 0
         self.counterexamples = []
         self.skipped = []
 
     def _tasks(self):
-        index = 0
+        # the classifying read, which digests each nonblank line it draws.
+        # Under Pool.imap it runs in the pool's feeder thread, and its count
+        # is complete once the results are exhausted
         for lineno, raw in enumerate(self.lines, start=1):
             line = raw.strip()
             if line:
-                yield lineno, index, line, self.filters, self.max_n, self.fields
-                index += 1
+                self._digest.update(line.encode("ascii", "replace") + b"\n")
+                yield lineno, self._read, line, self.filters, self.max_n, self.fields
+                self._read += 1
 
     def records(self):
         workers = min(self.jobs, self.total)
@@ -234,11 +235,15 @@ class SurveyRun:
                     if self.strict:
                         raise ValueError(f"line {res[0]}: {res[1]}")
                     self.skipped.append(res)
+        if self._read != self.total:
+            raise ValueError(
+                f"the corpus gave {self.total} nonblank lines, then {self._read} when read again"
+            )
 
     def head(self) -> dict:
         return {
             "version": __version__,
-            "corpus_digest": self.digest,
+            "corpus_digest": self._digest.hexdigest(),
             "filters": list(self.filters),
             "fields": list(self.fields),
             "summary": {

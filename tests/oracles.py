@@ -17,6 +17,7 @@ isomorphism by the corpus generator's canonical form.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -375,8 +376,16 @@ def oracle_alpha_critical(g):
 
 def all_graphs(max_n):
     """Every graph on 0..max_n vertices up to isomorphism, by the corpus
-    generator's canonical form, each built fresh: each graph on n vertices
-    is one on n - 1 with a vertex attached to some subset."""
+    generator's canonical form, each built fresh on every call, so that
+    no two callers share a graph's memo (see _all_edge_lists)."""
+    return [Graph(n, edges) for n, edges in _all_edge_lists(max_n)]
+
+
+@functools.lru_cache(maxsize=None)
+def _all_edge_lists(max_n):
+    # (n, edges) for each graph of all_graphs, generated once per process:
+    # each graph on n vertices is one on n - 1 with a vertex attached to
+    # some subset
     level = {(): Graph(0)}
     out = [Graph(0)]
     for n in range(1, max_n + 1):
@@ -389,7 +398,7 @@ def all_graphs(max_n):
                     nxt[key] = chunks_to_graph(n, key)
         level = nxt
         out += level.values()
-    return out
+    return tuple((g.n, tuple(g.edges())) for g in out)
 
 
 # ---------------------------------------------------------------------------

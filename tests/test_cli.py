@@ -3,8 +3,10 @@ import importlib.util
 import io
 import json
 import multiprocessing
+import os
 import random
 import sys
+import threading
 import tracemalloc
 from functools import reduce
 from itertools import combinations
@@ -12,6 +14,7 @@ from operator import and_
 
 import pytest
 
+from conftest import FIXTURES
 from oracles import independence_complex, oracle_betti, read_facets, reduced_euler_characteristic
 from tfgor import (
     Graph,
@@ -29,6 +32,7 @@ from tfgor import (
     write_graph6,
 )
 from tfgor.cli import _Lines, main
+from tfgor.survey import SurveyRun
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -554,6 +558,86 @@ def test_survey_reads_the_corpus_a_line_at_a_time(tmp_path, corpus_tf_lines):
     assert four - one < 100_000, (one, four)
 
 
+def _through_a_pipe(data: bytes, read):
+    # read(fd) with data written to the other end of a pipe by a thread,
+    # which may block once the pipe's buffer is full
+    r, w = os.pipe()
+
+    def write():
+        with open(w, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        return read(r)
+    finally:
+        os.close(r)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+def test_survey_spools_a_corpus_that_cannot_seek(capsys, monkeypatch, tmp_path):
+    # a pipe, named by a path or as stdin, gives the report of the regular
+    # file with the same bytes
+    data = (FIXTURES / "connected_trifree_2to9.g6").read_bytes()
+    path = tmp_path / "corpus.g6"
+    path.write_bytes(data)
+    argv = ["survey", "--corpus"]
+    want = run(capsys, argv + [str(path)])
+    assert want[0] == 0 and len(data) > 1 << 12
+    assert _through_a_pipe(data, lambda r: run(capsys, argv + [f"/dev/fd/{r}"])) == want
+
+    def from_stdin(r):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(open(r, "rb", closefd=False)))
+        return run(capsys, argv + ["-"])
+
+    assert _through_a_pipe(data, from_stdin) == want
+
+
+class _Rereads:
+    # lines that give each of its passes in turn, as a file that changes
+    # between the survey's two reads does
+    def __init__(self, *passes):
+        self.passes = iter(passes)
+
+    def __iter__(self):
+        return iter(next(self.passes))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "lines",
+    [lambda: iter(["Dhc", "A_", "Cr"]), lambda: _Rereads(["Dhc", "A_"], ["Dhc", "", "A_", "Cr"])],
+    ids=["once", "grown"],
+)
+def test_survey_run_refuses_lines_that_change_between_reads(lines, jobs):
+    # an iterator gives its lines once, so the classifying read finds none;
+    # at two jobs the lines are drawn in the pool's feeder thread
+    run = SurveyRun(lines(), jobs=jobs)
+    with pytest.raises(ValueError, match="nonblank lines"):
+        list(run.records())
+
+
+def test_survey_of_a_corpus_that_changes_between_reads_exit_2(capsys, monkeypatch, tmp_path):
+    # the file grows by a line once the count has read it
+    path = tmp_path / "corpus.g6"
+    path.write_bytes(b"Dhc\nA_\n")
+    reads = []
+
+    class Growing(_Lines):
+        def __iter__(self):
+            reads.append(len(reads))
+            yield from super().__iter__()
+            if len(reads) == 1:
+                path.write_bytes(b"Dhc\nA_\nCr\n")
+
+    monkeypatch.setattr(sys.modules["tfgor.cli"], "_Lines", Growing)
+    assert run(capsys, ["survey", "--corpus", str(path)]) == (
+        2, "", "tfgor survey: the corpus gave 2 nonblank lines, then 3 when read again\n"
+    )
+
+
 def test_corpus_lines_are_the_splitlines_of_the_text():
     # read a newline byte at a time, the lines are those of the whole text
     # under every line break splitlines() knows in ASCII
@@ -647,8 +731,6 @@ def test_homology_facet_file(capsys, tmp_path):
 
 
 def test_homology_rp2_f2(capsys):
-    from conftest import FIXTURES
-
     code, out, _ = run(
         capsys,
         ["homology", "--facets", str(FIXTURES / "rp2_minimal.facets"),
@@ -659,8 +741,6 @@ def test_homology_rp2_f2(capsys):
 
 
 def test_homology_chi_is_alternating_betti_sum(capsys, tmp_path):
-    from conftest import FIXTURES
-
     rng = random.Random(606)
     paths = [FIXTURES / "rp2_minimal.facets"]
     for k in range(12):

@@ -491,48 +491,40 @@ def test_second_power_localizes_every_edge(monkeypatch):
 
 
 def test_records_enumerate_maximal_independent_sets_once(monkeypatch, corpus_tf_lines):
-    # well-coveredness, W2 and alpha-criticality need no field: a record over
-    # three fields of a graph that is not well-covered, which no field's
-    # homology can rescue, enumerates the maximal independent sets of the
-    # whole graph once, and not at all when 2 alpha > n + k (k isolated
-    # vertices) or a greedy maximal set smaller than alpha rejects it first
+    # well-coveredness, W2 and alpha-criticality need no field and no
+    # maximal independent set: a record over three fields of a graph that
+    # is not well-covered, which no field's homology can rescue, enumerates
+    # none, whether 2 alpha > n + k (k isolated vertices) rejects it or the
+    # purity walk does
     graphs = sys.modules["tfgor.graphs"]
-    real = graphs._maximal_independent_masks
-    whole = []
+    real = graphs._extend
+    calls = []
 
-    def counting(g, s=None):
-        if s is None or s == (1 << g.n) - 1:  # the whole graph, by default or by mask
-            whole.append(g)
-        return real(g, s)
+    def counting(nonadj, chosen, cand, excl):
+        calls.append(cand)
+        return real(nonadj, chosen, cand, excl)
 
-    monkeypatch.setattr(graphs, "_maximal_independent_masks", counting)
-    settled = {"bound": 0, "witness": 0, "scan": 0}
+    monkeypatch.setattr(graphs, "_extend", counting)
+    settled = {"bound": 0, "walk": 0}
     for i, line in enumerate(corpus_tf_lines):
         if is_well_covered(parse_graph6(line)):
             continue
         g = parse_graph6(line)  # a fresh graph, its memo empty
-        whole.clear()
+        calls.clear()
         rec = build_record(i, g, ("q", "f2", "f3"))
-        alpha = rec["alpha"]
-        if 2 * alpha > g.n + g._nbr_bits.count(0):
-            by = "bound"
-        elif graphs._greedy_maximal_size(g) < alpha:
-            by = "witness"
-        else:
-            by = "scan"
-        assert len(whole) == (by == "scan"), line
+        assert not calls, line
         assert not rec["well_covered"] and not rec["w2"]
-        settled[by] += 1
-    assert settled == {"bound": 1285, "witness": 280, "scan": 106}
+        settled["bound" if 2 * rec["alpha"] > g.n + g._nbr_bits.count(0) else "walk"] += 1
+    assert settled == {"bound": 1285, "walk": 386}
 
 
 @pytest.mark.parametrize(
     "lines", ["connected_trifree_2to9.g6", "connected_girth5_1to10.g6"], ids=["trifree", "girth5"]
 )
 def test_records_without_the_rejection_bounds_are_the_same(monkeypatch, lines):
-    # with the bounds and the greedy witness never rejecting, every verdict
-    # comes from the maximal independent set scan and the edge
-    # localizations, and no record changes
+    # with Favaron's bound and the alpha-critical bounds never rejecting,
+    # every verdict comes from the purity walk and the edge localizations,
+    # and no record changes
     graphs = sys.modules["tfgor.graphs"]
     lines = load_corpus(lines)
     fields = ("q", "f2")
@@ -544,29 +536,30 @@ def test_records_without_the_rejection_bounds_are_the_same(monkeypatch, lines):
 
 
 @pytest.mark.parametrize(
-    "g, whole, total", [(cycle_graph(5), 2, 7), (girth4_planar(4), 2, 17)], ids=["c5", "planar4"]
+    "g, enumerated",
+    [(cycle_graph(5), 0), (girth4_planar(4), 0), (parse_graph6("F@Ue?"), 1)],
+    ids=["c5", "planar4", "F@Ue?"],
 )
-def test_records_enumerate_each_vertex_mask_once(monkeypatch, g, whole, total):
-    # the facet masks of a vertex mask need no field: over three fields a
-    # well-covered graph enumerates its whole vertex set twice (the size
-    # comparison of is_well_covered, which may stop early, and the memoized
-    # facets) and each edge localization once
+def test_records_enumerate_each_vertex_mask_once(monkeypatch, g, enumerated):
+    # the facet masks of a vertex mask need no field, and a mask that the
+    # purity walk and vertex decomposability certify needs none at all:
+    # over three fields C5 and girth4_planar(4) enumerate no maximal
+    # independent set, and F@Ue?, well-covered but not in W2, enumerates
+    # its whole vertex set once, for the link walk
     graphs = sys.modules["tfgor.graphs"]
-    real = graphs._maximal_independent_masks
+    real = graphs._extend
     searched = []
 
-    def counting(g, s=None):
-        searched.append((1 << g.n) - 1 if s is None else s)
-        return real(g, s)
+    def counting(nonadj, chosen, cand, excl):
+        if not chosen:  # a call from _ind_facets, not a Bron-Kerbosch branch
+            searched.append(cand)
+        return real(nonadj, chosen, cand, excl)
 
-    monkeypatch.setattr(graphs, "_maximal_independent_masks", counting)
+    monkeypatch.setattr(graphs, "_extend", counting)
     g = Graph(g.n, g.edges())  # a fresh graph, its memo empty
     rec = build_record(0, g, ("q", "f2", "f3"))
     assert rec["well_covered"] and rec["consistent"]
-    full = (1 << g.n) - 1
-    assert searched.count(full) <= whole and len(searched) <= total
-    localized = [s for s in searched if s != full]
-    assert len(localized) == len(set(localized))
+    assert len(searched) == len(set(searched)) == enumerated
 
 
 def test_gorenstein_graph_with_isolated_vertices_uses_core():

@@ -55,7 +55,6 @@ from tfgor import (
 from tfgor.graphs import (
     _alpha_of,
     _components,
-    _greedy_maximal_size,
     _ind_facets,
     _not_alpha_critical,
     _not_well_covered,
@@ -226,17 +225,17 @@ def test_vertex_decomposable_matches_definition_on_all_graphs_up_to_7():
 
 def test_rejection_bounds_hold_on_all_graphs_up_to_7():
     # the cited bounds, with k isolated vertices: a well-covered graph has
-    # 2 alpha <= n + k (Favaron 1982) and its greedy maximal set has size
-    # alpha; an alpha-critical one has slack = n + k - 2 alpha >= 0 (Erdos
-    # and Gallai 1961) and every degree at most slack + 1 (Hajnal 1965).
-    # 1253 graphs, 238 well-covered and 55 alpha-critical by the definitions
+    # 2 alpha <= n + k (Favaron 1982); an alpha-critical one has slack =
+    # n + k - 2 alpha >= 0 (Erdos and Gallai 1961) and every degree at most
+    # slack + 1 (Hajnal 1965).  1253 graphs, 238 well-covered and 55
+    # alpha-critical by the definitions
     counts = [0, 0]
     for g in all_graphs(7):
         alpha = brute_alpha(g.n, g.edges())
         slack = g.n + sum(g.degree(v) == 0 for v in g.vertices()) - 2 * alpha
         covered, critical = oracle_well_covered(g), oracle_alpha_critical(g)
         if covered:
-            assert slack >= 0 and _greedy_maximal_size(g) == alpha, g
+            assert slack >= 0, g
             assert not _not_well_covered(g, alpha), g
         if critical:
             assert slack >= 0 and all(g.degree(v) <= slack + 1 for v in g.vertices()), g
@@ -248,25 +247,12 @@ def test_rejection_bounds_hold_on_all_graphs_up_to_7():
     assert counts == [238, 55]
 
 
-def whole_graph_greedy_size(g):
-    # the greedy maximal set over the whole vertex set at once: a vertex of
-    # largest degree in what is left, lowest first, and its closed
-    # neighborhood deleted
-    left, size = set(g.vertices()), 0
-    while left:
-        v = max(sorted(left), key=lambda u: len(set(g.neighbors(u)) & left))
-        if not set(g.neighbors(v)) & left:
-            return size + len(left)
-        left -= {v, *g.neighbors(v)}
-        size += 1
-    return size
-
-
-def test_greedy_witness_per_component_matches_the_whole_graph():
-    # a disconnected graph takes its greedy set one component at a time,
-    # with the same picks as the whole-graph loop; the components of these
-    # unions interleave their labels, so ties cross components
+def test_well_covered_matches_the_oracle_on_interleaved_disjoint_unions():
+    # a disconnected graph is walked one component at a time; the
+    # components of these unions interleave their labels, so the first
+    # vertex of largest degree may lie in any of them
     rng = random.Random(29)
+    covered = 0
     for _ in range(150):
         parts = [random_graph(rng, rng.randint(1, 6), rng.choice([0.3, 0.5, 0.8]))
                  for _ in range(rng.randint(1, 4))]
@@ -276,16 +262,35 @@ def test_greedy_witness_per_component_matches_the_whole_graph():
             edges += [(label[base + u], label[base + v]) for u, v in h.edges()]
             base += h.n
         g = Graph(n, edges)
-        assert _greedy_maximal_size(g) == whole_graph_greedy_size(g), g
+        assert is_well_covered(g) == oracle_well_covered(g), g
+        covered += is_well_covered(g)
+    assert covered > 0
 
 
 def test_greedy_witness_is_linear_in_the_components():
-    # 4,000 disjoint edges: the whole-graph loop rescans every vertex left
-    # at each of its 4,000 picks, some 16 million degree tests
-    g = Graph(8000, [(2 * i, 2 * i + 1) for i in range(4000)])
+    # the greedy witness is the first descent of the purity walk, which
+    # takes a disconnected graph one component at a time: 600 disjoint
+    # edges, whose Ind is a join of 600 copies of S^0 with 2^600 facets
+    # (4,000 edges would exceed the alpha recursion on the whole graph)
+    g = Graph(1200, [(2 * i, 2 * i + 1) for i in range(600)])
     start = time.perf_counter()
-    assert _greedy_maximal_size(g) == 4000
+    assert is_well_covered(g) and is_in_w2(g)
     assert time.perf_counter() - start < 1.0
+
+
+def test_is_well_covered_matches_the_oracle_on_both_fixture_corpora(
+    corpus_tf_lines, corpus_girth5_lines
+):
+    # the walk against the maximal independent sets by brute force: 65 of
+    # the 1736 triangle-free graphs and 20 of the 683 of girth at least 5
+    for lines, members in ((corpus_tf_lines, 65), (corpus_girth5_lines, 20)):
+        covered = 0
+        for ln in lines:
+            g = parse_graph6(ln)
+            got = is_well_covered(g)
+            assert got == oracle_well_covered(g), ln
+            covered += got
+        assert covered == members
 
 
 def test_vertex_decomposable_on_vertex_masks():
