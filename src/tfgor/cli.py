@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import shutil
+import stat
 import sys
 import tempfile
 
@@ -83,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_option(p_survey)
     p_survey.add_argument(
         "--jobs", type=int, default=1, metavar="INT",
-        help="worker processes, fed chunks of at most 512 lines (the report is the same at any value)",
+        help="worker processes, fed chunks of 512 lines (the report is the same at any value)",
     )
     p_survey.add_argument("--out", metavar="PATH", help="report path (default stdout)")
     p_survey.add_argument("--format", choices=tuple(REPORT_FORMATS), default="json")
@@ -130,29 +132,22 @@ def _not_ascii(first: int, data: bytes, pos: int) -> str:
     return f"line {lineno}: byte {data[pos]:#04x} is not ASCII"
 
 
-class _Lines:
+def _lines(fh):
     """The lines of an open binary file, as str.splitlines() gives them
-    from its whole text, read on each iteration from where the file stood
-    when it was wrapped, in batches of whole lines of about 4 KB, so the
-    text is never held.  Every batch but the last ends in a newline, and
-    a CR LF pair never straddles two batches, so the batches' lines are
-    the whole text's.  A byte outside ASCII is a ValueError naming its
-    line, as _read words it."""
-
-    def __init__(self, fh):
-        self.fh, self.start = fh, fh.tell()
-
-    def __iter__(self):
-        self.fh.seek(self.start)
-        lineno = 1
-        while batch := self.fh.readlines(1 << 12):
-            data = b"".join(batch)
-            try:
-                lines = data.decode("ascii").splitlines()
-            except UnicodeDecodeError as exc:
-                raise ValueError(_not_ascii(lineno, data, exc.start)) from None
-            lineno += len(lines)
-            yield from lines
+    from its whole text, read once in batches of whole lines of about
+    4 KB, so the text is never held.  Every batch but the last ends in a
+    newline, and a CR LF pair never straddles two batches, so the batches'
+    lines are the whole text's.  A byte outside ASCII is a ValueError
+    naming its line, as _read words it."""
+    lineno = 1
+    while batch := fh.readlines(1 << 12):
+        data = b"".join(batch)
+        try:
+            lines = data.decode("ascii").splitlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError(_not_ascii(lineno, data, exc.start)) from None
+        lineno += len(lines)
+        yield from lines
 
 
 def _load_graph(args):
@@ -171,29 +166,25 @@ def _cmd_check(args) -> int:
 
 def _cmd_survey(args) -> int:
     with contextlib.ExitStack() as stack:
-        # read twice, to count and then to digest and classify: a corpus
-        # that cannot seek, such as a pipe, stdin's or a named one, is
-        # spooled to a file first, and a file is never held whole
+        # read once, in batches of lines as it arrives, so a file is never
+        # held and a pipe is classified while it is written
         if args.corpus == "-":
             corpus = sys.stdin.buffer
         else:
             corpus = stack.enter_context(open(args.corpus, "rb"))
-        if not corpus.seekable():
-            spooled = stack.enter_context(tempfile.TemporaryFile())
-            shutil.copyfileobj(corpus, spooled)
-            spooled.seek(0)
-            corpus = spooled
         run = SurveyRun(
-            _Lines(corpus),
+            _lines(corpus),
             filters=tuple(t for t in args.filter.split(",") if t),
             fields=tuple(args.fields or ["q"]),
             max_n=args.max_n,
             jobs=args.jobs,
             strict=args.strict,
         )
-        # opened before any line is classified, so a bad --out fails fast
+        # opened before any line is classified, so a bad --out fails fast,
+        # but not truncated until the report is written: a survey that
+        # fails leaves the file as it was, and --out may name the corpus
         out = (
-            stack.enter_context(open(args.out, "w", encoding="ascii"))
+            stack.enter_context(open(args.out, "a", encoding="ascii"))
             if args.out else sys.stdout
         )
         head, body, tail = REPORT_FORMATS[args.format]
@@ -204,6 +195,9 @@ def _cmd_survey(args) -> int:
         spool.writelines(body(records, run.fields))
         for lineno, msg in run.skipped:
             print(f"tfgor survey: skipped line {lineno}: {msg}", file=sys.stderr)
+        # only a regular file is truncated: /dev/null or a FIFO cannot be
+        if args.out and stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+            out.truncate(0)
         out.write(head(run.head()))
         spool.seek(0)
         shutil.copyfileobj(spool, out)

@@ -1,30 +1,29 @@
 """Corpus classification and machine-readable reports.
 
-A survey consumes an iterable of graph6 lines that it can iterate twice,
-such as a list or the CLI's line reader over a file.  One pass counts
-the nonblank lines; a second draws them lazily and digests them, and
-each is classified in one pass, in a worker when there are several: it
-is parsed once, filtered, and every admitted graph becomes a record.  A
-record reads each field-free column (girth, triangle-freeness, alpha,
-well-coveredness, W2, alpha-criticality) once, from the verdicts
-memoized in the parsed Graph, and asks each requested field only for
-Gorensteinness and the second-power criterion, and only of a
-well-covered graph: Ind(g) of any other graph is not pure, so both are
-False over every field.  The field-free work those two share is
-memoized in the Graph too, so the fields after the first find it
-decided, and the Graph and its memo are freed once the record is built.
-A malformed line comes back as its line number and message instead, and
-a graph beyond the exact recursion or the available memory is an error
-naming its line.  The results come back in line order, so record order
-equals corpus order regardless of the worker count, and a SurveyRun
-yields each admitted record as it arrives, keeping only the summary
-counts and the counterexample indices: the CLI renders the records into
-a spool, and survey() collects them into one report.  Reports carry no
-timestamps, so identical inputs give byte-identical output.  A report is
-a head, its records and a tail; the records are rendered a run at a
-time, each by one %-format of a template built from the record layout,
-its slots filled by the type each column has, so neither the spooled
-nor the written report is ever held as one string.
+A survey reads its iterable of graph6 lines once, lazily: it digests and
+counts each nonblank line as it draws it, and each is classified in one
+pass, in a worker when there are several: it is parsed once, filtered,
+and every admitted graph becomes a record.  A record reads each
+field-free column (girth, triangle-freeness, alpha, well-coveredness,
+W2, alpha-criticality) once, from the verdicts memoized in the parsed
+Graph, and asks each requested field only for Gorensteinness and the
+second-power criterion, and only of a well-covered graph: Ind(g) of any
+other graph is not pure, so both are False over every field.  The
+field-free work those two share is memoized in the Graph too, so the
+fields after the first find it decided, and the Graph and its memo are
+freed once the record is built.  A malformed line comes back as its
+line number and message instead, and a graph beyond the exact recursion
+or the available memory is an error naming its line.  The results come
+back in line order, so record order equals corpus order regardless of
+the worker count, and a SurveyRun yields each admitted record as it
+arrives, keeping only the summary counts and the counterexample indices:
+the CLI renders the records into a spool, and survey() collects them
+into one report.  Reports carry no timestamps, so identical inputs give
+byte-identical output.  A report is a head, its records and a tail; the
+records are rendered a run at a time, each by one %-format of a template
+built from the record layout, its slots filled by the type each column
+has, so neither the spooled nor the written report is ever held as one
+string.
 """
 
 from __future__ import annotations
@@ -161,23 +160,22 @@ def _classify(task):
 class SurveyRun:
     """One survey of graph6 lines, classified as a stream.
 
-    lines is any iterable that gives the same lines each time it is
-    iterated, such as a list.  The constructor checks the options and
-    counts the nonblank lines in one pass over the lines.  records(),
-    iterated once, then iterates the lines again, digests the nonblank
-    ones and classifies them, drawn lazily, each in one pass, in a pool of
-    min(jobs, nonblank lines) workers when that is more than one, in
-    chunks of at most 512 lines, and yields every admitted record in
-    corpus order.  Once the lines are exhausted it raises ValueError if
-    this read found another number of nonblank lines than the first, as
-    an iterator that gives its lines once does, or a file that changed
-    between the two reads.  It keeps only a tally: the admitted count, the
-    counterexample indices and the malformed lines (skipped, as (line
-    number, message) pairs).  With strict=True the first malformed line in
-    corpus order raises ValueError instead, at any job count, and so does
-    a graph beyond the recursion or the memory; leaving records() early,
-    by an error or by closing it, terminates the pool.  Once records() is
-    exhausted, head() is the report without its records.
+    lines is any iterable of lines, such as a list, a generator or the
+    CLI's line reader over a pipe; the constructor only checks the
+    options.  records(), iterated once, reads the lines once: it digests
+    and counts the nonblank ones as it draws them, and classifies them
+    lazily, each in one pass, in a pool of min(jobs, nonblank lines)
+    workers when that is more than one, in chunks of 512 lines, and yields
+    every admitted record in corpus order.  An error the lines raise
+    (such as a byte outside ASCII) comes out of records() where the read
+    reaches it, at any job count.  It keeps only a tally: the nonblank and
+    admitted counts, the counterexample indices and the malformed lines
+    (skipped, as (line number, message) pairs).  With strict=True the
+    first malformed line in corpus order raises ValueError instead, at any
+    job count, and so does a graph beyond the recursion or the memory;
+    leaving records() early, by an error or by closing it, terminates the
+    pool.  Once records() is exhausted, head() is the report without its
+    records.
     """
 
     def __init__(self, lines, filters=(), fields=("q",), max_n=None, jobs: int = 1,
@@ -193,36 +191,35 @@ class SurveyRun:
             FieldSpec.from_label(lb)
         self.lines, self.max_n, self.strict = lines, max_n, strict
         self.jobs = max(1, int(jobs))
-        self.total = sum(1 for raw in lines if raw.strip())
         self._digest = hashlib.sha256()
-        self._read = 0
+        self.total = 0
         self.admitted = 0
         self.counterexamples = []
         self.skipped = []
 
     def _tasks(self):
-        # the classifying read, which digests each nonblank line it draws.
-        # Under Pool.imap it runs in the pool's feeder thread, and its count
-        # is complete once the results are exhausted
+        # the one read, which digests and counts each nonblank line it
+        # draws.  Under Pool.imap it runs in the pool's feeder thread, and
+        # its count is complete once the results are exhausted
         for lineno, raw in enumerate(self.lines, start=1):
             line = raw.strip()
             if line:
                 self._digest.update(line.encode("ascii", "replace") + b"\n")
-                yield lineno, self._read, line, self.filters, self.max_n, self.fields
-                self._read += 1
+                yield lineno, self.total, line, self.filters, self.max_n, self.fields
+                self.total += 1
 
     def records(self):
-        workers = min(self.jobs, self.total)
+        # the first jobs tasks size the pool, so it never has more workers
+        # than lines; a chunk of 512 keeps the records it holds, in a worker
+        # and in the parent, from growing with the corpus
+        tasks = self._tasks()
+        ahead = list(islice(tasks, self.jobs))
         with contextlib.ExitStack() as stack:
-            if workers > 1:
-                # about 8 chunks per worker balances a small corpus; the
-                # cap keeps the records a chunk holds, in a worker and in
-                # the parent, from growing with a large one
-                chunk = max(1, min(512, self.total // (workers * 8)))
-                pool = stack.enter_context(multiprocessing.Pool(workers))
-                results = pool.imap(_classify, self._tasks(), chunksize=chunk)
+            if len(ahead) > 1:
+                pool = stack.enter_context(multiprocessing.Pool(len(ahead)))
+                results = pool.imap(_classify, chain(ahead, tasks), chunksize=512)
             else:
-                results = map(_classify, self._tasks())
+                results = map(_classify, chain(ahead, tasks))
             for res in results:
                 if isinstance(res, dict):
                     self.admitted += 1
@@ -235,10 +232,6 @@ class SurveyRun:
                     if self.strict:
                         raise ValueError(f"line {res[0]}: {res[1]}")
                     self.skipped.append(res)
-        if self._read != self.total:
-            raise ValueError(
-                f"the corpus gave {self.total} nonblank lines, then {self._read} when read again"
-            )
 
     def head(self) -> dict:
         return {
@@ -272,7 +265,7 @@ def survey(
     ValueError instead, at any job count.  Line numbers are 1-based,
     record indices are 0-based positions among the nonblank corpus lines.
     """
-    run = SurveyRun(list(lines), filters, fields, max_n, jobs, strict)
+    run = SurveyRun(lines, filters, fields, max_n, jobs, strict)
     records = list(run.records())
     return dict(run.head(), records=records), run.skipped
 

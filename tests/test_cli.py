@@ -31,7 +31,7 @@ from tfgor import (
     write_edge_list,
     write_graph6,
 )
-from tfgor.cli import _Lines, main
+from tfgor.cli import _lines, main
 from tfgor.survey import SurveyRun
 
 
@@ -395,13 +395,13 @@ def test_survey_pool_never_exceeds_tasks(capsys, monkeypatch, serial_pool):
         )
         assert code == 0
         outputs.append(out)
-    assert serial_pool["sizes"] == [3, 2] and serial_pool["chunks"] == [1, 1]
+    assert serial_pool["sizes"] == [3, 2] and serial_pool["chunks"] == [512, 512]
     assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_survey_pool_chunk_is_capped(capsys, monkeypatch, serial_pool):
-    # 20,000 lines on two workers would be chunks of 1,250; a chunk is at
-    # most 512 records, so what a chunk holds does not grow with the corpus
+    # a chunk is 512 lines at any corpus size, so what a chunk holds does
+    # not grow with the corpus
     code, _, _ = run(
         capsys, ["survey", "--jobs", "2", "--max-n", "1"], stdin="A_\n" * 20000,
         monkeypatch=monkeypatch,
@@ -538,7 +538,7 @@ def test_survey_memory_does_not_grow_with_the_corpus(tmp_path, corpus_tf_lines):
 
 
 def test_survey_reads_the_corpus_a_line_at_a_time(tmp_path, corpus_tf_lines):
-    # the corpus file is read twice a line at a time, never held: the
+    # the corpus file is read once a line at a time, never held: the
     # fixture concatenated four times peaks within 100 KB of the fixture
     # alone, reading included (holding its 6,944 lines costs about 600 KB)
     text = "".join(ln + "\n" for ln in corpus_tf_lines)
@@ -578,8 +578,8 @@ def _through_a_pipe(data: bytes, read):
 
 
 def test_survey_spools_a_corpus_that_cannot_seek(capsys, monkeypatch, tmp_path):
-    # a pipe, named by a path or as stdin, gives the report of the regular
-    # file with the same bytes
+    # a pipe, named by a path or as stdin, is read once as it arrives and
+    # gives the report of the regular file with the same bytes
     data = (FIXTURES / "connected_trifree_2to9.g6").read_bytes()
     path = tmp_path / "corpus.g6"
     path.write_bytes(data)
@@ -595,47 +595,69 @@ def test_survey_spools_a_corpus_that_cannot_seek(capsys, monkeypatch, tmp_path):
     assert _through_a_pipe(data, from_stdin) == want
 
 
-class _Rereads:
-    # lines that give each of its passes in turn, as a file that changes
-    # between the survey's two reads does
-    def __init__(self, *passes):
-        self.passes = iter(passes)
-
-    def __iter__(self):
-        return iter(next(self.passes))
-
-
 @pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize(
-    "lines",
-    [lambda: iter(["Dhc", "A_", "Cr"]), lambda: _Rereads(["Dhc", "A_"], ["Dhc", "", "A_", "Cr"])],
-    ids=["once", "grown"],
-)
-def test_survey_run_refuses_lines_that_change_between_reads(lines, jobs):
-    # an iterator gives its lines once, so the classifying read finds none;
-    # at two jobs the lines are drawn in the pool's feeder thread
-    run = SurveyRun(lines(), jobs=jobs)
-    with pytest.raises(ValueError, match="nonblank lines"):
-        list(run.records())
+def test_survey_run_reads_an_iterator_once(jobs):
+    # the lines are read once, so an iterator, which gives them once, is
+    # surveyed whole; at two jobs the lines are drawn in the pool's feeder
+    run = SurveyRun(iter(["Dhc", "A_", "Cr"]), jobs=jobs)
+    assert len(list(run.records())) == 3 and run.total == 3
 
 
-def test_survey_of_a_corpus_that_changes_between_reads_exit_2(capsys, monkeypatch, tmp_path):
-    # the file grows by a line once the count has read it
+def test_survey_run_classifies_before_it_reads_on():
+    # one job yields a line's record before it draws the lines after it
+    drawn = []
+
+    def lines():
+        for line in ["Dhc", "A_", "Cr"]:
+            drawn.append(line)
+            yield line
+
+    records = SurveyRun(lines()).records()
+    assert next(records)["graph6"] == "Dhc" and len(drawn) < 3
+    assert len(list(records)) == 2 and drawn == ["Dhc", "A_", "Cr"]
+
+
+def test_survey_that_fails_keeps_the_report_at_out(capsys, tmp_path):
+    # --out is truncated only once the report is written, so a survey that
+    # ends with exit code 2 leaves an earlier report byte for byte, and a
+    # shorter report replaces a longer one whole
+    good, bad, out = tmp_path / "ok.g6", tmp_path / "bad.g6", tmp_path / "report.json"
+    good.write_text("Dhc\nA_\n")
+    bad.write_text("Dhc\n#bad\n")
+    assert run(capsys, ["survey", "--corpus", str(good), "--out", str(out)]) == (0, "", "")
+    before = out.read_bytes()
+    code, _, err = run(capsys, ["survey", "--strict", "--corpus", str(bad), "--out", str(out)])
+    assert code == 2 and err.startswith("tfgor survey: line 2: ")
+    assert out.read_bytes() == before
+    good.write_text("A_\n")
+    _, want, _ = run(capsys, ["survey", "--corpus", str(good)])
+    assert run(capsys, ["survey", "--corpus", str(good), "--out", str(out)]) == (0, "", "")
+    assert out.read_text() == want and len(want) < len(before)
+
+
+def test_survey_out_may_name_its_corpus(capsys, tmp_path):
     path = tmp_path / "corpus.g6"
-    path.write_bytes(b"Dhc\nA_\n")
-    reads = []
+    path.write_text("Dhc\nA_\n")
+    _, want, _ = run(capsys, ["survey", "--corpus", str(path)])
+    assert run(capsys, ["survey", "--corpus", str(path), "--out", str(path)]) == (0, "", "")
+    assert path.read_text() == want
 
-    class Growing(_Lines):
-        def __iter__(self):
-            reads.append(len(reads))
-            yield from super().__iter__()
-            if len(reads) == 1:
-                path.write_bytes(b"Dhc\nA_\nCr\n")
 
-    monkeypatch.setattr(sys.modules["tfgor.cli"], "_Lines", Growing)
-    assert run(capsys, ["survey", "--corpus", str(path)]) == (
-        2, "", "tfgor survey: the corpus gave 2 nonblank lines, then 3 when read again\n"
-    )
+def test_survey_out_to_a_device_or_fifo(capsys, tmp_path):
+    # /dev/null and a FIFO are written to, not truncated
+    path = tmp_path / "corpus.g6"
+    path.write_text("Dhc\nA_\n")
+    argv = ["survey", "--corpus", str(path), "--out"]
+    _, want, _ = run(capsys, ["survey", "--corpus", str(path)])
+    assert run(capsys, argv + [os.devnull]) == (0, "", "")
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert run(capsys, argv + [str(fifo)]) == (0, "", "")
+    reader.join(timeout=10)
+    assert got == [want]
 
 
 def test_corpus_lines_are_the_splitlines_of_the_text():
@@ -644,7 +666,7 @@ def test_corpus_lines_are_the_splitlines_of_the_text():
     rng = random.Random(31)
     for _ in range(3000):
         text = "".join(rng.choice("ab \r\n\v\f\x1c\x1d\x1e") for _ in range(rng.randint(0, 12)))
-        assert list(_Lines(io.BytesIO(text.encode()))) == text.splitlines(), repr(text)
+        assert list(_lines(io.BytesIO(text.encode()))) == text.splitlines(), repr(text)
 
 
 def test_survey_non_ascii_corpus_exit_2(capsys, monkeypatch, tmp_path):
@@ -655,6 +677,16 @@ def test_survey_non_ascii_corpus_exit_2(capsys, monkeypatch, tmp_path):
     from_file = run(capsys, ["survey", "--corpus", str(path)])
     from_stdin = run(capsys, ["survey"], stdin=data, monkeypatch=monkeypatch)
     assert from_file == from_stdin == (2, "", "tfgor survey: line 2: byte 0xc3 is not ASCII\n")
+    # past the first batches and 512-line chunks the read reaches a bad
+    # byte while lines before it are classified: at two jobs in the pool's
+    # feeder, whose error comes back through Pool.imap in corpus order
+    data = b"Dhc\n" * 3000 + b"\xff\n" + b"A_\n" * 10
+    path.write_bytes(data)
+    want = (2, "", "tfgor survey: line 3001: byte 0xff is not ASCII\n")
+    for jobs in ("1", "2"):
+        argv = ["survey", "--jobs", jobs, "--corpus"]
+        assert run(capsys, argv + [str(path)]) == want, jobs
+        assert _through_a_pipe(data, lambda r: run(capsys, argv + [f"/dev/fd/{r}"])) == want, jobs
 
 
 @pytest.mark.parametrize(
@@ -667,7 +699,7 @@ def test_non_ascii_byte_is_on_the_line_splitlines_gives_it(capsys, monkeypatch, 
     # every reader, from a file and from stdin, numbers the line of a byte
     # outside ASCII as the survey numbers the line it skips: as
     # str.splitlines() splits the text, CR LF one break.  500 lines of 10
-    # bytes span two batches of _Lines, the first ending in a CR LF
+    # bytes span two batches of _lines, the first ending in a CR LF
     lineno = len(head.splitlines()) + 1
     path = tmp_path / "skip.g6"
     path.write_bytes(head.encode() + b"##bad\n")
