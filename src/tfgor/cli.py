@@ -110,26 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read(path: str) -> str:
-    """The text of a file ('-' = stdin); a byte outside ASCII is a
-    ValueError naming its line."""
-    if path == "-":
-        data = sys.stdin.buffer.read()
-    else:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    try:
-        return data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise ValueError(_not_ascii(1, data, exc.start)) from None
-
-
-def _not_ascii(first: int, data: bytes, pos: int) -> str:
-    # the bad byte at pos of data, whose line is numbered first, on the
-    # line str.splitlines() puts it: the ASCII before it, with one more
-    # character, has as many lines as the breaks before it plus one
-    lineno = first - 1 + len((data[:pos].decode("ascii") + ".").splitlines())
-    return f"line {lineno}: byte {data[pos]:#04x} is not ASCII"
+def _open(path: str):
+    """A binary file open for reading: stdin for '-', left open on exit."""
+    return contextlib.nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb")
 
 
 def _lines(fh):
@@ -138,16 +121,27 @@ def _lines(fh):
     4 KB, so the text is never held.  Every batch but the last ends in a
     newline, and a CR LF pair never straddles two batches, so the batches'
     lines are the whole text's.  A byte outside ASCII is a ValueError
-    naming its line, as _read words it."""
+    naming the line str.splitlines() puts it on."""
     lineno = 1
     while batch := fh.readlines(1 << 12):
         data = b"".join(batch)
         try:
             lines = data.decode("ascii").splitlines()
         except UnicodeDecodeError as exc:
-            raise ValueError(_not_ascii(lineno, data, exc.start)) from None
+            # the ASCII before the bad byte, with one more character, has
+            # as many lines as the breaks before it plus one
+            pos = exc.start
+            lineno += len((data[:pos].decode("ascii") + ".").splitlines()) - 1
+            raise ValueError(f"line {lineno}: byte {data[pos]:#04x} is not ASCII") from None
         lineno += len(lines)
         yield from lines
+
+
+def _read(path: str) -> str:
+    """The text of a file ('-' = stdin) with the lines _lines gives, each
+    ended by a newline, so its splitlines() are theirs."""
+    with _open(path) as fh:
+        return "".join(line + "\n" for line in _lines(fh))
 
 
 def _load_graph(args):
@@ -168,10 +162,7 @@ def _cmd_survey(args) -> int:
     with contextlib.ExitStack() as stack:
         # read once, in batches of lines as it arrives, so a file is never
         # held and a pipe is classified while it is written
-        if args.corpus == "-":
-            corpus = sys.stdin.buffer
-        else:
-            corpus = stack.enter_context(open(args.corpus, "rb"))
+        corpus = stack.enter_context(_open(args.corpus))
         run = SurveyRun(
             _lines(corpus),
             filters=tuple(t for t in args.filter.split(",") if t),
@@ -187,7 +178,7 @@ def _cmd_survey(args) -> int:
             stack.enter_context(open(args.out, "a", encoding="ascii"))
             if args.out else sys.stdout
         )
-        head, body, tail = REPORT_FORMATS[args.format]
+        head, body = REPORT_FORMATS[args.format]
         # the records go to a spool as they are classified, so none is held;
         # the head needs the summary, so nothing reaches out before the last
         spool = stack.enter_context(tempfile.TemporaryFile("w+", encoding="ascii", newline=""))
@@ -201,7 +192,6 @@ def _cmd_survey(args) -> int:
         out.write(head(run.head()))
         spool.seek(0)
         shutil.copyfileobj(spool, out)
-        out.write(tail(run.admitted))
     return 1 if run.counterexamples else 0
 
 

@@ -70,13 +70,11 @@ class FieldSpec:
 
     @classmethod
     def from_label(cls, label: str) -> "FieldSpec":
-        """q for the rationals, fp for GF(p)."""
+        """q for the rationals, f and the ASCII digits of a prime p, with no
+        leading zero, for GF(p): only the labels that .label gives."""
         if label == "q":
             return cls(0)
-        if label.startswith("f"):
-            p = int(label[1:])
-            if p < 2:
-                raise ValueError("prime field needs p >= 2")
+        if re.fullmatch("f[1-9][0-9]*", label) and _is_prime(p := int(label[1:])):
             return cls(p)
         raise ValueError(f"unknown field label {label!r}")
 

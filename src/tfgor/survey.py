@@ -19,11 +19,11 @@ the worker count, and a SurveyRun yields each admitted record as it
 arrives, keeping only the summary counts and the counterexample indices:
 the CLI renders the records into a spool, and survey() collects them
 into one report.  Reports carry no timestamps, so identical inputs give
-byte-identical output.  A report is a head, its records and a tail; the
-records are rendered a run at a time, each by one %-format of a template
-built from the record layout, its slots filled by the type each column
-has, so neither the spooled nor the written report is ever held as one
-string.
+byte-identical output.  A report is a head and then a body: its records
+and whatever closes them.  The body is rendered a run of records at a
+time, each by one %-format of a template built from the record layout,
+its slots filled by the type each column has, so the CLI, which spools
+the body, never holds its report as one string.
 """
 
 from __future__ import annotations
@@ -41,10 +41,10 @@ from .criteria import is_gorenstein_graph, is_second_power_cm
 from .graphs import (
     _G6_HEADER,
     Graph,
-    _alpha_of,
-    _poly_of,
     girth,
     has_isolated_vertices,
+    independence_euler_characteristic,
+    independence_number,
     is_alpha_critical,
     is_connected,
     is_in_w2,
@@ -94,9 +94,8 @@ def build_record(index: int, g: Graph, field_labels, graph6: str | None = None) 
     if not field_labels:
         raise ValueError("at least one field label is required")
     fields = [_FIELD_SPECS.get(lb) or FieldSpec.from_label(lb) for lb in field_labels]
-    nbr, memo, full = g._nbr_bits, g._memo, (1 << g.n) - 1
     gth = girth(g)
-    no_isolated = 0 not in nbr
+    no_isolated = not has_isolated_vertices(g)
     well_covered = is_well_covered(g)
     w2 = is_in_w2(g)
     # the paper's equivalence of W2, Gorensteinness and the second-power
@@ -117,15 +116,15 @@ def build_record(index: int, g: Graph, field_labels, graph6: str | None = None) 
         "index": index,
         "graph6": write_graph6(g) if graph6 is None else graph6.removeprefix(_G6_HEADER),
         "n": g.n,
-        "edge_count": sum(map(int.bit_count, nbr)) // 2,
+        "edge_count": g.edge_count(),
         "girth": None if gth == math.inf else gth,
         "connected": is_connected(g),
         "no_isolated": no_isolated,
-        "alpha": _alpha_of(nbr, memo, full),
+        "alpha": independence_number(g),
         "well_covered": well_covered,
         "w2": w2,
         "alpha_critical": is_alpha_critical(g),
-        "euler_char": -_poly_of(nbr, memo, full),
+        "euler_char": independence_euler_characteristic(g),
         "gorenstein": gorenstein,
         "second_power_cm": second_power_cm,
         "consistent": consistent,
@@ -350,15 +349,14 @@ def _json_head(head: dict) -> str:
 
 
 def _json_body(records, fields):
+    # the records a run at a time, then the closing brackets, which depend
+    # only on whether any record came
     render = _json_renderer(fields, 2)
     sep = "\n    "
     for run in _runs(records):
         yield sep + ",\n    ".join(map(render, run))
         sep = ",\n    "
-
-
-def _json_tail(admitted: int) -> str:
-    return "\n  ]\n}\n" if admitted else "]\n}\n"
+    yield "]\n}\n" if sep == "\n    " else "\n  ]\n}\n"
 
 
 def _csv_head(head: dict) -> str:
@@ -376,45 +374,29 @@ def _csv_body(records, fields):
         yield "".join(map(render, run))
 
 
-# Each report format as (head, body, tail): head(report without records)
-# and tail(admitted count) are strings, body(records, fields) yields the
-# rendered records a run at a time.  report_to_json and report_to_csv write
+# Each report format as (head, body): head(report without records) is a
+# string, and body(records, fields) yields the rest of the report, the
+# rendered records a run at a time.  report_to_json and report_to_csv join
 # them in that order; the CLI spools the body as the records arrive and
 # writes the head, which needs the summary, once the last one has.
 REPORT_FORMATS = {
-    "json": (_json_head, _json_body, _json_tail),
-    "csv": (_csv_head, _csv_body, lambda admitted: ""),
+    "json": (_json_head, _json_body),
+    "csv": (_csv_head, _csv_body),
 }
 
 
-def _write(fmt: str, report: dict, out):
-    # written piece by piece to out when given, else joined and returned
-    head, body, tail = REPORT_FORMATS[fmt]
-    records = report["records"]
-    chunks = chain(
-        [head({k: v for k, v in report.items() if k != "records"})],
-        body(records, report["fields"]),
-        [tail(len(records))],
-    )
-    if out is None:
-        return "".join(chunks)
-    for chunk in chunks:
-        out.write(chunk)
-    return None
+def _write(fmt: str, report: dict) -> str:
+    head, body = REPORT_FORMATS[fmt]
+    rest = {k: v for k, v in report.items() if k != "records"}
+    return head(rest) + "".join(body(report["records"], report["fields"]))
 
 
-def report_to_json(report: dict, out=None) -> str | None:
-    """The report as json.dumps(report, indent=2) writes it, plus a newline.
-
-    With out (any object with a write method) the text is written there a
-    run of records at a time and never held whole; without it, it is
-    returned.
-    """
-    return _write("json", report, out)
+def report_to_json(report: dict) -> str:
+    """The report as json.dumps(report, indent=2) writes it, plus a newline."""
+    return _write("json", report)
 
 
-def report_to_csv(report: dict, out=None) -> str | None:
+def report_to_csv(report: dict) -> str:
     """Lossy flat projection of the records: booleans as 0/1, the per-field
-    maps flattened to one column per field.  Written to out a run of rows
-    at a time when given, returned otherwise."""
-    return _write("csv", report, out)
+    maps flattened to one column per field."""
+    return _write("csv", report)

@@ -571,6 +571,21 @@ def oracle_faces(complex_):
     return sorted(seen, key=lambda f: (len(f), f))
 
 
+def face_poset_complement(complex_):
+    """The graph on the nonempty faces of complex_, in oracle_faces order,
+    with two faces adjacent when neither contains the other: the
+    complement of the face poset's comparability graph.  Its independent
+    sets are the chains of faces, so its independence complex is the
+    barycentric subdivision of complex_."""
+    faces = oracle_faces(complex_)[1:]
+    edges = [
+        (i, j)
+        for (i, f), (j, h) in combinations(enumerate(faces), 2)
+        if not set(f) <= set(h)  # size order: h never lies inside f
+    ]
+    return Graph(len(faces), edges)
+
+
 def oracle_boundaries(complex_):
     """Dense integer boundary matrices, one per degree 0..dim."""
     fs = oracle_faces(complex_)

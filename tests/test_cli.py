@@ -15,7 +15,13 @@ from operator import and_
 import pytest
 
 from conftest import FIXTURES
-from oracles import independence_complex, oracle_betti, read_facets, reduced_euler_characteristic
+from oracles import (
+    face_poset_complement,
+    independence_complex,
+    oracle_betti,
+    read_facets,
+    reduced_euler_characteristic,
+)
 from tfgor import (
     Graph,
     build_record,
@@ -770,6 +776,28 @@ def test_homology_rp2_f2(capsys):
     )
     assert code == 0
     assert "H~_1 = 1" in out and "H~_2 = 1" in out
+
+
+# the complement of the face poset's comparability graph of the RP^2 fixture,
+# faces by size and then lexicographically: Ind(G) is sd(RP^2)
+RP2_SD_G6 = "^~~xy|n\\zvr~j~l~v^}^~t~~Z~~N~~V~~r~~FM~xYz~it}~Yt~n[x~vr^Z^|Nxz~k~fv~F~d~}V~T~w"
+
+
+def test_rp2_subdivision_graph_is_its_oracle(rp2):
+    g = face_poset_complement(rp2)
+    assert (g.n, g.edge_count()) == (31, 375)
+    assert write_graph6(g) == RP2_SD_G6
+
+
+@pytest.mark.parametrize(
+    "field, betti", [("q", "0000"), ("f2", "0011"), ("f3", "0000")]
+)
+def test_homology_of_the_rp2_subdivision_graph(capsys, field, betti):
+    # H~_-1 through H~_2 of sd(RP^2), which has homology over f2 only, and
+    # chi~ = 0 in every field
+    code, out, _ = run(capsys, ["homology", "--g6", RP2_SD_G6, "--field", field])
+    want = [f"field: {field}"] + [f"H~_{i - 1} = {b}" for i, b in enumerate(betti)] + ["chi~ = 0"]
+    assert (code, out.splitlines()) == (0, want)
 
 
 def test_homology_chi_is_alternating_betti_sum(capsys, tmp_path):

@@ -12,6 +12,7 @@ from oracles import (
     delete_edge,
     delete_set,
     edge_localize,
+    face_poset_complement,
     facet_masks,
     independence_complex,
     join,
@@ -697,6 +698,20 @@ def test_record_theorem_k3_out_of_hypothesis():
 def test_record_theorem_isolated_vertex_out_of_hypothesis():
     rec, _, in_hypothesis = theorem_record(disjoint_union(complete_graph(1), complete_graph(2)))
     assert not rec["no_isolated"] and not in_hypothesis
+    assert rec["consistent"]
+
+
+def test_record_of_the_rp2_subdivision_graph(rp2):
+    # Ind(G) is sd(RP^2): pure and in W2, but chi~ = 0 fails the Eulerian
+    # condition, so G is Gorenstein over no field; G has triangles, so it
+    # is outside the hypothesis.  is_cm_graph(G) is not asked: its
+    # vertex-decomposition certificate has no bound yet
+    rec = build_record(0, face_poset_complement(rp2), ("q", "f2", "f3"))
+    assert (rec["n"], rec["edge_count"], rec["alpha"], rec["girth"], rec["euler_char"]) == (
+        31, 375, 3, 3, 0,
+    )
+    assert rec["well_covered"] and rec["w2"] and not rec["alpha_critical"]
+    assert rec["gorenstein"] == rec["second_power_cm"] == {"q": False, "f2": False, "f3": False}
     assert rec["consistent"]
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from itertools import combinations
 
@@ -29,6 +30,7 @@ from tfgor import (
     Graph,
     cycle_graph,
     reduced_betti,
+    survey,
 )
 from tfgor import BACKEND, _kernels
 from tfgor.cli import main
@@ -129,9 +131,16 @@ def test_field_spec():
         FieldSpec(4)
     with pytest.raises(ValueError):
         FieldSpec.from_label("r7")
-    for label in ("f0", "f1", "f4", "f-3", "fx"):
-        with pytest.raises(ValueError):
+    # only the labels that .label gives: no sign, space, underscore,
+    # leading zero or digit outside ASCII, and each names itself
+    for label in ("f0", "f1", "f4", "f-3", "fx", "f 3", "f03", "f3 ", "f+3", "f\u0663", "f1_1", "f"):
+        with pytest.raises(ValueError, match=f"unknown field label {re.escape(repr(label))}"):
             FieldSpec.from_label(label)
+    for p in (2, 3, 5, 11, 101):
+        assert FieldSpec.from_label(f"f{p}").label == f"f{p}"
+    # a survey asked for GF(3) under three spellings used to report three columns
+    with pytest.raises(ValueError, match="'f03'"):
+        survey(["Dhc"], fields=("f3", "f03", "f 3"))
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,12 @@
 The digests were recorded from the reports of tfgor 0.1.0 and must
 not change unless the report format does (then bump the version).  A
 faster invariant or a short-cut in a criterion must leave them alone.
-The streamed writer is also checked against json.dumps(report, indent=2).
+The JSON writer is also checked against json.dumps(report, indent=2).
 """
 
 import hashlib
-import io
 import json
 import sys
-import tracemalloc
 
 import pytest
 
@@ -82,17 +80,6 @@ def test_report_to_json_matches_json_dumps(name):
     report = _writer_reports()[name]
     text = report_to_json(report)
     assert text == json.dumps(report, indent=2) + "\n"
-    sink = io.StringIO()
-    assert report_to_json(report, sink) is None
-    assert sink.getvalue() == text
-
-
-@pytest.mark.parametrize("name", ["one-field", "four-fields", "no-records"])
-def test_report_to_csv_writes_what_it_returns(name):
-    report = _writer_reports()[name]
-    sink = io.StringIO()
-    assert report_to_csv(report, sink) is None
-    assert sink.getvalue() == report_to_csv(report)
 
 
 def test_record_to_json_matches_json_dumps(corpus_tf_lines):
@@ -166,28 +153,3 @@ def test_record_keys_follow_the_layout():
     for key in survey_module._PER_FIELD_KEYS:
         assert list(rec[key]) == ["f2", "q", "f5"]
 
-
-class _Discard:
-    def __init__(self):
-        self.length = 0
-
-    def write(self, chunk):
-        self.length += len(chunk)
-
-
-def test_report_is_streamed_not_held():
-    # the report is written a run of records at a time, so the writer's own peak
-    # is a small fraction of the report's length
-    report, _ = survey(WRITER_CORPUS, fields=("q", "f2", "f3"))
-    rec = report["records"][2]
-    report["records"] = [dict(rec, index=i) for i in range(20_000)]
-    length = len(report_to_json(report))
-    sink = _Discard()
-    tracemalloc.start()
-    try:
-        report_to_json(report, sink)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert sink.length == length
-    assert peak < length / 10, (peak, length)
