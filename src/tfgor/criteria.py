@@ -121,13 +121,18 @@ def is_gorenstein(facets: tuple[int, ...], field: FieldSpec) -> bool:
 def _cm_graph(g: Graph, s: int, field: FieldSpec) -> bool:
     """Cohen-Macaulayness of Ind(g[s]) over field, for a vertex mask s.
     The components of g[s] are the join factors, and an isolated vertex a
-    cone apex, which changes nothing.  A connected g[s] is Cohen-Macaulay
-    if the field-free certificate, pure and vertex decomposable, holds;
-    only where it fails does the link walk on its facet masks decide,
-    purity first.  Each part is memoized in g on its own, so the verdict
-    needs no key of its own."""
-    return all(
-        _vertex_decomposable(g, c) or _cm(_ind_facets(g, c), field, g._memo) > 0
+    cone apex, which changes nothing.  g[s] is Cohen-Macaulay if the
+    field-free certificate, pure and vertex decomposable, holds on all of
+    it (an isolated vertex is a simplex, which passes).  Only where it
+    fails is each component with an edge decided apart: by the
+    certificate, or where that fails too, by the link walk on its facet
+    masks, purity first.  The certificate of s and of each component is
+    read from the walk's table in g before the walk is called, so a
+    second field floods no component again.  Each part is memoized in g
+    on its own, so the verdict needs no key of its own."""
+    vd = g._memo.setdefault("vd", {})
+    return vd.get(s) or _vertex_decomposable(g, s) or all(
+        vd.get(c) or _vertex_decomposable(g, c) or _cm(_ind_facets(g, c), field, g._memo) > 0
         for c in _components(g, s)
         if c & (c - 1)
     )

@@ -8,8 +8,9 @@ The field-free certificates on such masks live here: vertex
 decomposability (_vertex_decomposable) and the Eulerian walk
 (_eulerian), each decided one component at a time (_joined).  Vertex
 decomposability and W2 share one test of a shedding vertex (_sheds), and
-well-coveredness is a walk over the same masks (_pure), one component at
-a time.  Where the certificate fails, the criteria hand a mask to
+well-coveredness is a walk over the same masks (_pure), which like the
+alpha and I(-1) recursions splits a large mask into components where it
+branches (_SPLIT_ABOVE).  Where the certificate fails, the criteria hand a mask to
 _ind_facets, the one enumeration of maximal independent sets, which
 gives the facets of its independence complex as sorted bitmasks.
 Neighbor tuples and edge lists come back sorted, to keep reports
@@ -60,11 +61,12 @@ class Graph:
       _poly_of), each seeded with the empty mask;
     - "pure": the set of the vertex masks S found to have Ind(g[S]) pure
       (see _pure);
+    - "vd" and "eulerian": one table each, made on first use, from a
+      vertex mask S to the verdict of vertex decomposability or of the
+      Eulerian walk on Ind(g[S]), over the components of S (see _joined);
     - "short_cycle" (see _short_cycle), "connected", "well_covered",
       "w2" and "alpha_critical": the whole graph's verdicts;
     - ("facets", S): the maximal independent sets of S (see _ind_facets);
-    - ("vd", S) and ("eulerian", S): vertex decomposability and the
-      Eulerian walk, each over the components of S (see _joined);
     - (facets, field): the criteria's link walk on a tuple of facet
       masks, the one entry that depends on a field.
 
@@ -241,6 +243,11 @@ def write_graph6(g: Graph) -> str:
 
 
 _INT = re.compile(r"-?[0-9]+")
+# the most vertices an edge list may declare.  A graph holds one n-bit row
+# per vertex, up to n^2/8 bytes whatever the edge count, 12.5 MB here; the
+# exact recursions give out far below it (a path of 2,400 vertices already
+# exceeds Python's recursion limit).
+_EDGE_LIST_MAX_N = 10_000
 
 
 def _int_pair(lineno: int, line: str, what: str) -> tuple[int, int]:
@@ -255,7 +262,9 @@ def _int_pair(lineno: int, line: str, what: str) -> tuple[int, int]:
 
 def parse_edge_list(text: str) -> Graph:
     """Parse a header line 'n m' and then m lines 'u v', no edge twice.
-    Blank lines are skipped but counted, so every error starts 'line N:'."""
+    Blank lines are skipped but counted, so every error starts 'line N:'.
+    A header of more than _EDGE_LIST_MAX_N vertices is an error, raised
+    before any row is allocated."""
     raw = text.splitlines()
     lines = [(k, ln) for k, r in enumerate(raw, start=1) if (ln := r.strip())]
     if not lines:
@@ -264,6 +273,10 @@ def parse_edge_list(text: str) -> Graph:
     n, m = _int_pair(head_no, head, "header 'n m'")
     if n < 0 or m < 0:
         raise ValueError(f"line {head_no}: negative count in header {head!r}")
+    if n > _EDGE_LIST_MAX_N:
+        raise ValueError(
+            f"line {head_no}: {n} vertices exceed the limit of {_EDGE_LIST_MAX_N} for an edge list"
+        )
     if len(body) != m:
         raise ValueError(f"line {head_no}: expected {m} edge lines, got {len(body)}")
     edges = set()
@@ -503,8 +516,10 @@ def is_connected(g: Graph) -> bool:
 # maximum independent set through w stays one with u in place of w; and
 # I(S) = -I(S-N[w]), since u is isolated in S-w, so I(S-w) has the factor
 # 1 + x and vanishes at -1 (Engstrom's fold lemma, Europ. J. Combin. 29,
-# 2008, gives the same).  Exhaustive enumeration is fine at the target
-# scale (n up to ~20).
+# 2008, gives the same).  Where they would branch, the recursions and the
+# walk split a mask of more than _SPLIT_ABOVE vertices into components:
+# alpha adds over them, I(-1) multiplies and purity holds iff it holds on
+# each.  Exhaustive enumeration is fine at the target scale (n up to ~20).
 #
 # The recursions, the walk and the enumeration's _extend are module-level
 # functions that take the neighbor masks (and the memo) as arguments.  A
@@ -560,21 +575,25 @@ def _ind_facets(g: Graph, s: int | None = None) -> tuple[int, ...]:
     return facets
 
 
-def _joined(g: Graph, tag: str, s: int, connected) -> bool:
+def _joined(g: Graph, table: dict, s: int, connected) -> bool:
     """Whether connected(g, c) holds on every component c of g[s], for a
     verdict that a join of complexes has iff each factor has it: Ind of a
-    disjoint union is the join of the parts' complexes.  The empty mask
-    gives True, and each mask, connected or not, is memoized in g under
-    (tag, s), so a repeated mask is not split again."""
-    key = (tag, s)
-    got = g._memo.get(key)
+    disjoint union is the join of the parts' complexes, and the empty
+    mask gives True.  table is the walk's table in g's memo, keyed by
+    vertex mask.  Each component is flooded once and looked up before
+    connected decides it, so a walk decides each connected mask once; s
+    is memoized beside its components.  The walks call _joined only on a
+    miss of their own lookup."""
+    got = table.get(s)
     if got is None:
-        parts = _components(g, s)
-        if len(parts) > 1:
-            got = all(_joined(g, tag, c, connected) for c in parts)
-        else:
-            got = not s or connected(g, s)
-        g._memo[key] = got
+        nbr, rest, got = g._nbr_bits, s, True
+        while got and rest:
+            c = _flood(nbr, rest & -rest, rest)
+            rest ^= c
+            got = table.get(c)
+            if got is None:
+                got = table[c] = connected(g, c)
+        table[s] = got
     return got
 
 
@@ -595,7 +614,7 @@ def _vertex_decomposable(g: Graph, s: int) -> bool:
     iff each factor is, so the components are decided apart (see
     _joined).  Needs no field and no maximal independent set.
     """
-    return _joined(g, "vd", s, _vd_connected)
+    return _joined(g, g._memo.setdefault("vd", {}), s, _vd_connected)
 
 
 def _vd_connected(g: Graph, s: int) -> bool:
@@ -604,15 +623,19 @@ def _vd_connected(g: Graph, s: int) -> bool:
     if not s & (s - 1):
         return True
     nbr, memo = g._nbr_bits, g._memo
+    vd = memo["vd"]
     for v in _vertices_of(s):
         rest = s & ~(1 << v)
         link = rest & ~nbr[v]
-        if (
-            _alpha_of(nbr, memo, rest) == _alpha_of(nbr, memo, link) + 1
-            and _sheds(nbr, s, v)
-            and _vertex_decomposable(g, rest)
-            and _vertex_decomposable(g, link)
-        ):
+        if _alpha_of(nbr, memo, rest) != _alpha_of(nbr, memo, link) + 1 or not _sheds(nbr, s, v):
+            continue
+        for child in (rest, link):
+            got = vd.get(child)
+            if got is None:
+                got = _joined(g, vd, child, _vd_connected)
+            if not got:
+                break
+        else:
             return True
     return False
 
@@ -658,16 +681,35 @@ def _eulerian(g: Graph, s: int) -> bool:
     on components (see _joined); s = 0 is {()}, chi~ = -1 in dimension
     -1.  An isolated vertex is a cone, chi~ = 0, and fails.  Needs no
     field."""
-    return _joined(g, "eulerian", s, _eulerian_connected)
+    return _joined(g, g._memo.setdefault("eulerian", {}), s, _eulerian_connected)
 
 
 def _eulerian_connected(g: Graph, s: int) -> bool:
     # chi~ of the connected g[s] is (-1)^(alpha - 1), and so is that of
     # each vertex link, recursively
     nbr, memo = g._nbr_bits, g._memo
-    return -_poly_of(nbr, memo, s) == (1 if _alpha_of(nbr, memo, s) % 2 else -1) and all(
-        _eulerian(g, s & ~(1 << v) & ~nbr[v]) for v in _vertices_of(s)
-    )
+    if -_poly_of(nbr, memo, s) != (1 if _alpha_of(nbr, memo, s) % 2 else -1):
+        return False
+    table = memo["eulerian"]
+    for v in _vertices_of(s):
+        link = s & ~(1 << v) & ~nbr[v]
+        got = table.get(link)
+        if got is None:
+            got = _joined(g, table, link, _eulerian_connected)
+        if not got:
+            return False
+    return True
+
+
+# _alpha_of, _poly_of and _pure split a mask into components where they
+# would branch on it, but only a mask of more than this many vertices.  A
+# split floods the component of the branch vertex, and pays when the masks
+# it spares visiting outnumber its floods; a mask visit and a flood each
+# read about one row per vertex.  Counted on the checks of girth4_planar
+# (16) and (30) over q,f2, splitting the masks of 15 and 16 vertices too
+# spared 2.7-3.4 masks per added flood, of 13 and 14 vertices 1.4-1.5, but
+# of 11 and 12 vertices 0.2-0.4 and of 9 and 10 vertices 0.7-0.9.
+_SPLIT_ABOVE = 12
 
 
 def _alpha_of(nbr, memo: dict, s: int) -> int:
@@ -681,6 +723,12 @@ def _alpha_of(nbr, memo: dict, s: int) -> int:
     independent set and add one each.  Otherwise branch on a vertex v of
     largest degree: an independent set either avoids v or contains v and
     avoids N(v).
+
+    Where it would branch, a mask of more than _SPLIT_ABOVE vertices is
+    first split: with C the component of v in g[S], flooded from v, and
+    C != S, alpha(S) = alpha(C) + alpha(S - C), since no edge joins C to
+    S - C, so an independent set of S is one of C beside one of S - C.
+    The recursion then visits the masks of each part, not their products.
     """
     got = memo.get(s)
     if got is not None:
@@ -703,6 +751,8 @@ def _alpha_of(nbr, memo: dict, s: int) -> int:
     else:
         if isolated:
             out = isolated.bit_count() + _alpha_of(nbr, memo, s & ~isolated)
+        elif s.bit_count() > _SPLIT_ABOVE and (c := _flood(nbr, 1 << v, s)) != s:
+            out = _alpha_of(nbr, memo, c) + _alpha_of(nbr, memo, s ^ c)
         else:
             rest = s & ~(1 << v)
             out = max(_alpha_of(nbr, memo, rest), 1 + _alpha_of(nbr, memo, rest & ~nbr[v]))
@@ -720,7 +770,12 @@ def _poly_of(nbr, memo: dict, s: int) -> int:
     I(S - N[w]), and u is isolated in S - w, so I(S; -1) = -I(S - N[w]; -1)
     (Engstrom's fold lemma, Europ. J. Combin. 29, 2008, gives the same).
     The scan stops at the first isolated vertex or leaf; otherwise branch
-    on a vertex v of largest degree, I(S) = I(S - v) - I(S - N[v]).
+    on a vertex v of largest degree, I(S) = I(S - v) - I(S - N[v]).  As
+    in _alpha_of, a mask of more than _SPLIT_ABOVE vertices is split
+    first where it would branch: I(S) = I(C) I(S - C) for the component C
+    of v, since the independent sets of S are the unions of one of C and
+    one of S - C, their sizes adding.  A factor of 0 leaves the other
+    unasked.
     """
     got = memo.get(~s)
     if got is not None:
@@ -742,8 +797,12 @@ def _poly_of(nbr, memo: dict, s: int) -> int:
         if d > deg:
             v, deg = u, d
     else:
-        rest = s & ~(1 << v)
-        out = _poly_of(nbr, memo, rest) - _poly_of(nbr, memo, rest & ~nbr[v])
+        if s.bit_count() > _SPLIT_ABOVE and (c := _flood(nbr, 1 << v, s)) != s:
+            out = _poly_of(nbr, memo, c)
+            out = out and out * _poly_of(nbr, memo, s ^ c)
+        else:
+            rest = s & ~(1 << v)
+            out = _poly_of(nbr, memo, rest) - _poly_of(nbr, memo, rest & ~nbr[v])
     memo[~s] = out
     return out
 
@@ -773,8 +832,10 @@ def is_well_covered(g: Graph) -> bool:
 
     The maximal independent sets of a disjoint union are the unions of one
     maximal set per component, so g is well-covered iff each component is.
-    Only the whole graph is split, and only when the memoized is_connected
-    says it has more than one component.
+    The whole graph is split into all its components at once, when the
+    memoized is_connected says it has more than one, so a graph of many
+    components is walked one at a time; inside a component, _pure splits
+    a mask of more than _SPLIT_ABOVE vertices where it would branch.
 
     Most graphs are rejected before the walk.  A well-covered graph
     without isolated vertices has alpha <= n/2 (Favaron, Discrete Math.
@@ -805,6 +866,11 @@ def _pure(nbr, memo: dict, s: int) -> bool:
     every u in N[v], alpha(S - N[u]) = alpha(S) - 1 and g[S - N[u]] is
     pure.  An independent S is its own one maximal set.
 
+    Before that walk a mask of more than _SPLIT_ABOVE vertices is split
+    (see _alpha_of): with C the component of v in g[S] and C != S, the
+    maximal independent sets of g[S] are the unions of one of g[C] and
+    one of g[S - C], so g[S] is pure iff g[C] and g[S - C] are.
+
     v is the first vertex of largest degree, tried before its neighbors,
     so the walk first descends along the greedy maximal set that takes a
     vertex of largest degree, lowest first, and deletes its closed
@@ -826,7 +892,10 @@ def _pure(nbr, memo: dict, s: int) -> bool:
         d = (nbr[u] & s).bit_count()
         if d > deg:
             v, deg = u, d
-    if deg:
+    if deg and s.bit_count() > _SPLIT_ABOVE and (c := _flood(nbr, 1 << v, s)) != s:
+        if not (_pure(nbr, memo, c) and _pure(nbr, memo, s ^ c)):
+            return False
+    elif deg:
         below = _alpha_of(nbr, memo, s) - 1
         for u in chain((v,), _vertices_of(nbr[v] & s)):
             rest = s & ~nbr[u] & ~(1 << u)

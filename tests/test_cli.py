@@ -90,6 +90,22 @@ def test_check_edge_file_error_names_line_exit_2(capsys, tmp_path, text, line):
     assert err.startswith(f"tfgor check: line {line}: ")
 
 
+def test_check_edge_file_over_the_vertex_limit_exit_2(capsys, tmp_path):
+    # a header of 10^8 vertices is refused before its rows are allocated
+    # (800 MB for the row list alone), with no ulimit needed
+    p = tmp_path / "huge.edges"
+    p.write_text("100000000 0\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, ["check", "--edge-file", str(p)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err.startswith("tfgor check: line 1: 100000000 vertices exceed the limit")
+    assert peak < 1 << 20
+
+
 def test_check_c4_all_false(capsys):
     code, out, _ = run(capsys, ["check", "--g6", write_graph6(cycle_graph(4))])
     rec = json.loads(out)

@@ -156,6 +156,29 @@ def test_cm_ranks_each_distinct_link_once(monkeypatch, n, faces, links):
     assert len(facets) == len(distinct) and set(facets) == distinct
 
 
+@pytest.mark.parametrize(
+    "g", [girth4_planar(6), disjoint_union(cycle_graph(5), cycle_graph(5))], ids=["planar6", "2C5"]
+)
+def test_each_walk_decides_each_mask_once(monkeypatch, g):
+    # the vertex-decomposability and Eulerian walks keep their verdicts in
+    # one table each, looked up before any mask is decided: over a record
+    # in two fields, neither decides a mask twice
+    graphs_module = sys.modules["tfgor.graphs"]
+    decided = {}
+    for name in ("_vd_connected", "_eulerian_connected"):
+        real, masks = getattr(graphs_module, name), decided.setdefault(name, [])
+
+        def counting(h, s, real=real, masks=masks):
+            masks.append(s)
+            return real(h, s)
+
+        monkeypatch.setattr(graphs_module, name, counting)
+    rec = build_record(0, g, ("q", "f2"))
+    assert rec["gorenstein"] == rec["second_power_cm"] == {"q": True, "f2": True}
+    for name, masks in decided.items():
+        assert masks and len(masks) == len(set(masks)), name
+
+
 def test_record_over_q_and_f2_ranks_nothing_over_q(monkeypatch):
     # girth4_planar(5) and its edge localizations are vertex decomposable,
     # so its record ranks nothing, over q or over f2

@@ -119,6 +119,9 @@ def test_edge_list_errors():
         ("3 2\n0 1\n", "line 1: expected 2 edge lines, got 1"),
         ("3 -1\n", "line 1: negative count"),
         ("-3 0\n", "line 1: negative count"),
+        # more vertices than an edge list may declare, before any row is made
+        ("\n100000000 0\n", "line 2: 100000000 vertices exceed the limit of 10000"),
+        ("10001 0\n", "line 1: 10001 vertices exceed the limit of 10000"),
         ("3 1\n0 a\n", "line 2: expected edge line"),
         ("3 1\n0 1 2\n", "line 2: expected edge line"),
         ("3 1\n+0 1\n", "line 2: expected edge line"),
@@ -132,3 +135,4 @@ def test_edge_list_errors():
     for text, message in cases:
         with pytest.raises(ValueError, match=f"^{message}"):
             parse_edge_list(text)
+    assert parse_edge_list("10000 1\n0 9999\n").edges() == [(0, 9999)]

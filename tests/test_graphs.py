@@ -25,6 +25,7 @@ from oracles import (
     is_pure,
     localized_vertices,
     oracle_alpha_critical,
+    oracle_eulerian,
     oracle_vertex_decomposable,
     oracle_w2,
     oracle_w2_private_neighbors,
@@ -52,19 +53,34 @@ from tfgor import (
     path_graph,
     survey,
 )
+from tfgor import graphs as graphs_module
 from tfgor.graphs import (
+    _SPLIT_ABOVE,
     _alpha_of,
     _components,
+    _eulerian,
     _ind_facets,
     _not_alpha_critical,
     _not_well_covered,
     _poly_of,
+    _pure,
     _vertex_decomposable,
 )
 
 
 def random_graph(rng, n, p=0.4):
     return Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
+def interleaved_union(rng, parts):
+    """The disjoint union of the graphs parts, its labels shuffled across
+    the parts, so that any part may hold the first vertex of a mask."""
+    n = sum(h.n for h in parts)
+    label, base, edges = rng.sample(range(n), n), 0, []
+    for h in parts:
+        edges += [(label[base + u], label[base + v]) for u, v in h.edges()]
+        base += h.n
+    return Graph(n, edges)
 
 
 def component_count(g):
@@ -256,15 +272,73 @@ def test_well_covered_matches_the_oracle_on_interleaved_disjoint_unions():
     for _ in range(150):
         parts = [random_graph(rng, rng.randint(1, 6), rng.choice([0.3, 0.5, 0.8]))
                  for _ in range(rng.randint(1, 4))]
-        n = sum(h.n for h in parts)
-        label, base, edges = rng.sample(range(n), n), 0, []
-        for h in parts:
-            edges += [(label[base + u], label[base + v]) for u, v in h.edges()]
-            base += h.n
-        g = Graph(n, edges)
+        g = interleaved_union(rng, parts)
         assert is_well_covered(g) == oracle_well_covered(g), g
         covered += is_well_covered(g)
     assert covered > 0
+
+
+def split_unions():
+    """Disjoint unions with interleaved labels, each of more than
+    _SPLIT_ABOVE vertices: girth4_planar(4), (5) and (6) beside C5, C4 or
+    K2, then seeded random unions of two or three parts."""
+    rng = random.Random(37)
+    second = (cycle_graph(5), cycle_graph(4), complete_graph(2))
+    graphs = [interleaved_union(rng, [girth4_planar(n), h]) for n in (4, 5, 6) for h in second]
+    while len(graphs) < 45:
+        parts = [random_graph(rng, rng.randint(4, 8), rng.choice([0.3, 0.5]))
+                 for _ in range(rng.randint(2, 3))]
+        g = interleaved_union(rng, parts)
+        if g.n > _SPLIT_ABOVE:
+            graphs.append(g)
+    return graphs
+
+
+def test_split_recursions_match_the_oracles_on_interleaved_unions(monkeypatch):
+    # alpha, I(-1) and purity split a mask of more than _SPLIT_ABOVE
+    # vertices into components where they branch: each union is split at
+    # least once, and every value matches its brute force
+    splits = []
+
+    def counting(nbr, seen, within=-1):
+        got = real(nbr, seen, within)
+        splits.append(got != within)
+        return got
+
+    real = graphs_module._flood
+    monkeypatch.setattr(graphs_module, "_flood", counting)
+    covered = 0
+    for g in split_unions():
+        nbr, memo, full = g._nbr_bits, g._memo, (1 << g.n) - 1
+        edges = g.edges()
+        splits.clear()
+        assert _alpha_of(nbr, memo, full) == brute_alpha(g.n, edges), g
+        assert -_poly_of(nbr, memo, full) == brute_euler_characteristic(g.n, edges), g
+        assert _pure(nbr, memo, full) == oracle_well_covered(g), g
+        assert any(splits), g
+        assert is_well_covered(g) == oracle_well_covered(g), g
+        covered += is_well_covered(g)
+    assert covered == 9
+
+
+def test_walks_match_the_oracles_on_interleaved_unions():
+    # the Eulerian and vertex-decomposability walks read alpha and I(-1)
+    # off the split recursions: against the definitions on girth4_planar(4)
+    # beside C5, C4 and K2, and on the random unions whose Ind has at most
+    # 80 facets (the oracles compare faces pairwise and try every shedding
+    # vertex)
+    graphs = split_unions()
+    counts = [0, 0, 0]
+    for g in graphs[:3] + graphs[9:]:
+        c = independence_complex(g)
+        if len(c.facets) > 80 and g not in graphs[:3]:
+            continue
+        full = (1 << g.n) - 1
+        eulerian, vd = _eulerian(g, full), _vertex_decomposable(g, full)
+        assert eulerian == oracle_eulerian(c), g
+        assert vd == (oracle_vertex_decomposable(c) and is_pure(c)), g
+        counts = [counts[0] + 1, counts[1] + eulerian, counts[2] + vd]
+    assert counts == [29, 2, 2]
 
 
 def test_greedy_witness_is_linear_in_the_components():
