@@ -20,6 +20,7 @@ import tempfile
 
 from ._version import __version__
 from .graphs import (
+    _EDGE_LIST_MAX_N,
     _FAMILIES,
     _components,
     _ind_facets,
@@ -196,6 +197,13 @@ def _cmd_survey(args) -> int:
 
 
 def _cmd_family(args) -> int:
+    # a member over the edge-list limit is refused before it is built, so
+    # every member written reads back through --edge-file
+    n = 3 * args.n - 1 if args.name == "girth4-planar" else args.n
+    if n > _EDGE_LIST_MAX_N:
+        raise ValueError(
+            f"{args.name} {args.n} has {n} vertices, over the limit of {_EDGE_LIST_MAX_N} for an edge list"
+        )
     g = generate(args.name, args.n)
     if args.format == "graph6":
         print(write_graph6(g))

@@ -34,12 +34,13 @@ join, and a join is Cohen-Macaulay (Gorenstein*) iff each factor is
 which Cohen-Macaulayness ignores.  A pure vertex-decomposable complex is
 shellable, hence Cohen-Macaulay over every field (Provan and Billera
 1980), and Woodroofe's criterion (Proc. AMS 137, 2009), with purity
-read off alpha, decides that on a connected mask with no field, no rank
-and no facet (graphs._vertex_decomposable).  Only where that
-certificate fails are the mask's facet masks handed to the link walk
-above, which rejects a mask that is not pure (not well-covered) before
-any rank.  Gorenstein* is Cohen-Macaulay plus Eulerian (Stanley
-II.5.1), and the Eulerian walk needs no field either
+read off alpha and one shedding vertex taken per mask, certifies that on
+a component with no field, no rank and no facet
+(graphs._vertex_decomposable).  The certificate only proves: wherever
+it does not, the component's facet masks go to the link walk above,
+which decides exactly and rejects a mask that is not pure (not
+well-covered) before any rank.  Gorenstein* is Cohen-Macaulay plus
+Eulerian (Stanley II.5.1), and the Eulerian walk needs no field either
 (graphs._eulerian).  Alpha-criticality and well-coveredness are
 memoized in the Graph as well, so deciding a graph over several fields
 repeats only the homology, where any is left.
@@ -123,18 +124,15 @@ def _cm_graph(g: Graph, s: int, field: FieldSpec) -> bool:
     The components of g[s] are the join factors, and an isolated vertex a
     cone apex, which changes nothing.  g[s] is Cohen-Macaulay if the
     field-free certificate, pure and vertex decomposable, holds on all of
-    it (an isolated vertex is a simplex, which passes).  Only where it
-    fails is each component with an edge decided apart: by the
-    certificate, or where that fails too, by the link walk on its facet
-    masks, purity first.  The certificate of s and of each component is
-    read from the walk's table in g before the walk is called, so a
-    second field floods no component again.  Each part is memoized in g
-    on its own, so the verdict needs no key of its own."""
-    vd = g._memo.setdefault("vd", {})
-    return vd.get(s) or _vertex_decomposable(g, s) or all(
-        vd.get(c) or _vertex_decomposable(g, c) or _cm(_ind_facets(g, c), field, g._memo) > 0
+    it (an isolated vertex is a simplex, which passes).  Otherwise each
+    component is decided apart: by the certificate, or where it proves
+    nothing, by the link walk on its facet masks, purity first.  The
+    certificate is memoized in g by mask, s and its components alike, so
+    a second field floods no component of a certified s again.  Each part
+    is memoized in g on its own, so the verdict needs no key of its own."""
+    return _vertex_decomposable(g, s) or all(
+        _vertex_decomposable(g, c) or _cm(_ind_facets(g, c), field, g._memo) > 0
         for c in _components(g, s)
-        if c & (c - 1)
     )
 
 

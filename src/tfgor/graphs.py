@@ -4,15 +4,17 @@ Vertices are the integer labels 0..n-1.  Graph values are immutable once
 built, so they can be shared freely across worker processes.  An induced
 subgraph, such as the localization at an edge, is a vertex bitmask of the
 graph it lives in, never a new graph, so it shares that graph's memo.
-The field-free certificates on such masks live here: vertex
-decomposability (_vertex_decomposable) and the Eulerian walk
-(_eulerian), each decided one component at a time (_joined).  Vertex
-decomposability and W2 share one test of a shedding vertex (_sheds), and
+The field-free walks on such masks live here: the vertex-decomposition
+certificate (_vertex_decomposable), which commits to one shedding vertex
+per mask and so proves but never refutes, and the Eulerian walk
+(_eulerian), each decided one component at a time (_joined).  The
+certificate and W2 share one test of a shedding vertex (_sheds), and
 well-coveredness is a walk over the same masks (_pure), which like the
 alpha and I(-1) recursions splits a large mask into components where it
-branches (_SPLIT_ABOVE).  Where the certificate fails, the criteria hand a mask to
-_ind_facets, the one enumeration of maximal independent sets, which
-gives the facets of its independence complex as sorted bitmasks.
+branches (_SPLIT_ABOVE).  Where the certificate proves nothing, the
+criteria hand a mask to _ind_facets, the one enumeration of maximal
+independent sets, which gives the facets of its independence complex as
+sorted bitmasks.
 Neighbor tuples and edge lists come back sorted, to keep reports
 reproducible.
 """
@@ -62,8 +64,9 @@ class Graph:
     - "pure": the set of the vertex masks S found to have Ind(g[S]) pure
       (see _pure);
     - "vd" and "eulerian": one table each, made on first use, from a
-      vertex mask S to the verdict of vertex decomposability or of the
-      Eulerian walk on Ind(g[S]), over the components of S (see _joined);
+      vertex mask S to the vertex-decomposition certificate or the
+      Eulerian verdict on Ind(g[S]), over the components of S (see
+      _joined);
     - "short_cycle" (see _short_cycle), "connected", "well_covered",
       "w2" and "alpha_critical": the whole graph's verdicts;
     - ("facets", S): the maximal independent sets of S (see _ind_facets);
@@ -582,8 +585,7 @@ def _joined(g: Graph, table: dict, s: int, connected) -> bool:
     mask gives True.  table is the walk's table in g's memo, keyed by
     vertex mask.  Each component is flooded once and looked up before
     connected decides it, so a walk decides each connected mask once; s
-    is memoized beside its components.  The walks call _joined only on a
-    miss of their own lookup."""
+    is memoized beside its components."""
     got = table.get(s)
     if got is None:
         nbr, rest, got = g._nbr_bits, s, True
@@ -598,8 +600,9 @@ def _joined(g: Graph, table: dict, s: int, connected) -> bool:
 
 
 def _vertex_decomposable(g: Graph, s: int) -> bool:
-    """Whether Ind(g[s]) is pure and vertex decomposable (Provan and
-    Billera 1980), for a vertex mask s; such a complex is shellable.
+    """True only when Ind(g[s]) is pure and vertex decomposable (Provan
+    and Billera 1980), for a vertex mask s; such a complex is shellable.
+    False may mean only that this rule found no decomposition.
 
     Woodroofe (Proc. AMS 137, 2009) decides vertex decomposability in the
     sense of Bjorner and Wachs on graphs: Ind(g[s]) is vertex decomposable
@@ -609,34 +612,35 @@ def _vertex_decomposable(g: Graph, s: int) -> bool:
     g[s - v], that is, when none has a neighbor of every vertex of N(v).
     The facets of a complex with a shedding vertex v are those of the
     deletion and v joined to those of the link, so it is pure iff both
-    are and alpha(g[s - v]) = alpha(g[s - N[v]]) + 1; and a pure complex
-    has only such decompositions.  A join is pure and vertex decomposable
-    iff each factor is, so the components are decided apart (see
-    _joined).  Needs no field and no maximal independent set.
+    are and alpha(g[s - v]) = alpha(g[s - N[v]]) + 1.  A join is pure and
+    vertex decomposable iff each factor is, so the components are decided
+    apart (see _joined).  Needs no field and no maximal independent set.
+
+    On a connected mask the rule takes one such v, the first by largest
+    degree in g[s] and then lowest label (the order in which _alpha_of
+    and _pure branch), and asks its deletion and link alone.  It tries no
+    second v, so it never backtracks and a failure ends it at once.  It
+    misses no pure vertex-decomposable graph on at most 8 vertices, but
+    it misses some, such as the 9-vertex H_U`{_d; the criteria hand every
+    mask it leaves unproved to the exact link walk, so no verdict depends
+    on its reach.
     """
     return _joined(g, g._memo.setdefault("vd", {}), s, _vd_connected)
 
 
 def _vd_connected(g: Graph, s: int) -> bool:
-    # some v sheds in the connected g[s], with deletion and link pure of
-    # dimensions one apart and decomposable; one vertex is a simplex
+    # one vertex is a simplex.  Otherwise commit to the first vertex v of
+    # the connected g[s], by largest degree and then lowest label, that
+    # sheds with deletion and link of alpha one apart, and decide those two
     if not s & (s - 1):
         return True
     nbr, memo = g._nbr_bits, g._memo
-    vd = memo["vd"]
-    for v in _vertices_of(s):
+    for v in sorted(_vertices_of(s), key=lambda u: -(nbr[u] & s).bit_count()):
         rest = s & ~(1 << v)
         link = rest & ~nbr[v]
-        if _alpha_of(nbr, memo, rest) != _alpha_of(nbr, memo, link) + 1 or not _sheds(nbr, s, v):
-            continue
-        for child in (rest, link):
-            got = vd.get(child)
-            if got is None:
-                got = _joined(g, vd, child, _vd_connected)
-            if not got:
-                break
-        else:
-            return True
+        if _alpha_of(nbr, memo, rest) == _alpha_of(nbr, memo, link) + 1 and _sheds(nbr, s, v):
+            vd = memo["vd"]
+            return _joined(g, vd, rest, _vd_connected) and _joined(g, vd, link, _vd_connected)
     return False
 
 
@@ -692,11 +696,7 @@ def _eulerian_connected(g: Graph, s: int) -> bool:
         return False
     table = memo["eulerian"]
     for v in _vertices_of(s):
-        link = s & ~(1 << v) & ~nbr[v]
-        got = table.get(link)
-        if got is None:
-            got = _joined(g, table, link, _eulerian_connected)
-        if not got:
+        if not _joined(g, table, s & ~(1 << v) & ~nbr[v], _eulerian_connected):
             return False
     return True
 

@@ -28,7 +28,9 @@ from tfgor import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    generate,
     girth4_planar,
+    parse_edge_list,
     parse_graph6,
     path_graph,
     report_to_csv,
@@ -774,6 +776,32 @@ def test_family_emit_counts_n5(capsys):
 def test_family_below_minimum_exit_2(capsys):
     code, _, err = run(capsys, ["family", "girth4-planar", "2"])
     assert code == 2 and "n >= 3" in err
+
+
+@pytest.mark.parametrize(
+    "name, n, vertices",
+    [("path", "10001", 10001), ("cycle", "10001", 10001), ("girth4-planar", "3334", 10001)],
+)
+def test_family_over_the_vertex_limit_exit_2(capsys, name, n, vertices):
+    # a member of more vertices than an edge list may declare is refused
+    # before it is built, with no ulimit needed
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, ["family", name, n, "--format", "edges"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err == f"tfgor family: {name} {n} has {vertices} vertices, over the limit of 10000 for an edge list\n"
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("name, n, vertices", [("path", "10000", 10000), ("girth4-planar", "3333", 9998)])
+def test_family_at_the_vertex_limit_reads_back(capsys, name, n, vertices):
+    # the largest members written are edge lists that --edge-file reads
+    code, out, _ = run(capsys, ["family", name, n, "--format", "edges"])
+    assert code == 0
+    assert parse_edge_list(out) == generate(name, int(n)) and int(out.split()[0]) == vertices
 
 
 def test_homology_facet_file(capsys, tmp_path):

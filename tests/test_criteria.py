@@ -22,6 +22,7 @@ from oracles import (
     oracle_doubly_cm,
     oracle_eulerian,
     oracle_faces,
+    oracle_vertex_decomposable,
     simplex,
 )
 from tfgor import (
@@ -276,6 +277,20 @@ def test_verdicts_without_the_certificate_come_from_the_link_walk(monkeypatch):
         for field in fields:
             assert graph_verdicts(g, field) == want[i, field], (g, field)
     assert len(ranked) >= 100
+
+
+@pytest.mark.parametrize("field", [RATIONALS, GF2, GF3], ids=["q", "f2", "f3"])
+def test_cm_verdict_is_exact_where_the_certificate_misses(monkeypatch, field):
+    # H_U`{_d is vertex decomposable by the definition, but the certificate,
+    # which takes one shedding vertex per mask, finds no decomposition; the
+    # link walk decides it, as on its facets
+    g = parse_graph6("H_U`{_d")
+    assert (g.n, g.edge_count()) == (9, 14)
+    assert oracle_vertex_decomposable(independence_complex(g))
+    assert not _vertex_decomposable(g, (1 << g.n) - 1)
+    ranked = count_ranked(monkeypatch)
+    assert is_cm_graph(g, field) and ranked
+    assert is_cohen_macaulay(_ind_facets(g), field)
 
 
 def test_eulerian_examples():
@@ -727,8 +742,7 @@ def test_record_theorem_isolated_vertex_out_of_hypothesis():
 def test_record_of_the_rp2_subdivision_graph(rp2):
     # Ind(G) is sd(RP^2): pure and in W2, but chi~ = 0 fails the Eulerian
     # condition, so G is Gorenstein over no field; G has triangles, so it
-    # is outside the hypothesis.  is_cm_graph(G) is not asked: its
-    # vertex-decomposition certificate has no bound yet
+    # is outside the hypothesis
     rec = build_record(0, face_poset_complement(rp2), ("q", "f2", "f3"))
     assert (rec["n"], rec["edge_count"], rec["alpha"], rec["girth"], rec["euler_char"]) == (
         31, 375, 3, 3, 0,
@@ -736,6 +750,25 @@ def test_record_of_the_rp2_subdivision_graph(rp2):
     assert rec["well_covered"] and rec["w2"] and not rec["alpha_critical"]
     assert rec["gorenstein"] == rec["second_power_cm"] == {"q": False, "f2": False, "f3": False}
     assert rec["consistent"]
+
+
+def test_cm_verdicts_of_the_rp2_subdivision_graph(monkeypatch, rp2):
+    # sd(RP^2) is Cohen-Macaulay over q and f3, not over f2, so it is not
+    # vertex decomposable: the certificate gives up and the link walk
+    # decides.  A certificate that tried every shedding vertex searched
+    # deletion masks for CPU minutes here, so its visits are capped
+    graphs_module = sys.modules["tfgor.graphs"]
+    real, visits = graphs_module._vd_connected, []
+
+    def capped(h, s):
+        visits.append(s)
+        if len(visits) > 1000:
+            raise RuntimeError("the certificate visited more than 1000 masks")
+        return real(h, s)
+
+    monkeypatch.setattr(graphs_module, "_vd_connected", capped)
+    g = face_poset_complement(rp2)
+    assert [is_cm_graph(g, field) for field in (RATIONALS, GF2, GF3)] == [True, False, True]
 
 
 def test_record_decides_w2_once_over_three_fields(monkeypatch):

@@ -226,7 +226,9 @@ def test_vertex_decomposable_matches_definition_on_all_graphs_up_to_7():
     # Woodroofe's criterion on vertex masks, split into components, with
     # purity read off alpha, against the definition on Ind(g) and purity:
     # 1253 graphs (OEIS A000088 up to n = 7), 1009 vertex decomposable and
-    # 187 of them pure
+    # 187 of them pure.  The certificate takes one shedding vertex per mask
+    # and may miss a decomposition, so the equality pins its reach: it
+    # misses none of these 187
     graphs = all_graphs(7)
     assert len(graphs) == 1 + 1 + 2 + 4 + 11 + 34 + 156 + 1044
     counts = [0, 0]
